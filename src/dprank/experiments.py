@@ -219,16 +219,26 @@ def run_synth(cfg: ExperimentConfig, out_dir=None) -> Path:
 
 def load_labels(path, g: Graph) -> np.ndarray:
     """Two-column node-id/class-id CSV, remapped onto dense ids when the graph
-    was loaded through an id remap."""
+    was loaded through an id remap.
+
+    Blank and ``#`` lines are skipped. The first remaining row may be a
+    header; any later row that is not two integers raises ValueError with
+    its line number."""
     raw = {}
     with open(path) as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        first = True
+        for row in reader:
             if not row or row[0].strip().startswith("#"):
                 continue
             try:
-                raw[int(row[0])] = int(row[1])
-            except ValueError:
-                continue  # header line
+                node, cls = map(int, row)  # ValueError unless two integers
+                raw[node] = cls
+            except ValueError as exc:
+                if not first:
+                    raise ValueError(f"{path}:{reader.line_num}: malformed label "
+                                     f"row {row!r}: {exc}") from None
+            first = False
     ids = g.original_ids if g.original_ids is not None else np.arange(g.num_nodes)
     labels = np.empty(g.num_nodes, dtype=np.int64)
     missing = 0

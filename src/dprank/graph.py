@@ -168,11 +168,11 @@ def load_edge_list(source, format: str = "tsv", symmetrize: bool = False,
     raw = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     original_ids = None
     if num_nodes is None:
-        ids = np.unique(raw) if len(raw) else np.empty(0, dtype=np.int64)
-        if len(ids) == 0:
+        if len(raw) == 0:
             raise ValueError("edge list contains no edges and no declared node count")
-        remap = {int(old): new for new, old in enumerate(ids)}
-        raw = np.vectorize(remap.__getitem__, otypes=[np.int64])(raw) if len(raw) else raw
+        # the inverse of the sorted unique ids is the dense remap
+        ids, inverse = np.unique(raw, return_inverse=True)
+        raw = inverse.reshape(raw.shape)
         num_nodes = len(ids)
         original_ids = ids
     elif len(raw) and (raw.min() < 0 or raw.max() >= num_nodes):

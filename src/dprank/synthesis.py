@@ -1,5 +1,8 @@
 """Reconstruct a simple undirected graph from the accumulated transition-score
-matrix. Pure post-processing: consumes only the score matrix and config."""
+matrix. Pure post-processing: consumes only the score matrix and config.
+
+Scores are held as ``scipy.sparse`` CSR arrays throughout. A run records
+O(T * batch) transitions, so no step here allocates O(N^2)."""
 
 from __future__ import annotations
 
@@ -8,36 +11,54 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import Graph, from_edges
 
 log = logging.getLogger(__name__)
 
 
-def _score_array(scores) -> np.ndarray:
-    """Accept a raw array or anything exposing ``.counts`` (ScoreMatrix)."""
-    arr = np.asarray(getattr(scores, "counts", scores), dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+def _score_array(scores) -> sp.csr_array:
+    """Accept a dense or sparse array, or anything exposing ``.counts``
+    (ScoreMatrix); return it as a canonical float64 CSR array with no stored
+    zeros."""
+    raw = getattr(scores, "counts", scores)
+    if not sp.issparse(raw):
+        raw = np.asarray(raw)
+    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise ValueError("score matrix must be square")
-    if (arr < 0).any():
+    arr = sp.csr_array(raw, dtype=np.float64)
+    if not (arr.data >= 0).all():
         raise ValueError("score matrix entries must be nonnegative")
+    arr.eliminate_zeros()
+    arr.sum_duplicates()
     return arr
 
 
-def symmetrize_scores(scores) -> np.ndarray:
-    """Elementwise max with the transpose, diagonal forced to zero."""
+def symmetrize_scores(scores) -> sp.csr_array:
+    """Elementwise max with the transpose, diagonal removed, as a CSR array."""
     s = _score_array(scores)
-    s_sym = np.maximum(s, s.T)
-    np.fill_diagonal(s_sym, 0.0)
-    return s_sym
+    upper = sp.triu(s.maximum(s.T), k=1, format="csr")
+    return upper + upper.T
+
+
+def _upper_support(s_sym):
+    """``(n, rows, cols, weights)`` of the positive strictly-upper-triangle
+    entries in row-major order, the order of ``np.triu_indices``."""
+    upper = sp.triu(_score_array(s_sym), k=1, format="csr")
+    upper.sum_duplicates()
+    n = upper.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(upper.indptr))
+    return n, rows, upper.indices.astype(np.int64), upper.data
 
 
 @dataclass(frozen=True)
 class EdgeModel:
-    """Edge-independent model: symmetric nonnegative matrix summing to 1."""
+    """Edge-independent model: symmetric nonnegative matrix summing to 1.
+    Both matrices are CSR arrays over the observed pairs only."""
 
-    a_tilde: np.ndarray
-    s_dagger: np.ndarray
+    a_tilde: sp.csr_array
+    s_dagger: sp.csr_array
 
 
 def score_to_edge_model(scores) -> EdgeModel:
@@ -65,11 +86,7 @@ def default_target_edges(scores) -> int:
     lower default would make the no-isolated-node guarantee unsatisfiable on
     uneven supports.
     """
-    s_sym = symmetrize_scores(scores)
-    n = s_sym.shape[0]
-    iu = np.triu_indices(n, k=1)
-    vals = s_sym[iu]
-    pos = vals[vals > 0]
+    n, _, _, pos = _upper_support(symmetrize_scores(scores))
     if pos.size == 0:
         raise ValueError("score matrix is all zero; no edge budget derivable")
     std = pos.std()
@@ -82,7 +99,7 @@ def default_target_edges(scores) -> int:
     return int(min(max(count, lo), hi))
 
 
-def sample_edges_without_replacement(s_sym: np.ndarray, count: int,
+def sample_edges_without_replacement(s_sym, count: int,
                                      rng: np.random.Generator,
                                      existing=()) -> list:
     """Draw ``count`` distinct undirected edges with p_ij proportional to the
@@ -94,17 +111,12 @@ def sample_edges_without_replacement(s_sym: np.ndarray, count: int,
     over the still-unused support, so the loop always terminates. Raises when
     the positive support is exhausted before ``count`` edges exist.
     """
-    n = s_sym.shape[0]
-    iu_r, iu_c = np.triu_indices(n, k=1)
-    weights = s_sym[iu_r, iu_c].copy()
-    support = weights > 0
-    iu_r, iu_c, weights = iu_r[support], iu_c[support], weights[support]
-    pair_index = {(int(u), int(v)): k for k, (u, v) in enumerate(zip(iu_r, iu_c))}
+    n, rows, cols, weights = _upper_support(s_sym)
     unused = np.ones(len(weights), dtype=bool)
-    for e in existing:
-        k = pair_index.get((min(e), max(e)))
-        if k is not None:
-            unused[k] = False
+    if len(existing):
+        e = np.asarray(existing, dtype=np.int64).reshape(-1, 2)
+        # a pair (u, v), u < v, is the key u*n + v
+        unused[np.isin(rows * n + cols, e.min(axis=1) * n + e.max(axis=1))] = False
     if count > int(unused.sum()):
         raise RuntimeError(
             f"score support holds only {int(unused.sum())} unused pairs, "
@@ -121,29 +133,33 @@ def sample_edges_without_replacement(s_sym: np.ndarray, count: int,
         for d in draws:
             if unused[d]:
                 unused[d] = False
-                picked.append((int(iu_r[d]), int(iu_c[d])))
+                picked.append((int(rows[d]), int(cols[d])))
                 if len(picked) == count:
                     break
     return picked
 
 
-def _coverage_edges(s_sym: np.ndarray, rng: np.random.Generator) -> list:
+def _coverage_edges(s_sym, rng: np.random.Generator) -> list:
     """Phase 1: guarantee every node at least one incident edge.
 
     Nodes are visited in order; a node already covered by an earlier edge is
     skipped, so the phase adds the minimum number of edges the sampled
-    partners allow. An all-zero row falls back to a uniform random partner.
+    partners allow. The partner is drawn from the node's stored row entries,
+    which makes the same single uniform draw as a draw over the dense row. An
+    empty row falls back to a uniform random partner.
     """
-    n = s_sym.shape[0]
+    s = _score_array(s_sym)
+    n = s.shape[0]
+    indptr, indices, data = s.indptr, s.indices, s.data
     covered = np.zeros(n, dtype=bool)
     edges = []
     for i in range(n):
         if covered[i]:
             continue
-        row = s_sym[i]
-        total = row.sum()
+        lo, hi = indptr[i], indptr[i + 1]
+        total = data[lo:hi].sum()
         if total > 0:
-            j = int(rng.choice(n, p=row / total))
+            j = int(rng.choice(indices[lo:hi], p=data[lo:hi] / total))
         else:
             log.warning("node %d has an all-zero score row; sampling a uniform partner", i)
             j = int(rng.integers(n - 1))
@@ -171,7 +187,7 @@ def sample_graph(scores, target_edges: int | None = None,
     n = s_sym.shape[0]
     if n < 2:
         raise ValueError("need at least two nodes to synthesize a graph")
-    if not s_sym.any():
+    if s_sym.nnz == 0:
         raise ValueError("score matrix is all zero; nothing to sample from")
     if target_edges is None:
         target_edges = default_target_edges(scores)

@@ -11,18 +11,22 @@ counting real walks would route raw graph information around the noise.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import Graph, WalkBatch, generate_walk_batch
 from .model import (AdamState, Theta, WeightNormalizer, _loss_and_gradients,
                     adam_step, init_params)
 from .privacy import PrivacyLedger, PrivacySpec, perturb_gradient
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class TrainingDivergedError(RuntimeError):
@@ -83,16 +87,39 @@ class TrainConfig:
         return asdict(self)
 
 
-@dataclass
 class ScoreMatrix:
-    """N x N nonnegative accumulator of synthetic-walk transition counts.
-    The diagonal stays zero (the synthesis target is a simple graph)."""
+    """Sparse N x N accumulator of synthetic-walk transition counts.
 
-    counts: np.ndarray
+    Each step of :func:`accumulate_scores` appends its ``(current, next)``
+    index arrays; :attr:`counts` collapses them into a ``scipy.sparse`` CSR
+    array with duplicates summed, so memory grows with the number of
+    recorded transitions, never with N^2. The diagonal stays empty (the
+    synthesis target is a simple graph)."""
+
+    def __init__(self, counts: sp.csr_array):
+        self.num_nodes = counts.shape[0]
+        self._counts = counts
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
 
     @classmethod
     def zeros(cls, n: int) -> "ScoreMatrix":
-        return cls(counts=np.zeros((n, n)))
+        return cls(sp.csr_array((n, n), dtype=np.float64))
+
+    def add(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Record one transition per ``(rows[k], cols[k])`` pair."""
+        self._pending.append((rows, cols))
+
+    @property
+    def counts(self) -> sp.csr_array:
+        """The transition counts as a canonical float64 CSR array."""
+        if self._pending:
+            rows, cols = (np.concatenate(a) for a in zip(*self._pending))
+            self._pending.clear()
+            n = self.num_nodes
+            # the COO -> CSR conversion sums duplicate pairs
+            self._counts = self._counts + sp.csr_array(
+                (np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        return self._counts
 
 
 def accumulate_scores(v: np.ndarray, batch: WalkBatch, scores: ScoreMatrix,
@@ -103,12 +130,12 @@ def accumulate_scores(v: np.ndarray, batch: WalkBatch, scores: ScoreMatrix,
     One walk per start node of the batch, ``walk_length`` nodes long. From
     node u the step distribution is the softmax of row u of V V^T (diagonal
     masked out), computed on demand so the N x N product is never
-    materialized. Every sampled transition (u, w) increments the score entry.
+    materialized. Every sampled transition (u, w) is appended to ``scores``.
     Walkers advance in lockstep so the inner products batch into one matmul
     per step.
     """
     n = v.shape[0]
-    if scores.counts.shape != (n, n):
+    if scores.num_nodes != n:
         raise ValueError("score matrix shape does not match the embeddings")
     if n < 2 or walk_length < 2:
         return scores
@@ -121,7 +148,7 @@ def accumulate_scores(v: np.ndarray, batch: WalkBatch, scores: ScoreMatrix,
         cdf = np.cumsum(probs, axis=1)
         u = rng.random(len(current)) * cdf[:, -1]
         nxt = (cdf < u[:, None]).sum(axis=1)
-        np.add.at(scores.counts, (current, nxt), 1.0)
+        scores.add(current, nxt)
         current = nxt
     return scores
 
@@ -206,6 +233,7 @@ def _run_epochs(g, cfg, state, pspec, run_dir, trace) -> TrainResult:
     eps_t = cfg.epsilon / pspec.t
     delta_t = cfg.delta / pspec.t
     b_nominal = cfg.nominal_batch_pairs()
+    graph_sha256 = graph_fingerprint(g) if run_dir is not None else None
 
     for epoch in range(state.epochs_done, cfg.n_epochs):
         order = (state.rng_shuffle.permutation(n) if cfg.shuffle_nodes
@@ -240,7 +268,7 @@ def _run_epochs(g, cfg, state, pspec, run_dir, trace) -> TrainResult:
                               temperature=cfg.score_temperature)
         state.epochs_done = epoch + 1
         if run_dir is not None:
-            save_checkpoint(Path(run_dir), cfg, state, pspec)
+            save_checkpoint(Path(run_dir), cfg, state, pspec, graph_sha256)
 
     state.ledger.verify()
     return TrainResult(theta=state.theta, scores=state.scores,
@@ -258,14 +286,27 @@ def _restore_rng(payload: str) -> np.random.Generator:
     return gen
 
 
+def graph_fingerprint(g: Graph) -> str:
+    """sha256 over the node count and the sorted edge array of ``g``."""
+    h = hashlib.sha256(str(g.num_nodes).encode())
+    h.update(np.ascontiguousarray(g.edges, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
 def save_checkpoint(run_dir: Path, cfg: TrainConfig, state: _LoopState,
-                    pspec: PrivacySpec) -> Path:
+                    pspec: PrivacySpec, graph_sha256: str) -> Path:
+    """Write the loop state after ``state.epochs_done`` epochs.
+
+    The file is written under a temporary name in ``run_dir`` and moved into
+    place with ``os.replace``, so an interrupted write never leaves a partial
+    ``checkpoint_epoch*.npz``. The scores are stored as their CSR triplet."""
     run_dir.mkdir(parents=True, exist_ok=True)
     path = run_dir / f"checkpoint_epoch{state.epochs_done}.npz"
     meta = {
         "version": CHECKPOINT_VERSION,
         "epochs_done": state.epochs_done,
         "config": cfg.to_dict(),
+        "graph_sha256": graph_sha256,
         "privacy": pspec.to_dict(),
         "ledger": state.ledger.to_dict(),
         "adam_step_w": state.adam_w.step,
@@ -273,7 +314,9 @@ def save_checkpoint(run_dir: Path, cfg: TrainConfig, state: _LoopState,
         "rng": {name: _rng_state(getattr(state, name))
                 for name in ("rng_walk", "rng_noise", "rng_score", "rng_shuffle")},
     }
-    arrays = {"v": state.theta.v, "scores": state.scores.counts}
+    counts = state.scores.counts
+    arrays = {"v": state.theta.v, "scores_data": counts.data,
+              "scores_indices": counts.indices, "scores_indptr": counts.indptr}
     for k, w in enumerate(state.theta.w):
         arrays[f"w{k}"] = w
     for k, m in enumerate(state.adam_w.m):
@@ -283,17 +326,39 @@ def save_checkpoint(run_dir: Path, cfg: TrainConfig, state: _LoopState,
     arrays["adam_v_v0"] = state.adam_v.v[0]
     for name, u in state.normalizer.state_arrays().items():
         arrays[f"norm_{name}"] = u
-    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             **arrays)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(),
+                                                dtype=np.uint8), **arrays)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
+
+
+def _read_checkpoint(path: Path) -> tuple[dict, dict]:
+    """Metadata and arrays of a checkpoint file, read in full; a truncated or
+    corrupt file raises ValueError naming it."""
+    try:
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays.pop("__meta__")).decode())
+        version = meta["version"]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"checkpoint {path} is truncated or corrupt: {exc}") from exc
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint {path} has unsupported version {version}")
+    return meta, arrays
 
 
 def resume_train(g: Graph, cfg: TrainConfig, run_dir, trace=None) -> TrainResult:
     """Continue training from the latest epoch checkpoint in ``run_dir``.
 
-    The restored ledger must be consistent with the completed epoch count
-    (one entry per finished iteration, totals on budget), otherwise resuming
-    refuses to run.
+    The checkpoint must come from the same config and the same graph (by
+    :func:`graph_fingerprint`), and its ledger must be consistent with the
+    completed epoch count (one entry per finished iteration, totals on
+    budget); otherwise resuming refuses to run.
     """
     cfg.validate()
     run_dir = Path(run_dir)
@@ -303,46 +368,43 @@ def resume_train(g: Graph, cfg: TrainConfig, run_dir, trace=None) -> TrainResult
         raise FileNotFoundError(f"no checkpoints under {run_dir}")
     path = ckpts[-1]
 
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        if meta["config"] != cfg.to_dict():
-            raise ValueError("checkpoint was produced under a different config")
-        n = g.num_nodes
-        t_total = cfg.iterations(n)
-        pspec = PrivacySpec(**meta["privacy"])
-        ledger = PrivacyLedger.from_dict(meta["ledger"])
-        per_epoch = n // cfg.batch_nodes
-        expected = meta["epochs_done"] * per_epoch
-        if len(ledger.entries) != expected:
-            raise ValueError(
-                f"ledger holds {len(ledger.entries)} entries but "
-                f"{meta['epochs_done']} finished epochs imply {expected}")
-        eps_spent, delta_spent = ledger.spent()
-        if eps_spent > cfg.epsilon * (1 + 1e-12):
-            raise ValueError("checkpoint ledger already exceeds the budget")
+    meta, data = _read_checkpoint(path)
+    if meta["config"] != cfg.to_dict():
+        raise ValueError("checkpoint was produced under a different config")
+    if meta["graph_sha256"] != graph_fingerprint(g):
+        raise ValueError(f"checkpoint {path} was produced on a different graph")
+    n = g.num_nodes
+    pspec = PrivacySpec(**meta["privacy"])
+    ledger = PrivacyLedger.from_dict(meta["ledger"])
+    per_epoch = n // cfg.batch_nodes
+    expected = meta["epochs_done"] * per_epoch
+    if len(ledger.entries) != expected:
+        raise ValueError(
+            f"ledger holds {len(ledger.entries)} entries but "
+            f"{meta['epochs_done']} finished epochs imply {expected}")
+    eps_spent, delta_spent = ledger.spent()
+    if eps_spent > cfg.epsilon * (1 + 1e-12):
+        raise ValueError("checkpoint ledger already exceeds the budget")
 
-        n_w = 2 + (pspec.min_depth - 1)
-        theta = Theta(v=data["v"].copy(),
-                      w=[data[f"w{k}"].copy() for k in range(n_w)],
-                      activation=cfg.activation)
-        adam_w = AdamState(m=[data[f"adam_w_m{k}"].copy() for k in range(n_w)],
-                           v=[data[f"adam_w_v{k}"].copy() for k in range(n_w)],
-                           step=meta["adam_step_w"])
-        adam_v = AdamState(m=[data["adam_v_m0"].copy()],
-                           v=[data["adam_v_v0"].copy()],
-                           step=meta["adam_step_v"])
-        normalizer = WeightNormalizer(cfg.s)
-        normalizer.load_state_arrays(
-            {k[len("norm_"):]: data[k] for k in data.files if k.startswith("norm_")})
-        state = _LoopState(
-            theta=theta,
-            scores=ScoreMatrix(counts=data["scores"].copy()),
-            ledger=ledger, adam_w=adam_w, adam_v=adam_v, normalizer=normalizer,
-            rng_walk=_restore_rng(meta["rng"]["rng_walk"]),
-            rng_noise=_restore_rng(meta["rng"]["rng_noise"]),
-            rng_score=_restore_rng(meta["rng"]["rng_score"]),
-            rng_shuffle=_restore_rng(meta["rng"]["rng_shuffle"]),
-            epochs_done=meta["epochs_done"])
+    n_w = 2 + (pspec.min_depth - 1)
+    theta = Theta(v=data["v"], w=[data[f"w{k}"] for k in range(n_w)],
+                  activation=cfg.activation)
+    adam_w = AdamState(m=[data[f"adam_w_m{k}"] for k in range(n_w)],
+                       v=[data[f"adam_w_v{k}"] for k in range(n_w)],
+                       step=meta["adam_step_w"])
+    adam_v = AdamState(m=[data["adam_v_m0"]], v=[data["adam_v_v0"]],
+                       step=meta["adam_step_v"])
+    normalizer = WeightNormalizer(cfg.s)
+    normalizer.load_state_arrays(
+        {k[len("norm_"):]: a for k, a in data.items() if k.startswith("norm_")})
+    scores = sp.csr_array((data["scores_data"], data["scores_indices"],
+                           data["scores_indptr"]), shape=(n, n))
+    state = _LoopState(
+        theta=theta, scores=ScoreMatrix(scores),
+        ledger=ledger, adam_w=adam_w, adam_v=adam_v, normalizer=normalizer,
+        rng_walk=_restore_rng(meta["rng"]["rng_walk"]),
+        rng_noise=_restore_rng(meta["rng"]["rng_noise"]),
+        rng_score=_restore_rng(meta["rng"]["rng_score"]),
+        rng_shuffle=_restore_rng(meta["rng"]["rng_shuffle"]),
+        epochs_done=meta["epochs_done"])
     return _run_epochs(g, cfg, state, pspec, run_dir, trace)

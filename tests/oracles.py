@@ -189,3 +189,71 @@ def walk_pair_budget(num_starts, r_wn, r_wl):
         for _ in range(r_wn):
             total += r_wl - 1
     return total
+
+
+# ----------------------------------------------------------- dense synthesis
+# The dense N x N synthesis the package used before the scores went sparse.
+# The sparse implementation must draw the same random numbers in the same
+# order, so on integer counts it returns the same target and edge list.
+
+def symmetrize_scores_dense(s):
+    s = np.asarray(s, dtype=np.float64)
+    s_sym = np.maximum(s, s.T)
+    np.fill_diagonal(s_sym, 0.0)
+    return s_sym
+
+
+def default_target_edges_dense(s):
+    s_sym = symmetrize_scores_dense(s)
+    n = s_sym.shape[0]
+    vals = s_sym[np.triu_indices(n, k=1)]
+    pos = vals[vals > 0]
+    std = pos.std()
+    count = int(pos.size) if std == 0.0 else int(np.sum((pos - pos.mean()) / std > 0))
+    return int(min(max(count, max(n - 1, 1)), n * (n - 1) // 2))
+
+
+def sample_graph_dense(s, target_edges, rng):
+    """Undirected edge list, in sampling order, of the two-phase sampler."""
+    s_sym = symmetrize_scores_dense(s)
+    n = s_sym.shape[0]
+    covered = np.zeros(n, dtype=bool)
+    edges = []
+    for i in range(n):
+        if covered[i]:
+            continue
+        row = s_sym[i]
+        total = row.sum()
+        if total > 0:
+            j = int(rng.choice(n, p=row / total))
+        else:
+            j = int(rng.integers(n - 1))
+            if j >= i:
+                j += 1
+        edges.append((min(i, j), max(i, j)))
+        covered[i] = covered[j] = True
+
+    iu_r, iu_c = np.triu_indices(n, k=1)
+    weights = s_sym[iu_r, iu_c]
+    support = weights > 0
+    iu_r, iu_c, weights = iu_r[support], iu_c[support], weights[support]
+    pair_index = {(int(u), int(v)): k for k, (u, v) in enumerate(zip(iu_r, iu_c))}
+    unused = np.ones(len(weights), dtype=bool)
+    for e in edges:
+        k = pair_index.get(e)
+        if k is not None:
+            unused[k] = False
+    count = target_edges - len(edges)
+    picked = []
+    while len(picked) < count:
+        live = np.flatnonzero(unused)
+        cdf = np.cumsum(weights[live] / weights[live].sum())
+        cdf[-1] = 1.0
+        draws = live[np.searchsorted(cdf, rng.random(max(64, 2 * (count - len(picked)))))]
+        for d in draws:
+            if unused[d]:
+                unused[d] = False
+                picked.append((int(iu_r[d]), int(iu_c[d])))
+                if len(picked) == count:
+                    break
+    return edges + picked

@@ -6,8 +6,9 @@ import pytest
 from dprank.cli import main
 from dprank.datasets import benchmark_labels, citation_benchmark_graph
 from dprank.experiments import (ConfigError, ExperimentConfig, SWEEP_COLUMNS,
-                                derive_seed, run_eval, run_sweep, run_synth)
-from dprank.graph import write_edge_list
+                                derive_seed, load_labels, run_eval, run_sweep,
+                                run_synth)
+from dprank.graph import from_edges, write_edge_list
 
 
 @pytest.fixture
@@ -174,6 +175,23 @@ def test_eval_downstream_scores(small_dataset, tmp_path):
     assert report.auc is not None and 0.0 <= report.auc[0] <= 1.0
     assert report.micro_f1_score is not None
     assert 0.0 <= report.micro_f1_score[0] <= 1.0
+
+
+def test_load_labels_header_and_comments(tmp_path):
+    g = from_edges(3, [(0, 1), (1, 2)])
+    path = tmp_path / "labels.csv"
+    path.write_text("# classes\nnode_id,class_id\n0,4\n\n1,5\n2,4\n")
+    assert load_labels(path, g).tolist() == [4, 5, 4]
+
+
+@pytest.mark.parametrize("bad_row", ["1", "1,x", "node,class", "1,2,3"])
+def test_load_labels_rejects_malformed_rows(tmp_path, bad_row):
+    # only the first row may be a header; a later bad row names its line
+    g = from_edges(3, [(0, 1), (1, 2)])
+    path = tmp_path / "labels.csv"
+    path.write_text(f"node_id,class_id\n0,1\n# note\n{bad_row}\n2,0\n")
+    with pytest.raises(ValueError, match=r"labels\.csv:4: malformed"):
+        load_labels(path, g)
 
 
 # ------------------------------------------------------------------ sweep

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dprank.graph import from_edges
 from dprank.metrics import undirected_degrees, undirected_edges
-from dprank.synthesis import (default_target_edges, sample_edges_without_replacement,
-                              sample_graph, score_to_edge_model, symmetrize_scores)
+from dprank.synthesis import (_coverage_edges, default_target_edges,
+                              sample_edges_without_replacement, sample_graph,
+                              score_to_edge_model, symmetrize_scores)
+from dprank.training import ScoreMatrix
+from oracles import (default_target_edges_dense, sample_graph_dense,
+                     symmetrize_scores_dense)
 
 
 def random_scores(rng, n, density=0.5):
@@ -19,15 +24,15 @@ def random_scores(rng, n, density=0.5):
 
 def test_score_to_edge_model_two_entries():
     model = score_to_edge_model(np.array([[0.0, 3.0], [1.0, 0.0]]))
-    assert np.array_equal(model.s_dagger, [[0.0, 3.0], [3.0, 0.0]])
-    assert np.array_equal(model.a_tilde, [[0.0, 0.5], [0.5, 0.0]])
+    assert np.array_equal(model.s_dagger.toarray(), [[0.0, 3.0], [3.0, 0.0]])
+    assert np.array_equal(model.a_tilde.toarray(), [[0.0, 0.5], [0.5, 0.0]])
 
 
 def test_score_to_edge_model_symmetric_input(rng):
     s = random_scores(rng, 6)
     s = (s + s.T) / 2
     model = score_to_edge_model(s)
-    assert np.allclose(model.a_tilde, s / s.sum())
+    assert np.allclose(model.a_tilde.toarray(), s / s.sum())
 
 
 @settings(max_examples=40, deadline=None)
@@ -38,10 +43,11 @@ def test_edge_model_invariants(seed, n):
     if not s.any():
         return
     model = score_to_edge_model(s)
-    assert np.allclose(model.a_tilde, model.a_tilde.T)
-    assert model.a_tilde.sum() == pytest.approx(1.0, abs=1e-9)
-    assert not np.diag(model.a_tilde).any()
-    assert (model.a_tilde >= 0).all()
+    a_tilde = model.a_tilde.toarray()
+    assert np.allclose(a_tilde, a_tilde.T)
+    assert a_tilde.sum() == pytest.approx(1.0, abs=1e-9)
+    assert not np.diag(a_tilde).any()
+    assert (a_tilde >= 0).all()
 
 
 def test_score_model_rejects_all_zero():
@@ -54,7 +60,7 @@ def test_score_model_rejects_all_zero():
 def test_symmetrize_zeroes_diagonal():
     s = np.array([[5.0, 1.0], [2.0, 7.0]])
     out = symmetrize_scores(s)
-    assert np.array_equal(out, [[0.0, 2.0], [2.0, 0.0]])
+    assert np.array_equal(out.toarray(), [[0.0, 2.0], [2.0, 0.0]])
 
 
 # ------------------------------------------------------------ edge budget
@@ -196,3 +202,73 @@ def test_synthesis_is_postprocessing_only():
     assert params == {"scores", "target_edges", "rng"}
     params = set(inspect.signature(default_target_edges).parameters)
     assert params == {"scores"}
+
+
+# ------------------------------------------- sparse against the dense oracle
+
+def random_counts(rng, n, density):
+    """Integer transition counts, as the training loop produces them."""
+    c = rng.integers(1, 6, size=(n, n)) * (rng.random((n, n)) < density)
+    np.fill_diagonal(c, 0)
+    return c.astype(np.float64)
+
+
+def sampled_edge_list(scores, target, seed):
+    """The sparse sampler's edge list, in sampling order."""
+    rng = np.random.default_rng(seed)
+    s_sym = symmetrize_scores(scores)
+    edges = _coverage_edges(s_sym, rng)
+    return edges + sample_edges_without_replacement(
+        s_sym, target - len(edges), rng, existing=edges)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sparse_synthesis_matches_dense_oracle_on_arrays(seed):
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(3, 80))
+    counts = random_counts(gen, n, density=float(gen.uniform(0.02, 0.4)))
+    counts[0, 1] += 1.0  # never all zero
+    assert np.array_equal(symmetrize_scores(counts).toarray(),
+                          symmetrize_scores_dense(counts))
+    target = default_target_edges(counts)
+    assert target == default_target_edges_dense(counts)
+    expected = sample_graph_dense(counts, target, np.random.default_rng(seed))
+    assert sampled_edge_list(counts, target, seed) == expected
+    g = sample_graph(counts, target_edges=target, rng=np.random.default_rng(seed))
+    assert g == from_edges(n, expected, symmetrize=True)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_synthesis_matches_dense_oracle_on_score_matrix(seed):
+    # a ScoreMatrix filled the way accumulate_scores fills it: walk steps
+    # appended as (current, next) index arrays; short hops repeat pairs
+    gen = np.random.default_rng(100 + seed)
+    n = int(gen.integers(20, 120))
+    scores = ScoreMatrix.zeros(n)
+    for _ in range(int(gen.integers(40, 80))):
+        current = gen.integers(n, size=8)
+        scores.add(current, (current + gen.integers(1, 6, size=8)) % n)
+    dense = scores.counts.toarray()
+    target = default_target_edges(scores)
+    assert target == default_target_edges_dense(dense)
+    expected = sample_graph_dense(dense, target, np.random.default_rng(seed))
+    assert sampled_edge_list(scores, target, seed) == expected
+    g = sample_graph(scores, target_edges=target, rng=np.random.default_rng(seed))
+    assert g == from_edges(n, expected, symmetrize=True)
+
+
+def test_synthesis_scales_past_dense_memory():
+    # N = 10^5: a dense float64 score matrix would need 80 GB; the sparse
+    # pipeline touches only the 4N recorded transitions
+    n = 100_000
+    gen = np.random.default_rng(2024)
+    scores = ScoreMatrix.zeros(n)
+    for _ in range(4):
+        current = gen.permutation(n)          # every node starts a transition
+        scores.add(current, (current + gen.integers(1, n, size=n)) % n)
+    target = default_target_edges(scores)
+    assert n - 1 <= target <= 4 * n
+    g = sample_graph(scores, target_edges=target, rng=np.random.default_rng(7))
+    assert g.num_nodes == n
+    assert g.num_edges == 2 * target
+    assert (undirected_degrees(g) > 0).all()

@@ -29,7 +29,7 @@ def test_train_deterministic():
     b = train(g, cfg)
     assert np.array_equal(a.theta.v, b.theta.v)
     assert all(np.array_equal(x, y) for x, y in zip(a.theta.w, b.theta.w))
-    assert np.array_equal(a.scores.counts, b.scores.counts)
+    assert np.array_equal(a.scores.counts.toarray(), b.scores.counts.toarray())
 
 
 def test_train_runs_exactly_t_iterations():
@@ -120,7 +120,7 @@ def test_train_rejects_oversized_batch():
 def test_score_matrix_stays_clean():
     g = ring_graph(16)
     result = train(g, tiny_config())
-    counts = result.scores.counts
+    counts = result.scores.counts.toarray()
     assert (counts >= 0).all()
     assert not np.diag(counts).any()
     assert counts.sum() > 0
@@ -149,7 +149,7 @@ def test_accumulate_two_nodes_off_diagonal(rng):
     v = rng.standard_normal((2, 3))
     scores = ScoreMatrix.zeros(2)
     accumulate_scores(v, batch_with_starts([0, 1]), scores, rng, walk_length=6)
-    assert not np.diag(scores.counts).any()
+    assert not scores.counts.diagonal().any()
     assert scores.counts.sum() == 2 * 5  # two walks, five transitions each
 
 
@@ -160,7 +160,7 @@ def test_accumulate_zero_embeddings_uniform(rng):
     trials = 4000
     for _ in range(trials):
         accumulate_scores(v, batch_with_starts([0]), scores, rng, walk_length=2)
-    counts = scores.counts[0]
+    counts = scores.counts.toarray()[0]
     assert counts.sum() == trials
     # 3-sigma binomial band around p = 1/2
     sigma = np.sqrt(trials * 0.25)
@@ -179,7 +179,7 @@ def test_accumulate_dominant_pair_chisquare(rng):
     trials = 10_000
     for _ in range(trials):
         accumulate_scores(v, batch_with_starts([0]), scores, rng, walk_length=2)
-    observed = scores.counts[0]
+    observed = scores.counts.toarray()[0]
     expected = probs * trials
     chi2 = np.sum((observed[1:] - expected[1:]) ** 2 / expected[1:])
     # chi-square with 2 dof, 1% critical value
@@ -216,7 +216,8 @@ def test_checkpoint_resume_matches_uninterrupted(tmp_path):
     assert np.array_equal(resumed.theta.v, full.theta.v)
     assert all(np.array_equal(a, b)
                for a, b in zip(resumed.theta.w, full.theta.w))
-    assert np.array_equal(resumed.scores.counts, full.scores.counts)
+    assert np.array_equal(resumed.scores.counts.toarray(),
+                          full.scores.counts.toarray())
     assert resumed.ledger.entries == full.ledger.entries
 
 
@@ -227,6 +228,67 @@ def test_resume_rejects_config_mismatch(tmp_path):
     other = tiny_config(n_epochs=2, eta=0.5)
     with pytest.raises(ValueError):
         resume_train(g, other, tmp_path)
+
+
+def test_resume_rejects_different_graph_same_size(tmp_path):
+    g = ring_graph(20)
+    cfg = tiny_config(n_epochs=2)
+    train(g, cfg, run_dir=tmp_path)
+    chorded = from_edges(20, [(i, (i + 1) % 20) for i in range(20)] + [(0, 10)],
+                         symmetrize=True)
+    with pytest.raises(ValueError, match="different graph"):
+        resume_train(chorded, cfg, tmp_path)
+
+
+def latest_checkpoint(run_dir):
+    return max(run_dir.glob("checkpoint_epoch*.npz"),
+               key=lambda p: int(p.stem.rsplit("epoch", 1)[1]))
+
+
+def test_resume_rejects_truncated_checkpoint(tmp_path):
+    g = ring_graph(20)
+    cfg = tiny_config(n_epochs=2)
+    train(g, cfg, run_dir=tmp_path)
+    path = latest_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    with pytest.raises(ValueError, match=path.name):
+        resume_train(g, cfg, tmp_path)
+
+
+def test_resume_rejects_corrupt_checkpoint(tmp_path):
+    g = ring_graph(20)
+    cfg = tiny_config(n_epochs=2)
+    train(g, cfg, run_dir=tmp_path)
+    path = latest_checkpoint(tmp_path)
+    raw = bytearray(path.read_bytes())
+    middle = len(raw) // 2
+    raw[middle:middle + 8] = bytes(b ^ 0xFF for b in raw[middle:middle + 8])
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=path.name):
+        resume_train(g, cfg, tmp_path)
+
+
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    # a write that fails midway leaves neither a checkpoint nor a temporary
+    def failing_savez(fh, **arrays):
+        fh.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(training.np, "savez", failing_savez)
+    with pytest.raises(OSError):
+        train(ring_graph(20), tiny_config(n_epochs=1), run_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_checkpoint_stores_sparse_scores(tmp_path):
+    g = ring_graph(20)
+    result = train(g, tiny_config(n_epochs=1), run_dir=tmp_path)
+    with np.load(latest_checkpoint(tmp_path)) as data:
+        assert "scores" not in data.files
+        counts = result.scores.counts
+        assert np.array_equal(data["scores_data"], counts.data)
+        assert np.array_equal(data["scores_indices"], counts.indices)
+        assert np.array_equal(data["scores_indptr"], counts.indptr)
 
 
 def test_resume_without_checkpoints(tmp_path):
