@@ -140,16 +140,10 @@ def degree_ks(g1: Graph, g2: Graph) -> float:
 def _auc_from_scores(pos_scores, neg_scores) -> float:
     """Rank-based AUC (Mann-Whitney) with average ranks on ties."""
     scores = np.concatenate([pos_scores, neg_scores])
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    ranks[order] = np.arange(1, len(scores) + 1)
-    # average the ranks within tied groups
-    sorted_scores = scores[order]
-    start = 0
-    for stop in range(1, len(scores) + 1):
-        if stop == len(scores) or sorted_scores[stop] != sorted_scores[start]:
-            ranks[order[start:stop]] = 0.5 * (start + 1 + stop)
-            start = stop
+    _, inverse, counts = np.unique(scores, return_inverse=True,
+                                   return_counts=True)
+    # a tied group occupying ranks start+1..stop gets rank (start+1+stop)/2
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
     n_pos, n_neg = len(pos_scores), len(neg_scores)
     rank_sum = ranks[:n_pos].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
@@ -178,16 +172,12 @@ def _sample_non_edges(g: Graph, count: int, rng: np.random.Generator):
 
 def link_prediction_auc(g: Graph, embeddings: np.ndarray,
                         split_ratio: float = 0.8,
-                        rng: np.random.Generator | None = None,
-                        scorer: str = "embedding",
-                        synthetic: Graph | None = None) -> float:
+                        rng: np.random.Generator | None = None) -> float:
     """AUC of distinguishing held-out edges from sampled non-edges.
 
     A (1 - split_ratio) fraction of the undirected edges becomes the positive
-    test set, matched by an equal number of uniformly sampled non-edges. The
-    default scorer is the sigmoid of the embedding inner product; the
-    ``common_neighbors`` scorer instead counts shared neighbors in a supplied
-    synthetic graph, as a structure-only alternative.
+    test set, matched by an equal number of uniformly sampled non-edges. A
+    pair is scored by the sigmoid of its embedding inner product.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -200,20 +190,9 @@ def link_prediction_auc(g: Graph, embeddings: np.ndarray,
     positives = und[test_idx]
     negatives = _sample_non_edges(g, n_test, rng)
 
-    if scorer == "embedding":
-        def score(pairs):
-            dots = np.sum(embeddings[pairs[:, 0]] * embeddings[pairs[:, 1]], axis=1)
-            return 1.0 / (1.0 + np.exp(-dots))
-    elif scorer == "common_neighbors":
-        if synthetic is None:
-            raise ValueError("common_neighbors scorer needs the synthetic graph")
-        adj = _undirected_csr(synthetic)
-
-        def score(pairs):
-            return np.asarray([(adj[int(u)].multiply(adj[int(v)])).sum()
-                               for u, v in pairs], dtype=np.float64)
-    else:
-        raise ValueError(f"unknown scorer {scorer!r}")
+    def score(pairs):
+        dots = np.sum(embeddings[pairs[:, 0]] * embeddings[pairs[:, 1]], axis=1)
+        return 1.0 / (1.0 + np.exp(-dots))
 
     return _auc_from_scores(score(positives), score(negatives))
 

@@ -14,25 +14,8 @@ THETA_FORMAT_VERSION = 1
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _sigmoid_grad(x):
-    s = _sigmoid(x)
-    return s * (1.0 - s)
-
-
-# Activation tags map to (function, derivative-of-preactivation). Sigmoid is
-# the contract default; the output layer must stay bounded below 1 for the
-# gradient-norm analysis to apply.
-ACTIVATIONS = {
-    "sigmoid": (_sigmoid, _sigmoid_grad),
-}
+    # tanh form: no branch, and no overflow for any finite x
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 @dataclass
@@ -44,7 +27,6 @@ class Theta:
 
     v: np.ndarray
     w: list
-    activation: str = "sigmoid"
 
     @property
     def num_hidden_layers(self) -> int:
@@ -55,7 +37,7 @@ class Theta:
         return self.v.shape[1]
 
     def copy(self) -> "Theta":
-        return Theta(self.v.copy(), [w.copy() for w in self.w], self.activation)
+        return Theta(self.v.copy(), [w.copy() for w in self.w])
 
     def validate_shapes(self):
         n, r = self.v.shape
@@ -67,128 +49,75 @@ class Theta:
 
 
 def init_params(n: int, r: int, d: int, num_layers: int, scale: float,
-                rng: np.random.Generator, activation: str = "sigmoid") -> Theta:
+                rng: np.random.Generator) -> Theta:
     """Draw all parameters i.i.d. uniform on [-scale, scale]."""
     if min(n, r, d, num_layers) < 1:
         raise ValueError("all dimensions must be >= 1")
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
     shapes = [(r, d)] + [(d, d)] * (num_layers - 1) + [(d, 1)]
     v = rng.uniform(-scale, scale, size=(n, r))
     w = [rng.uniform(-scale, scale, size=s) for s in shapes]
-    return Theta(v=v, w=w, activation=activation)
+    return Theta(v=v, w=w)
 
 
-def _power_iteration(w, u0=None, iters: int = 50, tol: float = 1e-9,
-                     rng: np.random.Generator | None = None):
-    """Largest singular value of ``w`` with the matching left vector.
-
-    Returns (sigma, u).  ``u0`` warm-starts the iteration, which converges in
-    a step or two when ``w`` changed only slightly since the last call.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if not np.any(w):
-        return 0.0, None
-    m = w.shape[0]
-    gen = rng if rng is not None else np.random.default_rng(0)
-    if u0 is not None and u0.shape == (m,):
-        u = u0
-    else:
-        u = gen.standard_normal(m)
-    u = u / np.linalg.norm(u)
-    sigma = 0.0
-    for _ in range(iters):
-        v = w.T @ u
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            # u landed in the left null space; restart off a fresh draw
-            u = gen.standard_normal(m)
-            u /= np.linalg.norm(u)
-            continue
-        v /= nv
-        u_new = w @ v
-        sigma_new = np.linalg.norm(u_new)
-        u = u_new / sigma_new
-        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
-            sigma = sigma_new
-            break
-        sigma = sigma_new
-    return float(sigma), u
+def spectral_norm(w) -> float:
+    """Largest singular value of ``w``, exact (from the SVD); 0 for an
+    all-zero matrix."""
+    return float(np.linalg.norm(np.asarray(w, dtype=np.float64), 2))
 
 
-def spectral_norm(w, iters: int = 50, tol: float = 1e-9,
-                  rng: np.random.Generator | None = None) -> float:
-    """Largest singular value via power iteration; 0 for an all-zero matrix."""
-    sigma, _ = _power_iteration(w, iters=iters, tol=tol, rng=rng)
-    return sigma
-
-
-def weight_normalize(w, s: float, iters: int = 50, tol: float = 1e-9,
-                     rng: np.random.Generator | None = None) -> np.ndarray:
-    """Rescale ``w`` to W / (s * ||W||_2), i.e. spectral norm exactly 1/s."""
+def weight_normalize(w, s: float) -> np.ndarray:
+    """Rescale ``w`` to W / (s * ||W||_2), i.e. spectral norm 1/s up to
+    rounding."""
     if s <= 1.0:
         raise ValueError("normalization scale s must exceed 1")
-    sigma = spectral_norm(w, iters=iters, tol=tol, rng=rng)
+    sigma = spectral_norm(w)
     if sigma == 0.0:
         raise ValueError("cannot normalize an all-zero weight matrix")
     return np.asarray(w, dtype=np.float64) / (s * sigma)
 
 
 class WeightNormalizer:
-    """Applies spectral-norm normalization to every layer of a Theta in place,
-    keeping per-layer left vectors so successive calls warm-start."""
+    """Rescales every layer of a Theta in place to spectral norm 1/s.
 
-    def __init__(self, s: float, iters: int = 50, tol: float = 1e-9, seed: int = 0):
+    Stateless: each call takes the exact norm of the current weights, so the
+    bound ||W_l||_2 <= 1/s that the sensitivity analysis needs holds after
+    every call up to rounding, with nothing to checkpoint."""
+
+    def __init__(self, s: float):
         if s <= 1.0:
             raise ValueError("normalization scale s must exceed 1")
         self.s = s
-        self.iters = iters
-        self.tol = tol
-        self._rng = np.random.default_rng(seed)
-        self._u = {}
 
     def normalize_(self, theta: Theta) -> Theta:
         for idx, w in enumerate(theta.w):
-            sigma, u = _power_iteration(w, self._u.get(idx), self.iters,
-                                        self.tol, self._rng)
-            if sigma == 0.0:
-                raise ValueError(f"layer {idx} weight is all zero")
-            self._u[idx] = u
-            theta.w[idx] = w / (self.s * sigma)
+            theta.w[idx] = weight_normalize(w, self.s)
         return theta
-
-    def state_arrays(self):
-        return {f"u{idx}": u for idx, u in self._u.items() if u is not None}
-
-    def load_state_arrays(self, arrays):
-        self._u = {int(k[1:]): np.asarray(v) for k, v in arrays.items()}
 
 
 def _forward_cached(theta: Theta, nodes):
-    """Forward pass for a batch of node indices, keeping pre-activations."""
-    act, _ = ACTIVATIONS[theta.activation]
+    """Forward pass for a batch of node indices, keeping every layer's input
+    and the final output: ``post[0]`` is V[nodes], ``post[l]`` the sigmoid
+    output of layer l."""
     a = theta.v[nodes]
-    pre, post = [], [a]
+    post = [a]
     for w in theta.w:
-        z = a @ w
-        a = act(z)
-        pre.append(z)
+        a = _sigmoid(a @ w)
         post.append(a)
-    return a[:, 0], pre, post
+    return a[:, 0], post
 
 
 def forward(theta: Theta, node: int) -> float:
-    """Evaluate f(v_node; Theta). Sigmoid output lies strictly in (0, 1)."""
+    """Evaluate f(v_node; Theta). The sigmoid output lies in [0, 1]."""
     n = theta.v.shape[0]
     if not 0 <= node < n:
         raise IndexError(f"node {node} out of range for N={n}")
-    out, _, _ = _forward_cached(theta, np.asarray([node]))
+    out, _ = _forward_cached(theta, np.asarray([node]))
     return float(out[0])
 
 
 def forward_many(theta: Theta, nodes) -> np.ndarray:
     nodes = np.asarray(nodes, dtype=np.int64)
-    out, _, _ = _forward_cached(theta, nodes)
+    out, _ = _forward_cached(theta, nodes)
     return out
 
 
@@ -231,7 +160,6 @@ def _loss_and_gradients(theta: Theta, batch: WalkBatch, g: Graph, gamma: float):
     through f(v_u), so a single weighted backward pass per unique node gives
     both the V rows and the summed weight gradients.
     """
-    _, dact = ACTIVATIONS[theta.activation]
     n, r = theta.v.shape
     grad_v = np.zeros((n, r))
     grad_w = [np.zeros_like(w) for w in theta.w]
@@ -243,7 +171,7 @@ def _loss_and_gradients(theta: Theta, batch: WalkBatch, g: Graph, gamma: float):
     nodes, inverse = np.unique(pairs.ravel(), return_inverse=True)
     inv_i, inv_j = inverse[0::2], inverse[1::2]
 
-    f, pre, post = _forward_cached(theta, nodes)
+    f, post = _forward_cached(theta, nodes)
     fi, fj = f[inv_i], f[inv_j]
 
     d_out = g.out_degree[i_idx].astype(np.float64)
@@ -259,12 +187,14 @@ def _loss_and_gradients(theta: Theta, batch: WalkBatch, g: Graph, gamma: float):
     np.add.at(coef, inv_i, c / d_out)
     np.add.at(coef, inv_j, -c / (d_in * gamma))
 
-    # weighted reverse pass shared by all edges
-    delta = coef[:, None] * dact(pre[-1])
+    # weighted reverse pass shared by all edges; sigmoid'(z) = a (1 - a)
+    # with a = sigmoid(z), the layer's cached output
+    delta = coef[:, None] * (post[-1] * (1.0 - post[-1]))
     for layer in range(len(theta.w) - 1, -1, -1):
         grad_w[layer] = post[layer].T @ delta
         if layer > 0:
-            delta = (delta @ theta.w[layer].T) * dact(pre[layer - 1])
+            a = post[layer]
+            delta = (delta @ theta.w[layer].T) * (a * (1.0 - a))
     grad_rows = delta @ theta.w[0].T
     grad_v[nodes] = grad_rows
     return loss, grad_v, grad_w
@@ -324,7 +254,6 @@ def save_theta(theta: Theta, path, extra: dict | None = None) -> None:
     """Versioned checkpoint; float64 arrays round-trip exactly through npz."""
     meta = {
         "format_version": THETA_FORMAT_VERSION,
-        "activation": theta.activation,
         "num_hidden_layers": theta.num_hidden_layers,
         "shapes": {"v": list(theta.v.shape),
                    "w": [list(w.shape) for w in theta.w]},
@@ -343,8 +272,6 @@ def load_theta(path) -> tuple[Theta, dict]:
         if meta.get("format_version") != THETA_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta.get('format_version')}")
         n_w = len(meta["shapes"]["w"])
-        theta = Theta(v=data["v"],
-                      w=[data[f"w{k}"] for k in range(n_w)],
-                      activation=meta["activation"])
+        theta = Theta(v=data["v"], w=[data[f"w{k}"] for k in range(n_w)])
     theta.validate_shapes()
     return theta, meta

@@ -26,7 +26,8 @@ from .model import (AdamState, Theta, WeightNormalizer, _loss_and_gradients,
                     adam_step, init_params)
 from .privacy import PrivacyLedger, PrivacySpec, perturb_gradient
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+CHECKPOINT_NAME = "checkpoint.npz"
 
 
 class TrainingDivergedError(RuntimeError):
@@ -61,7 +62,6 @@ class TrainConfig:
     shuffle_nodes: bool = True
     init_scale: float = 0.1
     score_temperature: float = 1.0
-    activation: str = "sigmoid"
 
     def validate(self):
         if not 0 < self.gamma < 1:
@@ -169,7 +169,6 @@ class _LoopState:
     ledger: PrivacyLedger
     adam_w: AdamState
     adam_v: AdamState
-    normalizer: WeightNormalizer
     rng_walk: np.random.Generator
     rng_noise: np.random.Generator
     rng_score: np.random.Generator
@@ -193,9 +192,10 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
     calibrated Gaussian noise and Adam-update the embeddings, record the
     budget split, and accumulate synthetic-walk transitions.
 
-    ``run_dir`` enables an end-of-epoch checkpoint from which
-    :func:`resume_train` can continue. ``trace`` is an optional callable
-    receiving event names, used by audits of the iteration order.
+    ``run_dir`` enables an end-of-epoch checkpoint, ``checkpoint.npz``
+    overwritten each epoch, from which :func:`resume_train` can continue.
+    ``trace`` is an optional callable receiving event names, used by audits
+    of the iteration order.
     """
     cfg.validate()
     n = g.num_nodes
@@ -210,14 +210,13 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
 
     rng_init, rng_walk, rng_noise, rng_score, rng_shuffle = _purpose_rngs(cfg.master_seed)
     theta = init_params(n, cfg.r, cfg.d, pspec.min_depth, cfg.init_scale,
-                        rng_init, activation=cfg.activation)
+                        rng_init)
     state = _LoopState(
         theta=theta,
         scores=ScoreMatrix.zeros(n),
         ledger=PrivacyLedger(cfg.epsilon, cfg.delta, t_total),
         adam_w=AdamState.for_params(theta.w),
         adam_v=AdamState.for_params([theta.v]),
-        normalizer=WeightNormalizer(cfg.s),
         rng_walk=rng_walk, rng_noise=rng_noise, rng_score=rng_score,
         rng_shuffle=rng_shuffle)
     return _run_epochs(g, cfg, state, pspec, run_dir, trace)
@@ -233,6 +232,7 @@ def _run_epochs(g, cfg, state, pspec, run_dir, trace) -> TrainResult:
     eps_t = cfg.epsilon / pspec.t
     delta_t = cfg.delta / pspec.t
     b_nominal = cfg.nominal_batch_pairs()
+    normalizer = WeightNormalizer(cfg.s)
     graph_sha256 = graph_fingerprint(g) if run_dir is not None else None
 
     for epoch in range(state.epochs_done, cfg.n_epochs):
@@ -242,7 +242,7 @@ def _run_epochs(g, cfg, state, pspec, run_dir, trace) -> TrainResult:
             starts = order[it * cfg.batch_nodes:(it + 1) * cfg.batch_nodes]
             batch = generate_walk_batch(g, starts, cfg.r_wn, cfg.r_wl,
                                         state.rng_walk)
-            state.normalizer.normalize_(state.theta)
+            normalizer.normalize_(state.theta)
             emit("weights_normalized")
             loss, grad_v_sum, grad_w = _loss_and_gradients(
                 state.theta, batch, g, cfg.gamma)
@@ -295,13 +295,15 @@ def graph_fingerprint(g: Graph) -> str:
 
 def save_checkpoint(run_dir: Path, cfg: TrainConfig, state: _LoopState,
                     pspec: PrivacySpec, graph_sha256: str) -> Path:
-    """Write the loop state after ``state.epochs_done`` epochs.
+    """Write the loop state after ``state.epochs_done`` epochs to
+    ``run_dir/checkpoint.npz``, replacing the previous epoch's file.
 
     The file is written under a temporary name in ``run_dir`` and moved into
-    place with ``os.replace``, so an interrupted write never leaves a partial
-    ``checkpoint_epoch*.npz``. The scores are stored as their CSR triplet."""
+    place with ``os.replace``, so an interrupted write leaves the previous
+    checkpoint intact and never a partial one. The scores are stored as
+    their CSR triplet."""
     run_dir.mkdir(parents=True, exist_ok=True)
-    path = run_dir / f"checkpoint_epoch{state.epochs_done}.npz"
+    path = run_dir / CHECKPOINT_NAME
     meta = {
         "version": CHECKPOINT_VERSION,
         "epochs_done": state.epochs_done,
@@ -324,8 +326,6 @@ def save_checkpoint(run_dir: Path, cfg: TrainConfig, state: _LoopState,
         arrays[f"adam_w_v{k}"] = state.adam_w.v[k]
     arrays["adam_v_m0"] = state.adam_v.m[0]
     arrays["adam_v_v0"] = state.adam_v.v[0]
-    for name, u in state.normalizer.state_arrays().items():
-        arrays[f"norm_{name}"] = u
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -353,7 +353,8 @@ def _read_checkpoint(path: Path) -> tuple[dict, dict]:
 
 
 def resume_train(g: Graph, cfg: TrainConfig, run_dir, trace=None) -> TrainResult:
-    """Continue training from the latest epoch checkpoint in ``run_dir``.
+    """Continue training from ``run_dir/checkpoint.npz``, the state after
+    the last finished epoch; raises FileNotFoundError when it is absent.
 
     The checkpoint must come from the same config and the same graph (by
     :func:`graph_fingerprint`), and its ledger must be consistent with the
@@ -361,12 +362,9 @@ def resume_train(g: Graph, cfg: TrainConfig, run_dir, trace=None) -> TrainResult
     budget); otherwise resuming refuses to run.
     """
     cfg.validate()
-    run_dir = Path(run_dir)
-    ckpts = sorted(run_dir.glob("checkpoint_epoch*.npz"),
-                   key=lambda p: int(p.stem.rsplit("epoch", 1)[1]))
-    if not ckpts:
-        raise FileNotFoundError(f"no checkpoints under {run_dir}")
-    path = ckpts[-1]
+    path = Path(run_dir) / CHECKPOINT_NAME
+    if not path.is_file():
+        raise FileNotFoundError(f"no checkpoint at {path}")
 
     meta, data = _read_checkpoint(path)
     if meta["config"] != cfg.to_dict():
@@ -387,21 +385,17 @@ def resume_train(g: Graph, cfg: TrainConfig, run_dir, trace=None) -> TrainResult
         raise ValueError("checkpoint ledger already exceeds the budget")
 
     n_w = 2 + (pspec.min_depth - 1)
-    theta = Theta(v=data["v"], w=[data[f"w{k}"] for k in range(n_w)],
-                  activation=cfg.activation)
+    theta = Theta(v=data["v"], w=[data[f"w{k}"] for k in range(n_w)])
     adam_w = AdamState(m=[data[f"adam_w_m{k}"] for k in range(n_w)],
                        v=[data[f"adam_w_v{k}"] for k in range(n_w)],
                        step=meta["adam_step_w"])
     adam_v = AdamState(m=[data["adam_v_m0"]], v=[data["adam_v_v0"]],
                        step=meta["adam_step_v"])
-    normalizer = WeightNormalizer(cfg.s)
-    normalizer.load_state_arrays(
-        {k[len("norm_"):]: a for k, a in data.items() if k.startswith("norm_")})
     scores = sp.csr_array((data["scores_data"], data["scores_indices"],
                            data["scores_indptr"]), shape=(n, n))
     state = _LoopState(
         theta=theta, scores=ScoreMatrix(scores),
-        ledger=ledger, adam_w=adam_w, adam_v=adam_v, normalizer=normalizer,
+        ledger=ledger, adam_w=adam_w, adam_v=adam_v,
         rng_walk=_restore_rng(meta["rng"]["rng_walk"]),
         rng_noise=_restore_rng(meta["rng"]["rng_noise"]),
         rng_score=_restore_rng(meta["rng"]["rng_score"]),

@@ -181,17 +181,6 @@ def test_link_prediction_planted_structure(rng):
     assert auc > 0.9
 
 
-def test_link_prediction_common_neighbors_scorer(rng):
-    g = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)],
-                   symmetrize=True)
-    auc = link_prediction_auc(g, np.zeros((6, 2)), rng=rng,
-                              scorer="common_neighbors", synthetic=g)
-    assert 0.0 <= auc <= 1.0
-    with pytest.raises(ValueError):
-        link_prediction_auc(g, np.zeros((6, 2)), rng=rng,
-                            scorer="common_neighbors")
-
-
 def test_link_prediction_too_small(rng):
     tiny = from_edges(2, [(0, 1)], symmetrize=True)
     with pytest.raises(ValueError):

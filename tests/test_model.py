@@ -69,8 +69,7 @@ def test_spectral_norm_matches_svd(rng):
     for _ in range(25):
         w = rng.standard_normal((8, 8))
         top = np.linalg.svd(w, compute_uv=False)[0]
-        assert spectral_norm(w, iters=200, tol=1e-13,
-                             rng=rng) == pytest.approx(top, rel=1e-6)
+        assert spectral_norm(w) == pytest.approx(top, rel=1e-12)
 
 
 def test_weight_normalize_diag():
@@ -86,9 +85,9 @@ def test_weight_normalize_spectral_norm_is_inverse_scale(rng):
     for s in (2.0, 5.0, 8.0):
         for _ in range(10):
             w = rng.standard_normal((6, 9))
-            out = weight_normalize(w, s=s, iters=200, tol=1e-13, rng=rng)
+            out = weight_normalize(w, s=s)
             assert np.linalg.svd(out, compute_uv=False)[0] == pytest.approx(
-                1.0 / s, abs=1e-6)
+                1.0 / s, rel=1e-12)
 
 
 def test_weight_normalize_rejects_zero_and_bad_scale():
@@ -98,16 +97,18 @@ def test_weight_normalize_rejects_zero_and_bad_scale():
         weight_normalize(np.eye(3), s=1.0)
 
 
-def test_weight_normalizer_warm_start(rng):
-    theta = init_params(4, 3, 3, 2, 0.1, rng)
-    norm = WeightNormalizer(s=5.0)
-    norm.normalize_(theta)
-    for w in theta.w:
-        assert np.linalg.svd(w, compute_uv=False)[0] == pytest.approx(0.2, abs=1e-6)
-    # second call still lands on exactly 1/s
-    norm.normalize_(theta)
-    for w in theta.w:
-        assert np.linalg.svd(w, compute_uv=False)[0] == pytest.approx(0.2, abs=1e-6)
+def test_weight_normalizer_exact_under_perturbation(rng):
+    # the reference shapes (depth 9, r=128, d=64), each layer nudged between
+    # calls as an optimizer step would: the bound ||W_l||_2 <= 1/s must hold
+    # up to rounding after every call
+    s = 8.0
+    theta = init_params(4, 128, 64, 9, 0.1, rng)
+    norm = WeightNormalizer(s=s)
+    for _ in range(30):
+        norm.normalize_(theta)
+        for w in theta.w:
+            assert np.linalg.svd(w, compute_uv=False)[0] <= (1.0 / s) * (1 + 1e-12)
+        theta.w = [w + 1e-3 * rng.standard_normal(w.shape) for w in theta.w]
 
 
 # ---------------------------------------------------------------- forward
@@ -407,7 +408,6 @@ def test_theta_roundtrip_exact(tmp_path, rng):
     loaded, meta = load_theta(path)
     assert np.array_equal(loaded.v, theta.v)
     assert all(np.array_equal(a, b) for a, b in zip(loaded.w, theta.w))
-    assert loaded.activation == theta.activation
     assert meta["note"] == "test"
 
 

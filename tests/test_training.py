@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -201,16 +203,31 @@ def test_accumulate_temperature_sharpens(rng):
 
 # ------------------------------------------------------------ checkpoints
 
+class Interrupted(Exception):
+    pass
+
+
 def test_checkpoint_resume_matches_uninterrupted(tmp_path):
     g = ring_graph(20)
     cfg = tiny_config(n_epochs=3)
     full = train(g, cfg, run_dir=tmp_path / "full")
+    assert [p.name for p in (tmp_path / "full").iterdir()] == ["checkpoint.npz"]
+
+    # stop the run at the first event of epoch 2, after epoch 1's checkpoint
+    per_epoch = 20 // cfg.batch_nodes
+    started = []
+
+    def stop_in_epoch_2(event):
+        if event == "weights_normalized":
+            started.append(event)
+            if len(started) == per_epoch + 1:
+                raise Interrupted
 
     partial_dir = tmp_path / "partial"
-    train(g, cfg, run_dir=partial_dir)
-    # drop the later checkpoints, keeping only epoch 1, then resume
-    for ckpt in sorted(partial_dir.glob("checkpoint_epoch*.npz"))[1:]:
-        ckpt.unlink()
+    with pytest.raises(Interrupted):
+        train(g, cfg, run_dir=partial_dir, trace=stop_in_epoch_2)
+    with np.load(latest_checkpoint(partial_dir)) as data:
+        assert json.loads(bytes(data["__meta__"]).decode())["epochs_done"] == 1
     resumed = resume_train(g, cfg, partial_dir)
 
     assert np.array_equal(resumed.theta.v, full.theta.v)
@@ -241,8 +258,7 @@ def test_resume_rejects_different_graph_same_size(tmp_path):
 
 
 def latest_checkpoint(run_dir):
-    return max(run_dir.glob("checkpoint_epoch*.npz"),
-               key=lambda p: int(p.stem.rsplit("epoch", 1)[1]))
+    return run_dir / "checkpoint.npz"
 
 
 def test_resume_rejects_truncated_checkpoint(tmp_path):
@@ -289,6 +305,16 @@ def test_checkpoint_stores_sparse_scores(tmp_path):
         assert np.array_equal(data["scores_data"], counts.data)
         assert np.array_equal(data["scores_indices"], counts.indices)
         assert np.array_equal(data["scores_indptr"], counts.indptr)
+
+
+def test_resume_rejects_older_checkpoint_version(tmp_path, monkeypatch):
+    g = ring_graph(20)
+    cfg = tiny_config(n_epochs=1)
+    monkeypatch.setattr(training, "CHECKPOINT_VERSION", 2)
+    train(g, cfg, run_dir=tmp_path)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="unsupported version 2"):
+        resume_train(g, cfg, tmp_path)
 
 
 def test_resume_without_checkpoints(tmp_path):
