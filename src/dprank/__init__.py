@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 from .graph import (Graph, WalkBatch, from_edges, generate_walk_batch,
                     load_edge_list, pagerank_exact, write_edge_list)
 from .model import (AdamState, Theta, adam_step, batch_gradients, edge_loss,
-                    forward, full_objective, init_params, load_theta,
-                    save_theta, spectral_norm, weight_normalize)
+                    forward, full_objective, init_params, spectral_norm,
+                    weight_normalize)
 from .privacy import (PrivacyLedger, PrivacyOverdraftError, PrivacySpec,
                       compute_m, min_layers, noise_sigma, perturb_gradient)
 from .synthesis import (EdgeModel, default_target_edges, sample_graph,
@@ -22,8 +22,8 @@ __all__ = [
     "Graph", "WalkBatch", "from_edges", "generate_walk_batch",
     "load_edge_list", "pagerank_exact", "write_edge_list",
     "AdamState", "Theta", "adam_step", "batch_gradients", "edge_loss",
-    "forward", "full_objective", "init_params", "load_theta", "save_theta",
-    "spectral_norm", "weight_normalize",
+    "forward", "full_objective", "init_params", "spectral_norm",
+    "weight_normalize",
     "PrivacyLedger", "PrivacyOverdraftError", "PrivacySpec",
     "compute_m", "min_layers", "noise_sigma", "perturb_gradient",
     "EdgeModel", "default_target_edges", "sample_graph", "score_to_edge_model",

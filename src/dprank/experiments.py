@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -22,7 +23,6 @@ from . import __version__
 from .graph import Graph, load_edge_list, write_edge_list, write_id_map
 from .metrics import (EvalReport, build_report, compute_stats, degree_ks,
                       link_prediction_auc, node_classification_f1)
-from .model import save_theta
 from .synthesis import default_target_edges, sample_graph
 from .training import TrainConfig, train
 
@@ -120,19 +120,20 @@ def _json_dump(payload, path: Path):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def load_dataset(cfg: ExperimentConfig) -> Graph:
-    fmt = "csv" if str(cfg.dataset).endswith(".csv") else "tsv"
-    return load_edge_list(cfg.dataset, format=fmt, symmetrize=cfg.symmetrize)
+def load_graph(path, symmetrize: bool) -> Graph:
+    """Edge list at ``path``: comma-separated if it ends in .csv, else tsv."""
+    fmt = "csv" if str(path).endswith(".csv") else "tsv"
+    return load_edge_list(path, format=fmt, symmetrize=symmetrize)
 
 
 def _eps_tag(epsilon: float) -> str:
     return f"eps_{epsilon:g}"
 
 
-def synth_one_run(cfg: ExperimentConfig, epsilon: float, run_index: int,
-                  flat_index: int, out_dir: Path) -> dict:
-    """Train once, synthesize once, persist every artifact for the run."""
-    g = load_dataset(cfg)
+def synth_one_run(cfg: ExperimentConfig, g: Graph, epsilon: float,
+                  run_index: int, flat_index: int, out_dir: Path) -> dict:
+    """Train once on ``g``, synthesize once, and write the run's released
+    artifacts; the weights W stay inside the training checkpoint."""
     train_seed = derive_seed(cfg.master_seed, flat_index, "train")
     synth_seed = derive_seed(cfg.master_seed, flat_index, "synthesis")
     tcfg = cfg.train_config(train_seed, epsilon=epsilon)
@@ -151,8 +152,6 @@ def synth_one_run(cfg: ExperimentConfig, epsilon: float, run_index: int,
     edges_path = run_dir / "synthetic_edges.tsv"
     write_edge_list(synthetic, edges_path)
     np.save(run_dir / "embeddings.npy", result.theta.v)
-    save_theta(result.theta, ckpt_dir / "final_theta.npz",
-               extra={"train_seed": train_seed})
     _json_dump(result.ledger.to_dict(), run_dir / "ledger.json")
     sidecar = {
         "epsilon": epsilon,
@@ -176,33 +175,23 @@ def synth_one_run(cfg: ExperimentConfig, epsilon: float, run_index: int,
     }
 
 
-def _synth_worker(args):
-    cfg_dict, epsilon, run_index, flat_index, out_dir = args
-    cfg = ExperimentConfig(**cfg_dict)
-    return synth_one_run(cfg, epsilon, run_index, flat_index, Path(out_dir))
-
-
 def run_synth(cfg: ExperimentConfig, out_dir=None) -> Path:
     """Train and synthesize run_count times per epsilon; write the manifest."""
     cfg.validate()
     out_dir = Path(out_dir if out_dir is not None else cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    g = load_dataset(cfg)
+    g = load_graph(cfg.dataset, cfg.symmetrize)
     write_id_map(g, out_dir / "id_map.csv")
 
-    jobs = []
-    flat = 0
-    for epsilon in cfg.epsilons:
-        for run_index in range(cfg.run_count):
-            jobs.append((cfg.to_dict(), epsilon, run_index, flat, str(out_dir)))
-            flat += 1
-
+    runs = itertools.product(cfg.epsilons, range(cfg.run_count))
+    jobs = [(cfg, g, epsilon, run_index, flat, out_dir)
+            for flat, (epsilon, run_index) in enumerate(runs)]
     if cfg.threads > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            records = list(pool.map(_synth_worker, jobs))
+            records = list(pool.map(synth_one_run, *zip(*jobs)))
     else:
-        records = [_synth_worker(job) for job in jobs]
+        records = [synth_one_run(*job) for job in jobs]
 
     records.sort(key=lambda rec: (rec["epsilon"], rec["run"]))
     manifest = {
@@ -254,8 +243,10 @@ def load_labels(path, g: Graph) -> np.ndarray:
 
 
 def run_eval(original_path, synthetic_dir, out_dir=None,
-             downstream: bool | None = None, labels_path=None) -> EvalReport:
-    """Evaluate every synthetic run in ``synthetic_dir`` against the original.
+             downstream: bool | None = None,
+             labels_path=None) -> dict[float, EvalReport]:
+    """Evaluate every synthetic run in ``synthetic_dir`` against the original
+    and return one report per epsilon.
 
     Reads graphs, sidecars, and embeddings; model checkpoints are never
     touched. Missing runs reduce the aggregate and are reported as warnings
@@ -269,9 +260,7 @@ def run_eval(original_path, synthetic_dir, out_dir=None,
     if labels_path is None:
         labels_path = cfg.labels
 
-    fmt = "csv" if str(original_path).endswith(".csv") else "tsv"
-    original = load_edge_list(original_path, format=fmt,
-                              symmetrize=cfg.symmetrize)
+    original = load_graph(original_path, cfg.symmetrize)
     original_stats = compute_stats(original)
     labels = (load_labels(labels_path, original)
               if downstream and labels_path else None)
@@ -345,10 +334,6 @@ def run_eval(original_path, synthetic_dir, out_dir=None,
         writer.writerow(EVAL_COLUMNS)
         for row in sorted(rows, key=lambda r: (r[0], r[1], r[2])):
             writer.writerow(row)
-
-    # single-epsilon callers get the report directly; sweeps read the dict
-    if len(reports) == 1:
-        return next(iter(reports.values()))
     return reports
 
 
@@ -359,23 +344,21 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> Path:
     if len(cfg.epsilons) < 2:
         raise ConfigError(["a sweep needs at least two epsilon values"])
     out_dir = run_synth(cfg, out_dir)
-    run_eval(cfg.dataset, out_dir, downstream=cfg.downstream,
-             labels_path=cfg.labels)
+    reports = run_eval(cfg.dataset, out_dir, downstream=cfg.downstream,
+                       labels_path=cfg.labels)
 
-    eval_payload = json.loads((out_dir / "eval_report.json").read_text())
     rows = []
-    for eps_str, report in eval_payload["per_epsilon"].items():
-        epsilon = float(eps_str)
-        original = report["original"]
-        for run_idx, run_stats in enumerate(report["synthetic_runs"]):
+    for epsilon, report in reports.items():
+        epsilon = float(epsilon)  # an integer epsilon still prints as 1.0
+        for run_idx, run_stats in enumerate(report.synthetic_runs):
             for metric, value in run_stats.items():
-                orig = original.get(metric)
+                orig = report.original.get(metric)
                 rel = (abs((value - orig) / orig)
                        if value is not None and orig not in (None, 0) else "")
                 rows.append((epsilon, metric, run_idx,
                              "" if value is None else value,
                              "" if orig is None else orig, rel))
-        for run_idx, ks in enumerate(report["ks_per_run"]):
+        for run_idx, ks in enumerate(report.ks_per_run):
             rows.append((epsilon, "degree_ks", run_idx, ks, "", ""))
 
     rows.sort(key=lambda r: (r[0], r[1], r[2]))

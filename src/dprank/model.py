@@ -3,14 +3,11 @@ forward evaluation, per-edge loss, full objective, analytic gradients, Adam."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph, WalkBatch
-
-THETA_FORMAT_VERSION = 1
 
 
 def _sigmoid(x):
@@ -27,14 +24,6 @@ class Theta:
 
     v: np.ndarray
     w: list
-
-    @property
-    def num_hidden_layers(self) -> int:
-        return len(self.w) - 1
-
-    @property
-    def embed_dim(self) -> int:
-        return self.v.shape[1]
 
     def copy(self) -> "Theta":
         return Theta(self.v.copy(), [w.copy() for w in self.w])
@@ -249,29 +238,3 @@ def adam_step(state: AdamState, params, grads, eta: float):
         out.append(p - eta * m_hat / (np.sqrt(v_hat) + state.eps))
     return out
 
-
-def save_theta(theta: Theta, path, extra: dict | None = None) -> None:
-    """Versioned checkpoint; float64 arrays round-trip exactly through npz."""
-    meta = {
-        "format_version": THETA_FORMAT_VERSION,
-        "num_hidden_layers": theta.num_hidden_layers,
-        "shapes": {"v": list(theta.v.shape),
-                   "w": [list(w.shape) for w in theta.w]},
-    }
-    if extra:
-        meta.update(extra)
-    arrays = {"v": theta.v}
-    arrays.update({f"w{k}": w for k, w in enumerate(theta.w)})
-    np.savez(path, __meta__=np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **arrays)
-
-
-def load_theta(path) -> tuple[Theta, dict]:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta.get("format_version") != THETA_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('format_version')}")
-        n_w = len(meta["shapes"]["w"])
-        theta = Theta(v=data["v"], w=[data[f"w{k}"] for k in range(n_w)])
-    theta.validate_shapes()
-    return theta, meta

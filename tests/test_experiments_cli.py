@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 
@@ -83,12 +84,21 @@ def test_synth_writes_runs_and_manifest(small_dataset, tmp_path):
         assert (run_dir / "sidecar.json").exists()
         assert (run_dir / "ledger.json").exists()
         assert (run_dir / "embeddings.npy").exists()
-        assert (run_dir / "checkpoints" / "final_theta.npz").exists()
         sidecar = json.loads((run_dir / "sidecar.json").read_text())
         assert sidecar["privacy_spec"]["epsilon"] == 3.2
         ledger = json.loads((run_dir / "ledger.json").read_text())
         assert len(ledger["entries"]) == ledger["t"]
     assert (out / "id_map.csv").exists()
+
+
+def test_synth_run_dir_holds_only_what_is_read(small_dataset, tmp_path):
+    dataset, _ = small_dataset
+    out = run_synth(small_config(dataset, tmp_path / "out", run_count=1))
+    run_dir = out / "eps_3.2" / "run_0"
+    written = sorted(p.relative_to(run_dir).as_posix()
+                     for p in run_dir.rglob("*") if p.is_file())
+    assert written == ["checkpoints/checkpoint.npz", "embeddings.npy",
+                       "ledger.json", "sidecar.json", "synthetic_edges.tsv"]
 
 
 def test_synth_rerun_identical_manifest(small_dataset, tmp_path):
@@ -137,7 +147,7 @@ def test_eval_identical_synthetic_gives_zero_errors(small_dataset, tmp_path):
     original = load_edge_list(dataset, symmetrize=True)
     for rec in json.loads((out / "manifest.json").read_text())["runs"]:
         write_edge_list(original, out / rec["dir"] / "synthetic_edges.tsv")
-    report = run_eval(dataset, out)
+    report = run_eval(dataset, out)[3.2]
     assert all(v == 0.0 for v in report.mre_per_metric.values()
                if v is not None)
     assert all(k == 0.0 for k in report.ks_per_run)
@@ -149,7 +159,7 @@ def test_eval_partial_runs_warns(small_dataset, tmp_path):
     out = run_synth(cfg)
     rec = json.loads((out / "manifest.json").read_text())["runs"][0]
     (out / rec["dir"] / "synthetic_edges.tsv").unlink()
-    report = run_eval(dataset, out)
+    report = run_eval(dataset, out)[3.2]
     assert any("missing run output" in w for w in report.warnings)
     assert len(report.ks_per_run) == 1
     payload = json.loads((out / "eval_report.json").read_text())
@@ -162,7 +172,7 @@ def test_eval_never_touches_checkpoints(small_dataset, tmp_path):
     out = run_synth(cfg)
     for ckpt_dir in out.glob("eps_*/run_*/checkpoints"):
         shutil.rmtree(ckpt_dir)
-    report = run_eval(dataset, out)
+    report = run_eval(dataset, out)[3.2]
     assert report.ks_per_run
 
 
@@ -171,7 +181,7 @@ def test_eval_downstream_scores(small_dataset, tmp_path):
     cfg = small_config(dataset, tmp_path / "out", run_count=1,
                        labels=str(labels_path), downstream=True)
     out = run_synth(cfg)
-    report = run_eval(dataset, out)
+    report = run_eval(dataset, out)[3.2]
     assert report.auc is not None and 0.0 <= report.auc[0] <= 1.0
     assert report.micro_f1_score is not None
     assert 0.0 <= report.micro_f1_score[0] <= 1.0
@@ -209,6 +219,29 @@ def test_sweep_consolidated_csv(small_dataset, tmp_path):
     assert keys == sorted(keys)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["sweep_schema"] == "sweep/v1"
+
+
+def test_sweep_csv_matches_eval_report(small_dataset, tmp_path):
+    dataset, _ = small_dataset
+    cfg = small_config(dataset, tmp_path / "out", epsilons=[0.4, 3.2])
+    out = run_sweep(cfg)
+    payload = json.loads((out / "eval_report.json").read_text())
+    expected = {}
+    for eps, report in payload["per_epsilon"].items():
+        for run, stats in enumerate(report["synthetic_runs"]):
+            for metric, value in stats.items():
+                orig = report["original"][metric]
+                expected[(float(eps), metric, run)] = (value, orig)
+        for run, ks in enumerate(report["ks_per_run"]):
+            expected[(float(eps), "degree_ks", run)] = (ks, None)
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(expected)
+    for row in rows:
+        value, orig = expected[(float(row["epsilon"]), row["metric"],
+                                int(row["run"]))]
+        assert row["value"] == ("" if value is None else str(value))
+        assert row["original_value"] == ("" if orig is None else str(orig))
 
 
 def test_sweep_requires_two_epsilons(small_dataset, tmp_path):

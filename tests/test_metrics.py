@@ -72,6 +72,23 @@ def test_rede_is_one_for_regular_graphs(n):
     assert compute_stats(cycle_graph(n)).rede == pytest.approx(1.0, abs=1e-12)
 
 
+def test_stats_peak_memory_is_one_distance_matrix():
+    # the all-pairs distance matrix (8 N^2 bytes) is the one N x N array
+    # compute_stats may hold; a cycle's closed forms pin its path stats
+    import tracemalloc
+    n = 1500
+    g = cycle_graph(n)
+    tracemalloc.start()
+    try:
+        stats = compute_stats(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n
+    assert stats.diameter == n // 2
+    assert stats.cpl == pytest.approx(n * n / (4 * (n - 1)), rel=1e-12)
+
+
 def test_edgeless_graph_flags_null_stats():
     stats = compute_stats(from_edges(5, []))
     assert stats.rede is None

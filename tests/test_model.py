@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from dprank.graph import WalkBatch, from_edges
 from dprank.model import (AdamState, WeightNormalizer, adam_step,
                           batch_gradients, edge_loss, forward, full_objective,
-                          init_params, load_theta, save_theta, spectral_norm,
-                          weight_normalize)
+                          init_params, spectral_norm, weight_normalize)
 from dprank.privacy import compute_m
 
 import oracles
@@ -397,30 +396,6 @@ def test_adam_shape_mismatch():
         adam_step(state, params, [np.zeros(3)], eta=0.1)
     with pytest.raises(ValueError):
         adam_step(state, params, [], eta=0.1)
-
-
-# -------------------------------------------------------------- serialize
-
-def test_theta_roundtrip_exact(tmp_path, rng):
-    theta = init_params(6, 4, 3, 2, 0.7, rng)
-    path = tmp_path / "theta.npz"
-    save_theta(theta, path, extra={"note": "test"})
-    loaded, meta = load_theta(path)
-    assert np.array_equal(loaded.v, theta.v)
-    assert all(np.array_equal(a, b) for a, b in zip(loaded.w, theta.w))
-    assert meta["note"] == "test"
-
-
-def test_theta_version_check(tmp_path, rng):
-    import json
-    theta = init_params(2, 2, 2, 1, 0.1, rng)
-    path = tmp_path / "theta.npz"
-    meta = {"format_version": 999, "activation": "sigmoid",
-            "shapes": {"v": [2, 2], "w": [[2, 2], [2, 1]]}}
-    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             v=theta.v, w0=theta.w[0], w1=theta.w[1])
-    with pytest.raises(ValueError):
-        load_theta(path)
 
 
 @settings(max_examples=30, deadline=None)
