@@ -178,10 +178,17 @@ def synth_one_run(cfg: ExperimentConfig, g: Graph, epsilon: float,
 def run_synth(cfg: ExperimentConfig, out_dir=None) -> Path:
     """Train and synthesize run_count times per epsilon; write the manifest."""
     cfg.validate()
+    g = load_graph(cfg.dataset, cfg.symmetrize)
+    # the Gaussian mechanism's calibration is stated for a per-step budget
+    # below 1; refuse before any run trains or any directory is written
+    t = cfg.train_config(0).iterations(g.num_nodes)
+    over = [e for e in cfg.epsilons if 0 < t <= e]
+    if over:
+        raise ConfigError([
+            f"per-step budget epsilon/T = {e:g}/{t} >= 1 at N = {g.num_nodes} "
+            "nodes; lower epsilon or raise the iteration count" for e in over])
     out_dir = Path(out_dir if out_dir is not None else cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    g = load_graph(cfg.dataset, cfg.symmetrize)
     write_id_map(g, out_dir / "id_map.csv")
 
     runs = itertools.product(cfg.epsilons, range(cfg.run_count))

@@ -32,18 +32,16 @@ class PageRankDivergenceError(RuntimeError):
 class Graph:
     """Immutable directed simple graph with dense node ids 0..N-1.
 
-    Adjacency is stored in compressed sparse form (``out_indptr``/``out_indices``
-    and the in-direction mirror) with sorted neighbor lists, so edge membership
-    is a binary search. ``original_ids`` records the pre-remap labels when the
-    graph came from a loader that had to densify ids.
+    Out-adjacency is stored in compressed sparse form
+    (``out_indptr``/``out_indices``) with sorted neighbor lists, so edge
+    membership is a binary search. ``original_ids`` records the pre-remap
+    labels when the graph came from a loader that had to densify ids.
     """
 
     num_nodes: int
     edges: np.ndarray           # (M, 2) int64, lexicographically sorted, unique
     out_indptr: np.ndarray
     out_indices: np.ndarray
-    in_indptr: np.ndarray
-    in_indices: np.ndarray
     out_degree: np.ndarray
     in_degree: np.ndarray
     original_ids: np.ndarray | None = field(default=None, compare=False)
@@ -55,9 +53,6 @@ class Graph:
     def out_neighbors(self, node: int) -> np.ndarray:
         return self.out_indices[self.out_indptr[node]:self.out_indptr[node + 1]]
 
-    def in_neighbors(self, node: int) -> np.ndarray:
-        return self.in_indices[self.in_indptr[node]:self.in_indptr[node + 1]]
-
     def has_edge(self, i: int, j: int) -> bool:
         row = self.out_neighbors(i)
         pos = np.searchsorted(row, j)
@@ -67,14 +62,6 @@ class Graph:
         if not isinstance(other, Graph):
             return NotImplemented
         return self.num_nodes == other.num_nodes and np.array_equal(self.edges, other.edges)
-
-
-def _csr_from_edges(src, dst, num_nodes):
-    order = np.lexsort((dst, src))
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, dst[order].astype(np.int64)
 
 
 def from_edges(num_nodes: int, edges, symmetrize: bool = False,
@@ -99,19 +86,17 @@ def from_edges(num_nodes: int, edges, symmetrize: bool = False,
     else:
         edges = edges.reshape(0, 2)
 
+    # the edges are sorted by (src, dst), so dst is already the CSR index array
     src, dst = edges[:, 0], edges[:, 1]
-    out_indptr, out_indices = _csr_from_edges(src, dst, num_nodes)
-    in_indptr, in_indices = _csr_from_edges(dst, src, num_nodes)
-    out_degree = np.diff(out_indptr)
-    in_degree = np.diff(in_indptr)
+    out_degree = np.bincount(src, minlength=num_nodes)
+    in_degree = np.bincount(dst, minlength=num_nodes)
+    out_indptr = np.concatenate(([0], np.cumsum(out_degree)))
     assert out_degree.sum() == in_degree.sum() == len(edges)
     return Graph(
         num_nodes=num_nodes,
         edges=edges,
         out_indptr=out_indptr,
-        out_indices=out_indices,
-        in_indptr=in_indptr,
-        in_indices=in_indices,
+        out_indices=np.ascontiguousarray(dst),
         out_degree=out_degree,
         in_degree=in_degree,
         original_ids=None if original_ids is None else np.asarray(original_ids),
@@ -222,10 +207,8 @@ def generate_walk_batch(g: Graph, node_list, r_wn: int, r_wl: int,
 
     Walks step uniformly over out-neighbors and emit each traversed edge as an
     ordered pair.  A walk reaching a node with no out-neighbors stops early.
-    Each (start, replicate) walk runs on its own generator seeded from one
-    upfront draw on ``rng``, so the batch is deterministic for a fixed master
-    seed no matter how walks would be scheduled, and the parent generator's
-    state stays checkpointable.
+    All walkers advance in lockstep on ``rng``, one draw per live walker per
+    step, so the pairs come out step by step.
     """
     starts = np.asarray(node_list, dtype=np.int64)
     if starts.size == 0:
@@ -237,24 +220,18 @@ def generate_walk_batch(g: Graph, node_list, r_wn: int, r_wl: int,
     if r_wl < 2:
         raise ValueError("r_wl must be >= 2")
 
-    walk_seeds = rng.integers(np.iinfo(np.int64).max, size=len(starts) * r_wn)
-    pairs = []
-    k = 0
-    for start in starts:
-        for _ in range(r_wn):
-            sub = np.random.default_rng(int(walk_seeds[k]))
-            k += 1
-            u = int(start)
-            for _ in range(r_wl - 1):
-                nbrs = g.out_neighbors(u)
-                if len(nbrs) == 0:
-                    break
-                v = int(nbrs[sub.integers(len(nbrs))])
-                pairs.append((u, v))
-                u = v
+    current = np.repeat(starts, r_wn)
+    steps = [np.empty((0, 2), dtype=np.int64)]
+    for _ in range(r_wl - 1):
+        current = current[g.out_degree[current] > 0]
+        if len(current) == 0:
+            break
+        offset = rng.integers(g.out_degree[current])
+        nxt = g.out_indices[g.out_indptr[current] + offset]
+        steps.append(np.column_stack((current, nxt)))
+        current = nxt
 
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return WalkBatch(pairs=pairs,
+    return WalkBatch(pairs=np.concatenate(steps),
                      batch_size=len(starts) * r_wn * (r_wl - 1),
                      starts=starts)
 

@@ -28,14 +28,6 @@ class Theta:
     def copy(self) -> "Theta":
         return Theta(self.v.copy(), [w.copy() for w in self.w])
 
-    def validate_shapes(self):
-        n, r = self.v.shape
-        d = self.w[0].shape[1]
-        expected = [(r, d)] + [(d, d)] * (len(self.w) - 2) + [(d, 1)]
-        got = [w.shape for w in self.w]
-        if got != expected:
-            raise ValueError(f"weight shapes {got} do not match {expected}")
-
 
 def init_params(n: int, r: int, d: int, num_layers: int, scale: float,
                 rng: np.random.Generator) -> Theta:

@@ -26,8 +26,9 @@ from .model import (AdamState, Theta, WeightNormalizer, _loss_and_gradients,
                     adam_step, init_params)
 from .privacy import PrivacyLedger, PrivacySpec, perturb_gradient
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 CHECKPOINT_NAME = "checkpoint.npz"
+INIT_SCALE = 0.1
 
 
 class TrainingDivergedError(RuntimeError):
@@ -59,9 +60,6 @@ class TrainConfig:
     epsilon: float = 3.2
     delta: float = 1e-5
     master_seed: int = 0
-    shuffle_nodes: bool = True
-    init_scale: float = 0.1
-    score_temperature: float = 1.0
 
     def validate(self):
         if not 0 < self.gamma < 1:
@@ -72,8 +70,8 @@ class TrainConfig:
             raise ValueError("walk length must be >= 2")
         if self.s <= 1:
             raise ValueError("normalization scale must exceed 1")
-        if self.s_nabla <= 0 or self.eta <= 0 or self.score_temperature <= 0:
-            raise ValueError("s_nabla, eta, and temperature must be positive")
+        if self.s_nabla <= 0 or self.eta <= 0:
+            raise ValueError("s_nabla and eta must be positive")
         if self.epsilon <= 0 or not 0 < self.delta < 1:
             raise ValueError("invalid privacy budget")
 
@@ -123,8 +121,7 @@ class ScoreMatrix:
 
 
 def accumulate_scores(v: np.ndarray, batch: WalkBatch, scores: ScoreMatrix,
-                      rng: np.random.Generator, walk_length: int,
-                      temperature: float = 1.0) -> ScoreMatrix:
+                      rng: np.random.Generator, walk_length: int) -> ScoreMatrix:
     """Count transitions of synthetic walks driven by embedding similarity.
 
     One walk per start node of the batch, ``walk_length`` nodes long. From
@@ -141,7 +138,7 @@ def accumulate_scores(v: np.ndarray, batch: WalkBatch, scores: ScoreMatrix,
         return scores
     current = np.array(batch.starts, dtype=np.int64)
     for _ in range(walk_length - 1):
-        logits = (v[current] @ v.T) / temperature
+        logits = v[current] @ v.T
         logits[np.arange(len(current)), current] = -np.inf
         logits -= logits.max(axis=1, keepdims=True)
         probs = np.exp(logits)
@@ -209,8 +206,7 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
         batch_pairs=cfg.nominal_batch_pairs())
 
     rng_init, rng_walk, rng_noise, rng_score, rng_shuffle = _purpose_rngs(cfg.master_seed)
-    theta = init_params(n, cfg.r, cfg.d, pspec.min_depth, cfg.init_scale,
-                        rng_init)
+    theta = init_params(n, cfg.r, cfg.d, pspec.min_depth, INIT_SCALE, rng_init)
     state = _LoopState(
         theta=theta,
         scores=ScoreMatrix.zeros(n),
@@ -236,8 +232,7 @@ def _run_epochs(g, cfg, state, pspec, run_dir, trace) -> TrainResult:
     graph_sha256 = graph_fingerprint(g) if run_dir is not None else None
 
     for epoch in range(state.epochs_done, cfg.n_epochs):
-        order = (state.rng_shuffle.permutation(n) if cfg.shuffle_nodes
-                 else np.arange(n))
+        order = state.rng_shuffle.permutation(n)
         for it in range(per_epoch):
             starts = order[it * cfg.batch_nodes:(it + 1) * cfg.batch_nodes]
             batch = generate_walk_batch(g, starts, cfg.r_wn, cfg.r_wl,
@@ -264,8 +259,7 @@ def _run_epochs(g, cfg, state, pspec, run_dir, trace) -> TrainResult:
             emit("v_updated")
             state.ledger.record(eps_t, delta_t)
             accumulate_scores(state.theta.v, batch, state.scores,
-                              state.rng_score, walk_length=cfg.r_wl,
-                              temperature=cfg.score_temperature)
+                              state.rng_score, walk_length=cfg.r_wl)
         state.epochs_done = epoch + 1
         if run_dir is not None:
             save_checkpoint(Path(run_dir), cfg, state, pspec, graph_sha256)

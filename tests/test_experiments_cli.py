@@ -280,6 +280,20 @@ def test_cli_exit_codes(small_dataset, tmp_path):
                  "--synthetic-dir", str(tmp_path / "missing")]) == 2
 
 
+def test_cli_refuses_per_step_budget_of_one(small_dataset, tmp_path, capsys):
+    # N = 60 and batch_nodes = 8 give T = 7 iterations, so epsilon 7 is
+    # epsilon/T = 1; no run starts, not even the one at epsilon 3.2
+    dataset, _ = small_dataset
+    out_dir = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, small_config(dataset, out_dir, epsilons=[3.2, 7.0]))
+    assert main(["synth", "--config", str(cfg_path)]) == 1
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert "epsilon/T = 7/7 >= 1 at N = 60" in err
+    assert "3.2" not in err
+
+
 def test_cli_flag_overrides(small_dataset, tmp_path):
     dataset, _ = small_dataset
     cfg_path = tmp_path / "cfg.json"

@@ -138,6 +138,33 @@ def test_walk_pairs_are_edges(rng):
             assert g.has_edge(int(u), int(v))
 
 
+def test_walk_steps_from_hub_are_uniform(rng):
+    # hub 0 points at nodes 1..5; one step from each of 10,000 walkers
+    g = from_edges(6, [(0, k) for k in range(1, 6)])
+    trials = 10_000
+    batch = generate_walk_batch(g, [0], r_wn=trials, r_wl=2, rng=rng)
+    assert np.all(batch.pairs[:, 0] == 0)
+    observed = np.bincount(batch.pairs[:, 1], minlength=6)[1:]
+    expected = trials / 5
+    chi2 = np.sum((observed - expected) ** 2 / expected)
+    # chi-square with 4 dof, 1% critical value
+    assert chi2 < 13.28
+
+
+def test_walk_mixed_batch_drops_only_the_stopped_walker(rng):
+    # 0 -> 1 ends at the dangling node 1; walks from 2 branch over 3 and 4
+    # and always come back, so they run the full length
+    g = from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 2), (4, 2)])
+    r_wn, r_wl = 3, 6
+    batch = generate_walk_batch(g, [0, 1, 2], r_wn=r_wn, r_wl=r_wl, rng=rng)
+    per_walk = {0: 1, 1: 0, 2: r_wl - 1}
+    assert len(batch.pairs) == r_wn * sum(per_walk.values())
+    assert batch.batch_size == len(per_walk) * r_wn * (r_wl - 1)
+    for u, v in batch.pairs:
+        assert g.has_edge(int(u), int(v))
+    assert batch.pairs[:, 0].tolist().count(0) == r_wn
+
+
 def test_walk_deterministic_for_fixed_seed(three_cycle):
     b1 = generate_walk_batch(three_cycle, [0, 1], 3, 10,
                              np.random.default_rng(99))

@@ -27,7 +27,6 @@ def test_init_shapes():
     theta = init_params(4, 2, 3, 2, 0.1, np.random.default_rng(7))
     assert theta.v.shape == (4, 2)
     assert [w.shape for w in theta.w] == [(2, 3), (3, 3), (3, 1)]
-    theta.validate_shapes()
 
 
 def test_init_deterministic():

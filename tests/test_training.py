@@ -189,18 +189,6 @@ def test_accumulate_dominant_pair_chisquare(rng):
     assert observed.argmax() == 1
 
 
-def test_accumulate_temperature_sharpens(rng):
-    v = np.array([[1.5, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-    sharp = ScoreMatrix.zeros(3)
-    flat = ScoreMatrix.zeros(3)
-    for _ in range(2000):
-        accumulate_scores(v, batch_with_starts([0]), sharp, rng,
-                          walk_length=2, temperature=0.25)
-        accumulate_scores(v, batch_with_starts([0]), flat, rng,
-                          walk_length=2, temperature=4.0)
-    assert sharp.counts[0, 1] > flat.counts[0, 1]
-
-
 # ------------------------------------------------------------ checkpoints
 
 class Interrupted(Exception):
