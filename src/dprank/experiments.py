@@ -179,14 +179,16 @@ def run_synth(cfg: ExperimentConfig, out_dir=None) -> Path:
     """Train and synthesize run_count times per epsilon; write the manifest."""
     cfg.validate()
     g = load_graph(cfg.dataset, cfg.symmetrize)
-    # the Gaussian mechanism's calibration is stated for a per-step budget
-    # below 1; refuse before any run trains or any directory is written
-    t = cfg.train_config(0).iterations(g.num_nodes)
-    over = [e for e in cfg.epsilons if 0 < t <= e]
-    if over:
-        raise ConfigError([
-            f"per-step budget epsilon/T = {e:g}/{t} >= 1 at N = {g.num_nodes} "
-            "nodes; lower epsilon or raise the iteration count" for e in over])
+    # train derives the same spec; refuse what it would refuse (a per-step
+    # budget epsilon/T >= 1) before any run trains or any directory is written
+    problems = []
+    for epsilon in cfg.epsilons:
+        try:
+            cfg.train_config(0, epsilon=epsilon).privacy_spec(g.num_nodes)
+        except ValueError as exc:
+            problems.append(str(exc))
+    if problems:
+        raise ConfigError(list(dict.fromkeys(problems)))
     out_dir = Path(out_dir if out_dir is not None else cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_id_map(g, out_dir / "id_map.csv")

@@ -41,9 +41,12 @@ def init_params(n: int, r: int, d: int, num_layers: int, scale: float,
 
 
 def spectral_norm(w) -> float:
-    """Largest singular value of ``w``, exact (from the SVD); 0 for an
-    all-zero matrix."""
-    return float(np.linalg.norm(np.asarray(w, dtype=np.float64), 2))
+    """Largest singular value of ``w``: the square root of the largest
+    eigenvalue of the smaller Gram matrix, which agrees with the SVD to about
+    1e-15 relative at a lower cost; 0 for an all-zero matrix."""
+    w = np.asarray(w, dtype=np.float64)
+    gram = w.T @ w if w.shape[0] >= w.shape[1] else w @ w.T
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 def weight_normalize(w, s: float) -> np.ndarray:

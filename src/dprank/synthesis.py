@@ -159,7 +159,11 @@ def _coverage_edges(s_sym, rng: np.random.Generator) -> list:
         lo, hi = indptr[i], indptr[i + 1]
         total = data[lo:hi].sum()
         if total > 0:
-            j = int(rng.choice(indices[lo:hi], p=data[lo:hi] / total))
+            # rng.choice(indices[lo:hi], p=data[lo:hi] / total) draw for
+            # draw: numpy's own arithmetic, without its per-call validation
+            cdf = np.cumsum(data[lo:hi] / total)
+            cdf /= cdf[-1]
+            j = int(indices[lo + np.searchsorted(cdf, rng.random(), side="right")])
         else:
             log.warning("node %d has an all-zero score row; sampling a uniform partner", i)
             j = int(rng.integers(n - 1))

@@ -81,6 +81,19 @@ class TrainConfig:
     def nominal_batch_pairs(self) -> int:
         return self.batch_nodes * self.r_wn * (self.r_wl - 1)
 
+    def privacy_spec(self, num_nodes: int) -> PrivacySpec:
+        """The privacy arithmetic of training on ``num_nodes`` nodes; raises
+        ``ValueError`` when no iteration fits or on a per-step budget
+        epsilon/T >= 1."""
+        if num_nodes < self.batch_nodes:
+            raise ValueError(f"batch_nodes={self.batch_nodes} exceeds the "
+                             f"node count {num_nodes}")
+        return PrivacySpec.derive(
+            epsilon=self.epsilon, delta=self.delta, s=self.s,
+            s_nabla=self.s_nabla, t=self.iterations(num_nodes),
+            num_nodes=num_nodes, gamma=self.gamma,
+            batch_pairs=self.nominal_batch_pairs())
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -196,21 +209,14 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
     """
     cfg.validate()
     n = g.num_nodes
-    per_epoch = n // cfg.batch_nodes
-    if per_epoch < 1:
-        raise ValueError(f"batch_nodes={cfg.batch_nodes} exceeds the node count {n}")
-    t_total = cfg.iterations(n)
-    pspec = PrivacySpec.derive(
-        epsilon=cfg.epsilon, delta=cfg.delta, s=cfg.s, s_nabla=cfg.s_nabla,
-        t=t_total, num_nodes=n, gamma=cfg.gamma,
-        batch_pairs=cfg.nominal_batch_pairs())
+    pspec = cfg.privacy_spec(n)
 
     rng_init, rng_walk, rng_noise, rng_score, rng_shuffle = _purpose_rngs(cfg.master_seed)
     theta = init_params(n, cfg.r, cfg.d, pspec.min_depth, INIT_SCALE, rng_init)
     state = _LoopState(
         theta=theta,
         scores=ScoreMatrix.zeros(n),
-        ledger=PrivacyLedger(cfg.epsilon, cfg.delta, t_total),
+        ledger=PrivacyLedger(cfg.epsilon, cfg.delta, pspec.t),
         adam_w=AdamState.for_params(theta.w),
         adam_v=AdamState.for_params([theta.v]),
         rng_walk=rng_walk, rng_noise=rng_noise, rng_score=rng_score,

@@ -127,6 +127,23 @@ def brute_path_stats(num_nodes, und_edges):
     return float(np.mean(dists)), int(max(dists)), len(lcc)
 
 
+def brute_distance_sum_max(num_nodes, und_edges):
+    """Sum and maximum of the BFS hop distances over ordered pairs s != t
+    with t reachable from s; (0, 0) when no such pair exists."""
+    adj = [[] for _ in range(num_nodes)]
+    for u, v in und_edges:
+        if u != v:
+            adj[u].append(v)
+            adj[v].append(u)
+    total = longest = 0
+    for s in range(num_nodes):
+        for d in _bfs_dists(adj, s, num_nodes):
+            if d > 0:
+                total += d
+                longest = max(longest, d)
+    return total, longest
+
+
 def brute_ks(seq1, seq2):
     """KS distance from explicit CDF tables over the union of values."""
     s1, s2 = sorted(seq1), sorted(seq2)

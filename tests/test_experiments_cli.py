@@ -294,6 +294,20 @@ def test_cli_refuses_per_step_budget_of_one(small_dataset, tmp_path, capsys):
     assert "3.2" not in err
 
 
+def test_cli_refuses_batch_larger_than_graph(small_dataset, tmp_path, capsys):
+    # train would refuse it too; synth says so before writing anything
+    dataset, _ = small_dataset
+    out_dir = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg = small_config(dataset, out_dir, epsilons=[0.5, 1.0])
+    cfg.train["batch_nodes"] = 61
+    write_config(cfg_path, cfg)
+    assert main(["synth", "--config", str(cfg_path)]) == 1
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert err.count("batch_nodes=61 exceeds the node count 60") == 1
+
+
 def test_cli_flag_overrides(small_dataset, tmp_path):
     dataset, _ = small_dataset
     cfg_path = tmp_path / "cfg.json"

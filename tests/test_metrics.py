@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import shortest_path as scipy_shortest_path
 
+import dprank.metrics as metrics
 from dprank.graph import from_edges
 from dprank.metrics import (_auc_from_scores, build_report, compute_stats,
                             degree_ks, link_prediction_auc, micro_f1, mre,
-                            node_classification_f1, undirected_degrees)
+                            node_classification_f1, shortest_path,
+                            undirected_degrees)
 
 import oracles
 
@@ -72,9 +76,75 @@ def test_rede_is_one_for_regular_graphs(n):
     assert compute_stats(cycle_graph(n)).rede == pytest.approx(1.0, abs=1e-12)
 
 
+# ---------------------------------------------------------- shortest_path
+
+def adjacency(n, pairs):
+    """Symmetric 0/1 CSR adjacency of the undirected pairs."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    adj.sum_duplicates()
+    return adj
+
+
+def scipy_sum_max(adj):
+    dist = scipy_shortest_path(adj, unweighted=True, directed=False)
+    reached = dist[np.isfinite(dist)]
+    return int(reached.sum()), int(reached.max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shortest_path_matches_bfs_and_scipy(data):
+    # every node gets a partner, so no row is empty; components may be many
+    n = data.draw(st.integers(2, 140))
+    node = st.integers(0, n - 1)
+    pairs = [(i, data.draw(node.filter(lambda j, i=i: j != i)))
+             for i in range(n)]
+    pairs += data.draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    pairs = [(u, v) for u, v in pairs if u != v]
+    adj = adjacency(n, pairs)
+    expected = oracles.brute_distance_sum_max(n, pairs)
+    assert shortest_path(adj) == expected == scipy_sum_max(adj)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "BFS_WORD_BUDGET", 1)  # 64 sources per chunk
+        assert shortest_path(adj) == expected
+
+
+@pytest.mark.parametrize("budget", [metrics.BFS_WORD_BUDGET, 1])
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 130])
+def test_shortest_path_closed_forms(n, budget, monkeypatch):
+    # budget 1 gives one word, 64 sources, per chunk: three chunks at n=130
+    monkeypatch.setattr(metrics, "BFS_WORD_BUDGET", budget)
+    path = adjacency(n, [(i, i + 1) for i in range(n - 1)])
+    # ordered pairs at distance d: 2 (n - d), summed d (n - d) over d
+    assert shortest_path(path) == ((n - 1) * n * (n + 1) // 3, n - 1)
+    star = adjacency(n, [(0, i) for i in range(1, n)])
+    leaves = n - 1
+    assert shortest_path(star) == (2 * leaves + 2 * leaves * (leaves - 1),
+                                   1 if n == 2 else 2)
+
+
+def test_shortest_path_single_node():
+    # a self-loop is a neighbour: no pair s != t, so (0, 0); without it the
+    # one node is isolated
+    assert shortest_path(adjacency(1, [(0, 0)])) == (0, 0)
+    with pytest.raises(ValueError, match="neighbour"):
+        shortest_path(adjacency(1, []))
+
+
+@pytest.mark.parametrize("isolated", [0, 2, 4])
+def test_shortest_path_rejects_isolated_node(isolated):
+    others = [v for v in range(5) if v != isolated]
+    with pytest.raises(ValueError, match="neighbour"):
+        shortest_path(adjacency(5, list(zip(others, others[1:]))))
+
+
 def test_stats_peak_memory_is_one_distance_matrix():
-    # the all-pairs distance matrix (8 N^2 bytes) is the one N x N array
-    # compute_stats may hold; a cycle's closed forms pin its path stats
+    # the bit-parallel BFS holds O(budget + N) words, far below the 8 N^2
+    # bytes of an all-pairs distance matrix; a cycle's closed forms pin its
+    # path stats
     import tracemalloc
     n = 1500
     g = cycle_graph(n)
@@ -84,7 +154,7 @@ def test_stats_peak_memory_is_one_distance_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8 * n * n
+    assert peak <= 0.25 * 8 * n * n
     assert stats.diameter == n // 2
     assert stats.cpl == pytest.approx(n * n / (4 * (n - 1)), rel=1e-12)
 

@@ -56,7 +56,7 @@ def test_train_drops_leftover_nodes():
 
 def test_train_iteration_event_order():
     g = ring_graph(12)
-    cfg = tiny_config(n_epochs=1)
+    cfg = tiny_config(n_epochs=1, epsilon=2.0)  # epsilon/T = 2/3
     events = []
     train(g, cfg, trace=events.append)
     per_iter = ["weights_normalized", "gradients_computed", "w_updated",
@@ -77,7 +77,7 @@ def test_train_depth_comes_from_sensitivity_rule():
 
 def test_optimizer_only_sees_perturbed_v_gradient(monkeypatch):
     g = ring_graph(12)
-    cfg = tiny_config(n_epochs=1)
+    cfg = tiny_config(n_epochs=1, epsilon=2.0)  # epsilon/T = 2/3
     perturbed_ids = []
     consumed_ids = []
 
@@ -100,7 +100,7 @@ def test_optimizer_only_sees_perturbed_v_gradient(monkeypatch):
 
 def test_train_aborts_on_nonfinite(monkeypatch):
     g = ring_graph(12)
-    cfg = tiny_config(n_epochs=1)
+    cfg = tiny_config(n_epochs=1, epsilon=2.0)  # epsilon/T = 2/3
 
     def bad_loss(theta, batch, graph, gamma):
         gv = np.zeros_like(theta.v)
@@ -111,6 +111,15 @@ def test_train_aborts_on_nonfinite(monkeypatch):
     with pytest.raises(TrainingDivergedError) as err:
         train(g, cfg)
     assert err.value.epoch == 0 and err.value.iteration == 0
+
+
+def test_train_refuses_per_step_budget_of_one():
+    # ring 12, batch 4, one epoch: T = 3
+    g = ring_graph(12)
+    with pytest.raises(ValueError, match=r"epsilon/T = 3/3 >= 1 at N = 12"):
+        train(g, tiny_config(n_epochs=1, epsilon=3.0))
+    with pytest.raises(ValueError, match="epsilon/T"):
+        train(g, tiny_config(n_epochs=1, epsilon=3.2))
 
 
 def test_train_rejects_oversized_batch():
