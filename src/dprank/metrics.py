@@ -289,9 +289,10 @@ def node_classification_f1(embeddings: np.ndarray, labels,
     y_onehot = (labels[train_idx][:, None] == classes[None, :]).astype(np.float64)
 
     w = np.zeros((x.shape[1], len(classes)))
+    scaled_xt = lr * x_train.T
     for _ in range(epochs):
         p = 1.0 / (1.0 + np.exp(-(x_train @ w)))
-        w -= lr * x_train.T @ (p - y_onehot) / len(train_idx)
+        w -= scaled_xt @ (p - y_onehot) / len(train_idx)
 
     pred = classes[np.argmax(x[test_idx] @ w, axis=1)]
     return micro_f1(labels[test_idx], pred)

@@ -225,11 +225,22 @@ def adam_step(state: AdamState, params, grads, eta: float):
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
     out = []
-    for k, (p, g_arr) in enumerate(zip(params, grads)):
-        state.m[k] = state.beta1 * state.m[k] + (1.0 - state.beta1) * g_arr
-        state.v[k] = state.beta2 * state.v[k] + (1.0 - state.beta2) * g_arr**2
-        m_hat = state.m[k] / bc1
-        v_hat = state.v[k] / bc2
-        out.append(p - eta * m_hat / (np.sqrt(v_hat) + state.eps))
+    for m, v, p, g_arr in zip(state.m, state.v, params, grads):
+        # moments in place, in the operation order of m = b1*m + (1-b1)*g,
+        # v = b2*v + (1-b2)*g**2 and p - eta*m_hat / (sqrt(v_hat) + eps)
+        tmp = np.multiply(g_arr, 1.0 - state.beta1)
+        m *= state.beta1
+        m += tmp
+        np.square(g_arr, out=tmp)
+        tmp *= 1.0 - state.beta2
+        v *= state.beta2
+        v += tmp
+        step = np.divide(m, bc1)
+        step *= eta
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        step /= tmp
+        out.append(np.subtract(p, step, out=step))
     return out
 

@@ -29,6 +29,7 @@ from .privacy import PrivacyLedger, PrivacySpec, perturb_gradient
 CHECKPOINT_VERSION = 4
 CHECKPOINT_NAME = "checkpoint.npz"
 INIT_SCALE = 0.1
+PROPOSALS = 16      # rejection-sampler candidates per walker step
 
 
 class TrainingDivergedError(RuntimeError):
@@ -139,28 +140,54 @@ def accumulate_scores(v: np.ndarray, batch: WalkBatch, scores: ScoreMatrix,
 
     One walk per start node of the batch, ``walk_length`` nodes long. From
     node u the step distribution is the softmax of row u of V V^T (diagonal
-    masked out), computed on demand so the N x N product is never
-    materialized. Every sampled transition (u, w) is appended to ``scores``.
-    Walkers advance in lockstep so the inner products batch into one matmul
-    per step.
+    masked out). Every sampled transition (u, w) is appended to ``scores``.
+    Walkers advance in lockstep.
+
+    Each step is an exact rejection sampler (von Neumann 1951): by
+    Cauchy-Schwarz, v_u . v_w <= bound_u = |v_u| max_w |v_w|, so a uniform
+    candidate w != u accepted with probability exp(v_u . v_w - bound_u) is
+    distributed as the masked softmax. A walker tries ``PROPOSALS``
+    candidates and takes the first accepted one; one that rejects them all
+    draws from its exact softmax row instead, so the transition law is
+    exact at any acceptance rate while a step usually costs O(PROPOSALS * r)
+    rather than O(N * r). Raises ``ValueError`` on non-finite embeddings.
     """
     n = v.shape[0]
     if scores.num_nodes != n:
         raise ValueError("score matrix shape does not match the embeddings")
+    norms = np.sqrt(np.einsum("ij,ij->i", v, v))
+    if not np.isfinite(norms).all():
+        raise ValueError("embeddings must be finite to sample synthetic walks")
     if n < 2 or walk_length < 2:
         return scores
+    bound = norms * norms.max()
     current = np.array(batch.starts, dtype=np.int64)
     for _ in range(walk_length - 1):
-        logits = v[current] @ v.T
-        logits[np.arange(len(current)), current] = -np.inf
-        logits -= logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits)
-        cdf = np.cumsum(probs, axis=1)
-        u = rng.random(len(current)) * cdf[:, -1]
-        nxt = (cdf < u[:, None]).sum(axis=1)
+        # uniform candidates over the n - 1 nodes other than the walker's own
+        cand = rng.integers(n - 1, size=(len(current), PROPOSALS))
+        cand += cand >= current[:, None]
+        logits = np.einsum("bkr,br->bk", v[cand], v[current])
+        logits -= bound[current][:, None]
+        accept = rng.random(cand.shape) < np.exp(logits, out=logits)
+        first = accept.argmax(axis=1)
+        nxt = cand[np.arange(len(current)), first]
+        rejected = np.flatnonzero(~accept.any(axis=1))
+        if len(rejected):
+            nxt[rejected] = _softmax_step(v, current[rejected], rng)
         scores.add(current, nxt)
         current = nxt
     return scores
+
+
+def _softmax_step(v: np.ndarray, current: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+    """One inverse-CDF draw per walker from its diagonal-masked softmax row."""
+    logits = v[current] @ v.T
+    logits[np.arange(len(current)), current] = -np.inf
+    logits -= logits.max(axis=1, keepdims=True)
+    cdf = np.cumsum(np.exp(logits, out=logits), axis=1)
+    u = rng.random(len(current)) * cdf[:, -1]
+    return (cdf < u[:, None]).sum(axis=1)
 
 
 @dataclass

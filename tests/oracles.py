@@ -274,3 +274,39 @@ def sample_graph_dense(s, target_edges, rng):
                 if len(picked) == count:
                     break
     return edges + picked
+
+
+# ------------------------------------------------------ synthetic-walk step
+# The full-row step accumulate_scores took before it became a rejection
+# sampler: score the walker's row against all N nodes, mask the diagonal,
+# and draw by inverse CDF.
+
+def masked_softmax_probs(v, u):
+    """Row u of softmax(V V^T) with the diagonal entry masked out."""
+    logits = np.array([float(np.dot(v[u], v[w])) for w in range(len(v))])
+    logits[u] = -np.inf
+    probs = np.exp(logits - logits.max())
+    return probs / probs.sum()
+
+
+def inverse_cdf_step(v, current, rng):
+    """One successor per walker in ``current`` from its masked softmax row."""
+    logits = v[current] @ v.T
+    logits[np.arange(len(current)), current] = -np.inf
+    logits -= logits.max(axis=1, keepdims=True)
+    cdf = np.cumsum(np.exp(logits), axis=1)
+    u = rng.random(len(current)) * cdf[:, -1]
+    return (cdf < u[:, None]).sum(axis=1)
+
+
+def rejection_acceptance(v):
+    """Per-node probability that one uniform candidate w != u is accepted
+    against the Cauchy-Schwarz bound |v_u| max_w |v_w|."""
+    norms = np.linalg.norm(v, axis=1)
+    n = len(v)
+    rates = []
+    for u in range(n):
+        others = [w for w in range(n) if w != u]
+        bound = norms[u] * norms.max()
+        rates.append(np.mean([np.exp(np.dot(v[u], v[w]) - bound) for w in others]))
+    return np.array(rates)

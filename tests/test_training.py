@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 import dprank.training as training
 from dprank.graph import WalkBatch, from_edges
@@ -9,6 +10,8 @@ from dprank.model import adam_step
 from dprank.privacy import perturb_gradient
 from dprank.training import (ScoreMatrix, TrainConfig, TrainingDivergedError,
                              accumulate_scores, resume_train, train)
+from oracles import (inverse_cdf_step, masked_softmax_probs,
+                     rejection_acceptance)
 
 
 def tiny_config(**overrides):
@@ -196,6 +199,103 @@ def test_accumulate_dominant_pair_chisquare(rng):
     # chi-square with 2 dof, 1% critical value
     assert chi2 < 9.21
     assert observed.argmax() == 1
+
+
+def moderate_acceptance_embeddings():
+    # 8 nodes whose candidates are accepted with probability 0.08-0.65, so
+    # both the accepted-candidate and the exact-row branch carry mass
+    return np.random.default_rng(7).standard_normal((8, 3)) * 0.6
+
+
+def rare_acceptance_embeddings():
+    # a large private direction per node lifts every |v_u| (and so the bound)
+    # far above the inner products, which only the shared block carries: the
+    # masked softmax is that of the shared block, acceptance is below 1e-15
+    shared = np.random.default_rng(8).standard_normal((6, 2)) * 0.8
+    return np.hstack([6.0 * np.eye(6), shared])
+
+
+def accumulate_counts(v, starts, rng):
+    """counts[u, w] of one accumulate_scores step from each start."""
+    scores = ScoreMatrix.zeros(len(v))
+    accumulate_scores(v, batch_with_starts(starts), scores, rng, walk_length=2)
+    return scores.counts.toarray()
+
+
+def oracle_counts(v, starts, rng):
+    counts = np.zeros((len(v), len(v)))
+    np.add.at(counts, (starts, inverse_cdf_step(v, starts, rng)), 1)
+    return counts
+
+
+def masked_softmax_chisquare(v, counts):
+    """Pooled chi-square statistic and degrees of freedom of per-row counts
+    against the exact diagonal-masked softmax."""
+    n = len(v)
+    stat, dof = 0.0, 0
+    for u in range(n):
+        probs = masked_softmax_probs(v, u)
+        expected = probs * counts[u].sum()
+        off = np.arange(n) != u
+        stat += np.sum((counts[u, off] - expected[off]) ** 2 / expected[off])
+        dof += n - 2
+    return stat, dof
+
+
+@pytest.mark.parametrize("sampler", [accumulate_counts, oracle_counts],
+                         ids=["rejection", "inverse_cdf_oracle"])
+def test_accumulate_matches_masked_softmax_moderate_acceptance(sampler):
+    v = moderate_acceptance_embeddings()
+    rate = rejection_acceptance(v)
+    assert 0.05 < rate.min() and rate.max() < 0.8
+    starts = np.repeat(np.arange(len(v)), 3000)
+    counts = sampler(v, starts, np.random.default_rng(21))
+    stat, dof = masked_softmax_chisquare(v, counts)
+    assert stat < chi2.ppf(0.99, dof)
+
+
+def test_accumulate_matches_masked_softmax_through_fallback(monkeypatch):
+    v = rare_acceptance_embeddings()
+    assert rejection_acceptance(v).max() < 1e-6
+    fallback_walkers = []
+    exact_row_step = training._softmax_step
+
+    def counting(v_, current, rng_):
+        fallback_walkers.append(len(current))
+        return exact_row_step(v_, current, rng_)
+
+    monkeypatch.setattr(training, "_softmax_step", counting)
+    per_node = 3000
+    starts = np.repeat(np.arange(len(v)), per_node)
+    counts = accumulate_counts(v, starts, np.random.default_rng(22))
+    # every walker of the one step took the exact-row branch
+    assert fallback_walkers == [6 * per_node]
+    stat, dof = masked_softmax_chisquare(v, counts)
+    assert stat < chi2.ppf(0.99, dof)
+
+
+@pytest.mark.parametrize("v", [moderate_acceptance_embeddings(),
+                               rare_acceptance_embeddings()],
+                         ids=["moderate", "fallback"])
+def test_accumulate_never_self_loops_and_counts_every_step(v):
+    rng = np.random.default_rng(23)
+    starts = rng.integers(len(v), size=40)
+    scores = ScoreMatrix.zeros(len(v))
+    accumulate_scores(v, batch_with_starts(starts), scores, rng, walk_length=9)
+    counts = scores.counts
+    assert not counts.diagonal().any()
+    assert counts.sum() == len(starts) * (9 - 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_accumulate_rejects_non_finite_embeddings(rng, bad):
+    v = rng.standard_normal((5, 3))
+    v[2, 1] = bad
+    scores = ScoreMatrix.zeros(5)
+    with pytest.raises(ValueError, match="finite"):
+        accumulate_scores(v, batch_with_starts(range(5)), scores, rng,
+                          walk_length=2)
+    assert scores.counts.nnz == 0
 
 
 # ------------------------------------------------------------ checkpoints
