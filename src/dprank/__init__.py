@@ -9,13 +9,12 @@ from .model import (AdamState, Theta, adam_step, batch_gradients, edge_loss,
                     weight_normalize)
 from .privacy import (PrivacyLedger, PrivacyOverdraftError, PrivacySpec,
                       compute_m, min_layers, noise_sigma, perturb_gradient)
-from .synthesis import (EdgeModel, default_target_edges, sample_graph,
-                        score_to_edge_model)
+from .synthesis import default_target_edges, sample_graph
 from .metrics import (EvalReport, GraphStats, build_report, compute_stats,
                       degree_ks, link_prediction_auc, micro_f1, mre,
                       node_classification_f1)
 from .training import (ScoreMatrix, TrainConfig, TrainResult, accumulate_scores,
-                       resume_train, train)
+                       train)
 
 __all__ = [
     "__version__",
@@ -26,9 +25,8 @@ __all__ = [
     "weight_normalize",
     "PrivacyLedger", "PrivacyOverdraftError", "PrivacySpec",
     "compute_m", "min_layers", "noise_sigma", "perturb_gradient",
-    "EdgeModel", "default_target_edges", "sample_graph", "score_to_edge_model",
+    "default_target_edges", "sample_graph",
     "EvalReport", "GraphStats", "build_report", "compute_stats", "degree_ks",
     "link_prediction_auc", "micro_f1", "mre", "node_classification_f1",
-    "ScoreMatrix", "TrainConfig", "TrainResult", "accumulate_scores",
-    "resume_train", "train",
+    "ScoreMatrix", "TrainConfig", "TrainResult", "accumulate_scores", "train",
 ]

@@ -220,8 +220,8 @@ def load_labels(path, g: Graph) -> np.ndarray:
     was loaded through an id remap.
 
     Blank and ``#`` lines are skipped. The first remaining row may be a
-    header; any later row that is not two integers raises ValueError with
-    its line number."""
+    header; any later row that is not two integers, or that labels a node
+    already labelled, raises ValueError with its line number."""
     raw = {}
     with open(path) as fh:
         reader = csv.reader(fh)
@@ -231,6 +231,8 @@ def load_labels(path, g: Graph) -> np.ndarray:
                 continue
             try:
                 node, cls = map(int, row)  # ValueError unless two integers
+                if node in raw:
+                    raise ValueError(f"node {node} is listed twice")
                 raw[node] = cls
             except ValueError as exc:
                 if not first:

@@ -30,12 +30,7 @@ def undirected_edges(g: Graph) -> np.ndarray:
 
 
 def undirected_degrees(g: Graph) -> np.ndarray:
-    und = undirected_edges(g)
-    deg = np.zeros(g.num_nodes, dtype=np.int64)
-    if len(und):
-        np.add.at(deg, und[:, 0], 1)
-        np.add.at(deg, und[:, 1], 1)
-    return deg
+    return np.bincount(undirected_edges(g).ravel(), minlength=g.num_nodes)
 
 
 def _undirected_csr(g: Graph, und=None):
@@ -122,7 +117,7 @@ def shortest_path(adj) -> tuple[int, int]:
 def compute_stats(g: Graph) -> GraphStats:
     n = g.num_nodes
     und = undirected_edges(g)
-    deg = undirected_degrees(g)
+    deg = np.bincount(und.ravel(), minlength=n)
     m = len(und)
 
     wedges = int(np.sum(deg * (deg - 1) // 2))

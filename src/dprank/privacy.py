@@ -190,10 +190,3 @@ class PrivacyLedger:
     def to_dict(self) -> dict:
         return {"epsilon": self.epsilon, "delta": self.delta, "t": self.t,
                 "entries": [list(e) for e in self.entries]}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PrivacyLedger":
-        ledger = cls(epsilon=payload["epsilon"], delta=payload["delta"],
-                     t=payload["t"])
-        ledger.entries = [tuple(e) for e in payload["entries"]]
-        return ledger

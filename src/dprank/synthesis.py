@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,25 +49,6 @@ def _upper_support(s_sym):
     n = upper.shape[0]
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(upper.indptr))
     return n, rows, upper.indices.astype(np.int64), upper.data
-
-
-@dataclass(frozen=True)
-class EdgeModel:
-    """Edge-independent model: symmetric nonnegative matrix summing to 1.
-    Both matrices are CSR arrays over the observed pairs only."""
-
-    a_tilde: sp.csr_array
-    s_dagger: sp.csr_array
-
-
-def score_to_edge_model(scores) -> EdgeModel:
-    """Symmetrize by elementwise max with the transpose, then normalize
-    globally so the entries sum to 1."""
-    s_dagger = symmetrize_scores(scores)
-    total = s_dagger.sum()
-    if total == 0.0:
-        raise ValueError("score matrix is all zero; edge model is degenerate")
-    return EdgeModel(a_tilde=s_dagger / total, s_dagger=s_dagger)
 
 
 def default_target_edges(scores) -> int:

@@ -11,10 +11,8 @@ counting real walks would route raw graph information around the noise.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -26,7 +24,7 @@ from .model import (AdamState, Theta, WeightNormalizer, _loss_and_gradients,
                     adam_step, init_params)
 from .privacy import PrivacyLedger, PrivacySpec, perturb_gradient
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 CHECKPOINT_NAME = "checkpoint.npz"
 INIT_SCALE = 0.1
 PROPOSALS = 16      # rejection-sampler candidates per walker step
@@ -199,20 +197,6 @@ class TrainResult:
     depth: int
 
 
-@dataclass
-class _LoopState:
-    theta: Theta
-    scores: ScoreMatrix
-    ledger: PrivacyLedger
-    adam_w: AdamState
-    adam_v: AdamState
-    rng_walk: np.random.Generator
-    rng_noise: np.random.Generator
-    rng_score: np.random.Generator
-    rng_shuffle: np.random.Generator
-    epochs_done: int = 0
-
-
 def _purpose_rngs(master_seed: int):
     init, walk, noise, score, shuffle = np.random.SeedSequence(master_seed).spawn(5)
     return (np.random.default_rng(init), np.random.default_rng(walk),
@@ -229,130 +213,84 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
     calibrated Gaussian noise and Adam-update the embeddings, record the
     budget split, and accumulate synthetic-walk transitions.
 
-    ``run_dir`` enables an end-of-epoch checkpoint, ``checkpoint.npz``
-    overwritten each epoch, from which :func:`resume_train` can continue.
+    ``run_dir`` enables an end-of-epoch checkpoint of the weights and scores,
+    ``checkpoint.npz``, overwritten each epoch (see :func:`save_checkpoint`).
     ``trace`` is an optional callable receiving event names, used by audits
     of the iteration order.
     """
-    cfg.validate()
-    n = g.num_nodes
-    pspec = cfg.privacy_spec(n)
-
-    rng_init, rng_walk, rng_noise, rng_score, rng_shuffle = _purpose_rngs(cfg.master_seed)
-    theta = init_params(n, cfg.r, cfg.d, pspec.min_depth, INIT_SCALE, rng_init)
-    state = _LoopState(
-        theta=theta,
-        scores=ScoreMatrix.zeros(n),
-        ledger=PrivacyLedger(cfg.epsilon, cfg.delta, pspec.t),
-        adam_w=AdamState.for_params(theta.w),
-        adam_v=AdamState.for_params([theta.v]),
-        rng_walk=rng_walk, rng_noise=rng_noise, rng_score=rng_score,
-        rng_shuffle=rng_shuffle)
-    return _run_epochs(g, cfg, state, pspec, run_dir, trace)
-
-
-def _run_epochs(g, cfg, state, pspec, run_dir, trace) -> TrainResult:
     def emit(event):
         if trace is not None:
             trace(event)
 
+    cfg.validate()
     n = g.num_nodes
+    pspec = cfg.privacy_spec(n)
     per_epoch = n // cfg.batch_nodes
     eps_t = cfg.epsilon / pspec.t
     delta_t = cfg.delta / pspec.t
     b_nominal = cfg.nominal_batch_pairs()
     normalizer = WeightNormalizer(cfg.s)
-    graph_sha256 = graph_fingerprint(g) if run_dir is not None else None
 
-    for epoch in range(state.epochs_done, cfg.n_epochs):
-        order = state.rng_shuffle.permutation(n)
+    rng_init, rng_walk, rng_noise, rng_score, rng_shuffle = _purpose_rngs(cfg.master_seed)
+    theta = init_params(n, cfg.r, cfg.d, pspec.min_depth, INIT_SCALE, rng_init)
+    scores = ScoreMatrix.zeros(n)
+    ledger = PrivacyLedger(cfg.epsilon, cfg.delta, pspec.t)
+    adam_w = AdamState.for_params(theta.w)
+    adam_v = AdamState.for_params([theta.v])
+
+    for epoch in range(cfg.n_epochs):
+        order = rng_shuffle.permutation(n)
         for it in range(per_epoch):
             starts = order[it * cfg.batch_nodes:(it + 1) * cfg.batch_nodes]
-            batch = generate_walk_batch(g, starts, cfg.r_wn, cfg.r_wl,
-                                        state.rng_walk)
-            normalizer.normalize_(state.theta)
+            batch = generate_walk_batch(g, starts, cfg.r_wn, cfg.r_wl, rng_walk)
+            normalizer.normalize_(theta)
             emit("weights_normalized")
-            loss, grad_v_sum, grad_w = _loss_and_gradients(
-                state.theta, batch, g, cfg.gamma)
+            loss, grad_v_sum, grad_w = _loss_and_gradients(theta, batch, g, cfg.gamma)
             emit("gradients_computed")
             if not (np.isfinite(loss)
                     and np.isfinite(grad_v_sum).all()
                     and all(np.isfinite(gw).all() for gw in grad_w)):
                 raise TrainingDivergedError(epoch, it, loss)
 
-            state.theta.w = adam_step(state.adam_w, state.theta.w,
-                                      [gw / b_nominal for gw in grad_w], cfg.eta)
+            theta.w = adam_step(adam_w, theta.w,
+                                [gw / b_nominal for gw in grad_w], cfg.eta)
             emit("w_updated")
             noisy_grad_v = perturb_gradient(grad_v_sum, cfg.s_nabla, pspec.sigma,
-                                            b_nominal, state.rng_noise)
+                                            b_nominal, rng_noise)
             emit("v_grad_perturbed")
             # only the perturbed gradient ever reaches the embedding optimizer
-            (state.theta.v,) = adam_step(state.adam_v, [state.theta.v],
-                                         [noisy_grad_v], cfg.eta)
+            (theta.v,) = adam_step(adam_v, [theta.v], [noisy_grad_v], cfg.eta)
             emit("v_updated")
-            state.ledger.record(eps_t, delta_t)
-            accumulate_scores(state.theta.v, batch, state.scores,
-                              state.rng_score, walk_length=cfg.r_wl)
-        state.epochs_done = epoch + 1
+            ledger.record(eps_t, delta_t)
+            accumulate_scores(theta.v, batch, scores, rng_score,
+                              walk_length=cfg.r_wl)
         if run_dir is not None:
-            save_checkpoint(Path(run_dir), cfg, state, pspec, graph_sha256)
+            save_checkpoint(Path(run_dir), epoch + 1, theta.w, scores)
 
-    state.ledger.verify()
-    return TrainResult(theta=state.theta, scores=state.scores,
-                       ledger=state.ledger, privacy=pspec,
-                       depth=pspec.min_depth)
-
-
-def _rng_state(gen: np.random.Generator) -> str:
-    return json.dumps(gen.bit_generator.state)
+    ledger.verify()
+    return TrainResult(theta=theta, scores=scores, ledger=ledger,
+                       privacy=pspec, depth=pspec.min_depth)
 
 
-def _restore_rng(payload: str) -> np.random.Generator:
-    gen = np.random.default_rng()
-    gen.bit_generator.state = json.loads(payload)
-    return gen
-
-
-def graph_fingerprint(g: Graph) -> str:
-    """sha256 over the node count and the sorted edge array of ``g``."""
-    h = hashlib.sha256(str(g.num_nodes).encode())
-    h.update(np.ascontiguousarray(g.edges, dtype=np.int64).tobytes())
-    return h.hexdigest()
-
-
-def save_checkpoint(run_dir: Path, cfg: TrainConfig, state: _LoopState,
-                    pspec: PrivacySpec, graph_sha256: str) -> Path:
-    """Write the loop state after ``state.epochs_done`` epochs to
+def save_checkpoint(run_dir: Path, epochs_done: int, w: list,
+                    scores: ScoreMatrix) -> Path:
+    """Write the weights and scores after ``epochs_done`` epochs to
     ``run_dir/checkpoint.npz``, replacing the previous epoch's file.
 
-    The file is written under a temporary name in ``run_dir`` and moved into
+    The file holds only what no released file does: the weights ``w0, w1,
+    ...`` (trained on exact gradients, never released) and the scores as
+    their CSR triplet ``scores_data``, ``scores_indices``, ``scores_indptr``.
+    ``__meta__`` is JSON with the format version and ``epochs_done``. The
+    file is written under a temporary name in ``run_dir`` and moved into
     place with ``os.replace``, so an interrupted write leaves the previous
-    checkpoint intact and never a partial one. The scores are stored as
-    their CSR triplet."""
+    checkpoint intact and never a partial one."""
     run_dir.mkdir(parents=True, exist_ok=True)
     path = run_dir / CHECKPOINT_NAME
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "epochs_done": state.epochs_done,
-        "config": cfg.to_dict(),
-        "graph_sha256": graph_sha256,
-        "privacy": pspec.to_dict(),
-        "ledger": state.ledger.to_dict(),
-        "adam_step_w": state.adam_w.step,
-        "adam_step_v": state.adam_v.step,
-        "rng": {name: _rng_state(getattr(state, name))
-                for name in ("rng_walk", "rng_noise", "rng_score", "rng_shuffle")},
-    }
-    counts = state.scores.counts
-    arrays = {"v": state.theta.v, "scores_data": counts.data,
-              "scores_indices": counts.indices, "scores_indptr": counts.indptr}
-    for k, w in enumerate(state.theta.w):
-        arrays[f"w{k}"] = w
-    for k, m in enumerate(state.adam_w.m):
-        arrays[f"adam_w_m{k}"] = m
-        arrays[f"adam_w_v{k}"] = state.adam_w.v[k]
-    arrays["adam_v_m0"] = state.adam_v.m[0]
-    arrays["adam_v_v0"] = state.adam_v.v[0]
+    meta = {"version": CHECKPOINT_VERSION, "epochs_done": epochs_done}
+    counts = scores.counts
+    arrays = {f"w{k}": wk for k, wk in enumerate(w)}
+    arrays.update(scores_data=counts.data, scores_indices=counts.indices,
+                  scores_indptr=counts.indptr)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -362,70 +300,3 @@ def save_checkpoint(run_dir: Path, cfg: TrainConfig, state: _LoopState,
     finally:
         tmp.unlink(missing_ok=True)
     return path
-
-
-def _read_checkpoint(path: Path) -> tuple[dict, dict]:
-    """Metadata and arrays of a checkpoint file, read in full; a truncated or
-    corrupt file raises ValueError naming it."""
-    try:
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        meta = json.loads(bytes(arrays.pop("__meta__")).decode())
-        version = meta["version"]
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"checkpoint {path} is truncated or corrupt: {exc}") from exc
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint {path} has unsupported version {version}")
-    return meta, arrays
-
-
-def resume_train(g: Graph, cfg: TrainConfig, run_dir, trace=None) -> TrainResult:
-    """Continue training from ``run_dir/checkpoint.npz``, the state after
-    the last finished epoch; raises FileNotFoundError when it is absent.
-
-    The checkpoint must come from the same config and the same graph (by
-    :func:`graph_fingerprint`), and its ledger must be consistent with the
-    completed epoch count (one entry per finished iteration, totals on
-    budget); otherwise resuming refuses to run.
-    """
-    cfg.validate()
-    path = Path(run_dir) / CHECKPOINT_NAME
-    if not path.is_file():
-        raise FileNotFoundError(f"no checkpoint at {path}")
-
-    meta, data = _read_checkpoint(path)
-    if meta["config"] != cfg.to_dict():
-        raise ValueError("checkpoint was produced under a different config")
-    if meta["graph_sha256"] != graph_fingerprint(g):
-        raise ValueError(f"checkpoint {path} was produced on a different graph")
-    n = g.num_nodes
-    pspec = PrivacySpec(**meta["privacy"])
-    ledger = PrivacyLedger.from_dict(meta["ledger"])
-    per_epoch = n // cfg.batch_nodes
-    expected = meta["epochs_done"] * per_epoch
-    if len(ledger.entries) != expected:
-        raise ValueError(
-            f"ledger holds {len(ledger.entries)} entries but "
-            f"{meta['epochs_done']} finished epochs imply {expected}")
-    eps_spent, delta_spent = ledger.spent()
-    if eps_spent > cfg.epsilon * (1 + 1e-12):
-        raise ValueError("checkpoint ledger already exceeds the budget")
-
-    n_w = 2 + (pspec.min_depth - 1)
-    theta = Theta(v=data["v"], w=[data[f"w{k}"] for k in range(n_w)])
-    adam_w = AdamState(m=[data[f"adam_w_m{k}"] for k in range(n_w)],
-                       v=[data[f"adam_w_v{k}"] for k in range(n_w)],
-                       step=meta["adam_step_w"])
-    adam_v = AdamState(m=[data["adam_v_m0"]], v=[data["adam_v_v0"]],
-                       step=meta["adam_step_v"])
-    scores = sp.csr_array((data["scores_data"], data["scores_indices"],
-                           data["scores_indptr"]), shape=(n, n))
-    state = _LoopState(
-        theta=theta, scores=ScoreMatrix(scores),
-        ledger=ledger, adam_w=adam_w, adam_v=adam_v,
-        rng_walk=_restore_rng(meta["rng"]["rng_walk"]),
-        rng_noise=_restore_rng(meta["rng"]["rng_noise"]),
-        rng_score=_restore_rng(meta["rng"]["rng_score"]),
-        rng_shuffle=_restore_rng(meta["rng"]["rng_shuffle"]),
-        epochs_done=meta["epochs_done"])
-    return _run_epochs(g, cfg, state, pspec, run_dir, trace)

@@ -194,9 +194,10 @@ def test_load_labels_header_and_comments(tmp_path):
     assert load_labels(path, g).tolist() == [4, 5, 4]
 
 
-@pytest.mark.parametrize("bad_row", ["1", "1,x", "node,class", "1,2,3"])
+@pytest.mark.parametrize("bad_row", ["1", "1,x", "node,class", "1,2,3", "0,2"])
 def test_load_labels_rejects_malformed_rows(tmp_path, bad_row):
-    # only the first row may be a header; a later bad row names its line
+    # only the first row may be a header; a later bad row, or a second row
+    # for node 0, names its line
     g = from_edges(3, [(0, 1), (1, 2)])
     path = tmp_path / "labels.csv"
     path.write_text(f"node_id,class_id\n0,1\n# note\n{bad_row}\n2,0\n")

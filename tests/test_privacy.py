@@ -201,14 +201,6 @@ def test_ledger_benchmark_iteration_arithmetic():
     assert abs(eps_total - 3.2) <= 1e-12 * 3.2
 
 
-def test_ledger_roundtrip():
-    ledger = PrivacyLedger(epsilon=1.0, delta=1e-5, t=2)
-    ledger.record(0.5, 5e-6)
-    clone = PrivacyLedger.from_dict(ledger.to_dict())
-    assert clone.entries == ledger.entries
-    assert clone.t == ledger.t
-
-
 # ------------------------------------------------------------ PrivacySpec
 
 def test_spec_derivation_consistency():

@@ -2,13 +2,12 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from dprank.graph import from_edges
 from dprank.metrics import undirected_degrees, undirected_edges
 from dprank.synthesis import (_coverage_edges, default_target_edges,
                               sample_edges_without_replacement, sample_graph,
-                              score_to_edge_model, symmetrize_scores)
+                              symmetrize_scores)
 from dprank.training import ScoreMatrix
 from oracles import (default_target_edges_dense, sample_graph_dense,
                      symmetrize_scores_dense)
@@ -20,42 +19,7 @@ def random_scores(rng, n, density=0.5):
     return s
 
 
-# ------------------------------------------------------------- edge model
-
-def test_score_to_edge_model_two_entries():
-    model = score_to_edge_model(np.array([[0.0, 3.0], [1.0, 0.0]]))
-    assert np.array_equal(model.s_dagger.toarray(), [[0.0, 3.0], [3.0, 0.0]])
-    assert np.array_equal(model.a_tilde.toarray(), [[0.0, 0.5], [0.5, 0.0]])
-
-
-def test_score_to_edge_model_symmetric_input(rng):
-    s = random_scores(rng, 6)
-    s = (s + s.T) / 2
-    model = score_to_edge_model(s)
-    assert np.allclose(model.a_tilde.toarray(), s / s.sum())
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.integers(2, 12))
-def test_edge_model_invariants(seed, n):
-    gen = np.random.default_rng(seed)
-    s = random_scores(gen, n, density=0.8)
-    if not s.any():
-        return
-    model = score_to_edge_model(s)
-    a_tilde = model.a_tilde.toarray()
-    assert np.allclose(a_tilde, a_tilde.T)
-    assert a_tilde.sum() == pytest.approx(1.0, abs=1e-9)
-    assert not np.diag(a_tilde).any()
-    assert (a_tilde >= 0).all()
-
-
-def test_score_model_rejects_all_zero():
-    with pytest.raises(ValueError):
-        score_to_edge_model(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        score_to_edge_model(-np.ones((3, 3)))
-
+# ------------------------------------------------------------- symmetrize
 
 def test_symmetrize_zeroes_diagonal():
     s = np.array([[5.0, 1.0], [2.0, 7.0]])
@@ -147,8 +111,12 @@ def test_sample_graph_rejects_bad_targets(rng):
         sample_graph(s, target_edges=2, rng=rng)   # below ceil(N/2)
     with pytest.raises(ValueError):
         sample_graph(s, target_edges=11, rng=rng)  # above N(N-1)/2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="all zero"):
         sample_graph(np.zeros((4, 4)), target_edges=3, rng=rng)
+    with pytest.raises(ValueError, match="all zero"):
+        sample_graph(np.zeros((3, 3)), rng=rng)      # default target
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_graph(-np.ones((3, 3)), rng=rng)
 
 
 def test_sample_graph_zero_row_fallback(rng, caplog):

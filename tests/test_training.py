@@ -9,7 +9,7 @@ from dprank.graph import WalkBatch, from_edges
 from dprank.model import adam_step
 from dprank.privacy import perturb_gradient
 from dprank.training import (ScoreMatrix, TrainConfig, TrainingDivergedError,
-                             accumulate_scores, resume_train, train)
+                             accumulate_scores, train)
 from oracles import (inverse_cdf_step, masked_softmax_probs,
                      rejection_acceptance)
 
@@ -27,14 +27,17 @@ def ring_graph(n):
 
 # ----------------------------------------------------------- end to end
 
-def test_train_deterministic():
+def test_train_deterministic(tmp_path):
     g = ring_graph(20)
     cfg = tiny_config()
     a = train(g, cfg)
-    b = train(g, cfg)
-    assert np.array_equal(a.theta.v, b.theta.v)
-    assert all(np.array_equal(x, y) for x, y in zip(a.theta.w, b.theta.w))
-    assert np.array_equal(a.scores.counts.toarray(), b.scores.counts.toarray())
+    # the checkpoint write draws no random numbers
+    for b in (train(g, cfg), train(g, cfg, run_dir=tmp_path)):
+        assert np.array_equal(a.theta.v, b.theta.v)
+        assert all(np.array_equal(x, y) for x, y in zip(a.theta.w, b.theta.w))
+        assert np.array_equal(a.scores.counts.toarray(),
+                              b.scores.counts.toarray())
+        assert a.ledger.entries == b.ledger.entries
 
 
 def test_train_runs_exactly_t_iterations():
@@ -304,11 +307,25 @@ class Interrupted(Exception):
     pass
 
 
-def test_checkpoint_resume_matches_uninterrupted(tmp_path):
+def checkpoint_contents(run_dir):
+    with np.load(run_dir / "checkpoint.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    return json.loads(bytes(arrays.pop("__meta__")).decode()), arrays
+
+
+def test_checkpoint_holds_only_weights_and_scores(tmp_path):
     g = ring_graph(20)
     cfg = tiny_config(n_epochs=3)
     full = train(g, cfg, run_dir=tmp_path / "full")
     assert [p.name for p in (tmp_path / "full").iterdir()] == ["checkpoint.npz"]
+    meta, arrays = checkpoint_contents(tmp_path / "full")
+    assert meta == {"version": training.CHECKPOINT_VERSION, "epochs_done": 3}
+    n_w = len(full.theta.w)
+    assert sorted(arrays) == sorted(
+        [f"w{k}" for k in range(n_w)]
+        + ["scores_data", "scores_indices", "scores_indptr"])
+    assert all(np.array_equal(arrays[f"w{k}"], w)
+               for k, w in enumerate(full.theta.w))
 
     # stop the run at the first event of epoch 2, after epoch 1's checkpoint
     per_epoch = 20 // cfg.batch_nodes
@@ -323,62 +340,8 @@ def test_checkpoint_resume_matches_uninterrupted(tmp_path):
     partial_dir = tmp_path / "partial"
     with pytest.raises(Interrupted):
         train(g, cfg, run_dir=partial_dir, trace=stop_in_epoch_2)
-    with np.load(latest_checkpoint(partial_dir)) as data:
-        assert json.loads(bytes(data["__meta__"]).decode())["epochs_done"] == 1
-    resumed = resume_train(g, cfg, partial_dir)
-
-    assert np.array_equal(resumed.theta.v, full.theta.v)
-    assert all(np.array_equal(a, b)
-               for a, b in zip(resumed.theta.w, full.theta.w))
-    assert np.array_equal(resumed.scores.counts.toarray(),
-                          full.scores.counts.toarray())
-    assert resumed.ledger.entries == full.ledger.entries
-
-
-def test_resume_rejects_config_mismatch(tmp_path):
-    g = ring_graph(20)
-    cfg = tiny_config(n_epochs=2)
-    train(g, cfg, run_dir=tmp_path)
-    other = tiny_config(n_epochs=2, eta=0.5)
-    with pytest.raises(ValueError):
-        resume_train(g, other, tmp_path)
-
-
-def test_resume_rejects_different_graph_same_size(tmp_path):
-    g = ring_graph(20)
-    cfg = tiny_config(n_epochs=2)
-    train(g, cfg, run_dir=tmp_path)
-    chorded = from_edges(20, [(i, (i + 1) % 20) for i in range(20)] + [(0, 10)],
-                         symmetrize=True)
-    with pytest.raises(ValueError, match="different graph"):
-        resume_train(chorded, cfg, tmp_path)
-
-
-def latest_checkpoint(run_dir):
-    return run_dir / "checkpoint.npz"
-
-
-def test_resume_rejects_truncated_checkpoint(tmp_path):
-    g = ring_graph(20)
-    cfg = tiny_config(n_epochs=2)
-    train(g, cfg, run_dir=tmp_path)
-    path = latest_checkpoint(tmp_path)
-    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-    with pytest.raises(ValueError, match=path.name):
-        resume_train(g, cfg, tmp_path)
-
-
-def test_resume_rejects_corrupt_checkpoint(tmp_path):
-    g = ring_graph(20)
-    cfg = tiny_config(n_epochs=2)
-    train(g, cfg, run_dir=tmp_path)
-    path = latest_checkpoint(tmp_path)
-    raw = bytearray(path.read_bytes())
-    middle = len(raw) // 2
-    raw[middle:middle + 8] = bytes(b ^ 0xFF for b in raw[middle:middle + 8])
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match=path.name):
-        resume_train(g, cfg, tmp_path)
+    assert [p.name for p in partial_dir.iterdir()] == ["checkpoint.npz"]
+    assert checkpoint_contents(partial_dir)[0]["epochs_done"] == 1
 
 
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
@@ -396,28 +359,12 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
 def test_checkpoint_stores_sparse_scores(tmp_path):
     g = ring_graph(20)
     result = train(g, tiny_config(n_epochs=1), run_dir=tmp_path)
-    with np.load(latest_checkpoint(tmp_path)) as data:
-        assert "scores" not in data.files
-        counts = result.scores.counts
-        assert np.array_equal(data["scores_data"], counts.data)
-        assert np.array_equal(data["scores_indices"], counts.indices)
-        assert np.array_equal(data["scores_indptr"], counts.indptr)
-
-
-def test_resume_rejects_older_checkpoint_version(tmp_path, monkeypatch):
-    g = ring_graph(20)
-    cfg = tiny_config(n_epochs=1)
-    monkeypatch.setattr(training, "CHECKPOINT_VERSION", 2)
-    train(g, cfg, run_dir=tmp_path)
-    monkeypatch.undo()
-    with pytest.raises(ValueError, match="unsupported version 2"):
-        resume_train(g, cfg, tmp_path)
-
-
-def test_resume_without_checkpoints(tmp_path):
-    g = ring_graph(20)
-    with pytest.raises(FileNotFoundError):
-        resume_train(g, tiny_config(), tmp_path / "empty")
+    _, arrays = checkpoint_contents(tmp_path)
+    assert "scores" not in arrays
+    counts = result.scores.counts
+    assert np.array_equal(arrays["scores_data"], counts.data)
+    assert np.array_equal(arrays["scores_indices"], counts.indices)
+    assert np.array_equal(arrays["scores_indptr"], counts.indptr)
 
 
 # ---------------------------------------------------------------- config
