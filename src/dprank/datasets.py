@@ -13,14 +13,16 @@ import numpy as np
 
 from .graph import Graph, from_edges
 
+TRIAD_PROB = 0.6    # chance that a new node's second edge closes a triangle
+
 
 def citation_benchmark_graph(num_nodes: int = 2708, num_edges: int = 5429,
-                             seed: int = 7, triad_prob: float = 0.6) -> Graph:
+                             seed: int = 7) -> Graph:
     """Preferential-attachment graph with triad closure, stored undirected.
 
     Growth starts from a small clique; each new node attaches with two edges,
     the first preferential by degree, the second closing a triangle with
-    probability ``triad_prob`` (otherwise preferential again). Leftover budget
+    probability ``TRIAD_PROB`` (otherwise preferential again). Leftover budget
     up to ``num_edges`` is filled with preferential edges between existing
     nodes. Deterministic for a fixed seed.
     """
@@ -57,7 +59,7 @@ def citation_benchmark_graph(num_nodes: int = 2708, num_edges: int = 5429,
         neighbors.setdefault(first, set()).add(node)
 
         second = None
-        if rng.random() < triad_prob:
+        if rng.random() < TRIAD_PROB:
             candidates = [w for w in neighbors[first] if w != node
                           and (min(node, w), max(node, w)) not in edges]
             if candidates:

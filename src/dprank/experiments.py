@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,7 +57,11 @@ class ExperimentConfig:
     train: dict = field(default_factory=dict)
 
     def validate(self):
-        problems = []
+        # a JSON config can put any type anywhere; the checks below compare
+        # and iterate, so they run only on well-typed values
+        problems = self._type_problems()
+        if problems:
+            raise ConfigError(problems)
         if not Path(self.dataset).exists():
             problems.append(f"dataset path does not exist: {self.dataset}")
         if self.labels is not None and not Path(self.labels).exists():
@@ -65,6 +70,11 @@ class ExperimentConfig:
             problems.append("epsilons list must not be empty")
         if any(e <= 0 for e in self.epsilons):
             problems.append("every epsilon must be positive")
+        by_tag = {}
+        for e in self.epsilons:
+            by_tag.setdefault(_eps_tag(e), []).append(e)
+        problems += [f"epsilons {same} would share the run directory {tag}"
+                     for tag, same in by_tag.items() if len(same) > 1]
         if self.run_count < 1:
             problems.append("run_count must be >= 1")
         if self.threads < 1:
@@ -82,6 +92,29 @@ class ExperimentConfig:
         if problems:
             raise ConfigError(problems)
 
+    def _type_problems(self) -> list:
+        def integer(value):
+            return isinstance(value, int) and not isinstance(value, bool)
+
+        def path(value):
+            return isinstance(value, (str, os.PathLike))
+
+        numbers = isinstance(self.epsilons, list) and all(
+            integer(e) or isinstance(e, float) for e in self.epsilons)
+        expected = {
+            "dataset": ("a path", path(self.dataset)),
+            "labels": ("a path or null", self.labels is None or path(self.labels)),
+            "out_dir": ("a path", path(self.out_dir)),
+            "epsilons": ("a list of numbers", numbers),
+            "run_count": ("an integer", integer(self.run_count)),
+            "threads": ("an integer", integer(self.threads)),
+            "target_edges": ("an integer or null",
+                             self.target_edges is None or integer(self.target_edges)),
+            "train": ("an object", isinstance(self.train, dict)),
+        }
+        return [f"{name} must be {kind}, got {getattr(self, name)!r}"
+                for name, (kind, ok) in expected.items() if not ok]
+
     def train_config(self, seed: int, epsilon: float | None = None) -> TrainConfig:
         overrides = dict(self.train)
         overrides["master_seed"] = seed
@@ -96,6 +129,8 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ConfigError([f"config must be a JSON object, got {payload!r}"])
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(payload) - known
         if unknown:
@@ -161,7 +196,7 @@ def synth_one_run(cfg: ExperimentConfig, g: Graph, epsilon: float,
         "target_edges": int(target),
         "num_nodes": synthetic.num_nodes,
         "privacy_spec": result.privacy.to_dict(),
-        "depth": result.depth,
+        "depth": result.privacy.min_depth,
     }
     _json_dump(sidecar, run_dir / "sidecar.json")
     return {

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-import io
+import contextlib
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 
 class EdgeListParseError(ValueError):
@@ -15,17 +17,6 @@ class EdgeListParseError(ValueError):
     def __init__(self, message, line_number):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
-
-
-class PageRankDivergenceError(RuntimeError):
-    """Power iteration exceeded max_iter; carries the last residual."""
-
-    def __init__(self, residual, max_iter):
-        super().__init__(
-            f"PageRank did not converge after {max_iter} iterations "
-            f"(last residual {residual:.3e})"
-        )
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -105,7 +96,7 @@ def from_edges(num_nodes: int, edges, symmetrize: bool = False,
 
 def load_edge_list(source, format: str = "tsv", symmetrize: bool = False,
                    num_nodes: int | None = None) -> Graph:
-    """Parse an edge list from a path, text stream, or byte stream.
+    """Parse an edge list from a path or a text stream.
 
     Lines hold two integer node ids separated by whitespace (``tsv``) or a
     comma (``csv``); ``#``-prefixed lines and blank lines are ignored.
@@ -119,19 +110,9 @@ def load_edge_list(source, format: str = "tsv", symmetrize: bool = False,
         raise ValueError(f"unknown edge-list format {format!r}")
     sep = "," if format == "csv" else None
 
-    if isinstance(source, (str, os.PathLike)):
-        fh = open(source, "r")
-        close = True
-    elif isinstance(source, bytes):
-        fh = io.StringIO(source.decode("utf-8"))
-        close = False
-    elif isinstance(source, io.TextIOBase):
-        fh, close = source, False
-    else:  # binary stream
-        fh, close = io.TextIOWrapper(source, encoding="utf-8"), False
-
     pairs = []
-    try:
+    with (open(source) if isinstance(source, (str, os.PathLike))
+          else contextlib.nullcontext(source)) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -146,9 +127,6 @@ def load_edge_list(source, format: str = "tsv", symmetrize: bool = False,
                 raise EdgeListParseError(
                     f"non-integer node id in {line!r}", lineno) from None
             pairs.append((u, v))
-    finally:
-        if close:
-            fh.close()
 
     raw = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     original_ids = None
@@ -167,13 +145,12 @@ def load_edge_list(source, format: str = "tsv", symmetrize: bool = False,
                       original_ids=original_ids)
 
 
-def write_edge_list(g: Graph, path, format: str = "tsv") -> None:
+def write_edge_list(g: Graph, path) -> None:
     """Write the graph's edges (dense ids) one ``src<TAB>dst`` pair per line."""
-    sep = "," if format == "csv" else "\t"
     with open(path, "w") as fh:
         fh.write(f"# nodes: {g.num_nodes}\n")
         for u, v in g.edges:
-            fh.write(f"{u}{sep}{v}\n")
+            fh.write(f"{u}\t{v}\n")
 
 
 def write_id_map(g: Graph, path) -> None:
@@ -236,33 +213,19 @@ def generate_walk_batch(g: Graph, node_list, r_wn: int, r_wl: int,
                      starts=starts)
 
 
-def pagerank_exact(g: Graph, gamma: float = 0.85, tol: float = 1e-10,
-                   max_iter: int = 1000) -> np.ndarray:
-    """Exact PageRank by power iteration.
+def pagerank_exact(g: Graph, gamma: float = 0.85) -> np.ndarray:
+    """Exact PageRank by one sparse linear solve.
 
-    Solves PR_j = gamma * sum_{i in P_j} PR_i / d_i^out + (1 - gamma) / N at a
-    fixed point, measured in the infinity norm between successive iterates.
-    Rank mass sitting on dangling nodes (out-degree 0) is redistributed
-    uniformly over all nodes each sweep, which keeps the iteration stochastic
-    and the total mass exactly 1.
+    PR_j = gamma * (sum_{i in P_j} PR_i / d_i^out + D / N) + (1 - gamma) / N,
+    where D is the rank mass on dangling nodes (out-degree 0), spread
+    uniformly. Every term but gamma * P^T PR is the same constant for all j,
+    so PR is proportional to x = (I - gamma P^T)^{-1} 1/N, and normalizing x
+    to sum 1 supplies the dangling mass.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("damping factor must lie in (0, 1)")
     n = g.num_nodes
     src, dst = g.edges[:, 0], g.edges[:, 1]
-    inv_out = np.zeros(n)
-    nonzero = g.out_degree > 0
-    inv_out[nonzero] = 1.0 / g.out_degree[nonzero]
-    dangling = ~nonzero
-
-    pr = np.full(n, 1.0 / n)
-    residual = np.inf
-    for _ in range(max_iter):
-        flow = np.bincount(dst, weights=pr[src] * inv_out[src], minlength=n)
-        loose = pr[dangling].sum()
-        new = gamma * (flow + loose / n) + (1.0 - gamma) / n
-        residual = np.abs(new - pr).max()
-        pr = new
-        if residual < tol:
-            return pr
-    raise PageRankDivergenceError(residual, max_iter)
+    p_t = sp.csc_array((1.0 / g.out_degree[src], (dst, src)), shape=(n, n))
+    x = spsolve(sp.identity(n, format="csc") - gamma * p_t, np.full(n, 1.0 / n))
+    return x / x.sum()

@@ -19,6 +19,13 @@ from .graph import Graph
 STAT_NAMES = ("triangle_count", "wedge_count", "claw_count", "rede",
               "cpl", "diameter", "lcc_size")
 
+# the fixed downstream protocol: link prediction, node classification
+EDGE_TRAIN_FRAC = 0.8
+LABEL_TRAIN_FRAC = 0.9
+CLASSIFIER_EPOCHS = 500     # full-batch gradient steps
+CLASSIFIER_LR = 0.1
+SPLIT_RETRIES = 20          # redraws of a training split with one class
+
 
 def undirected_edges(g: Graph) -> np.ndarray:
     """Unique undirected edges as (min, max) pairs."""
@@ -206,21 +213,18 @@ def _sample_non_edges(g: Graph, count: int, rng: np.random.Generator):
 
 
 def link_prediction_auc(g: Graph, embeddings: np.ndarray,
-                        split_ratio: float = 0.8,
-                        rng: np.random.Generator | None = None) -> float:
+                        rng: np.random.Generator) -> float:
     """AUC of distinguishing held-out edges from sampled non-edges.
 
-    A (1 - split_ratio) fraction of the undirected edges becomes the positive
-    test set, matched by an equal number of uniformly sampled non-edges. A
-    pair is scored by the sigmoid of its embedding inner product.
+    A (1 - EDGE_TRAIN_FRAC) fraction of the undirected edges becomes the
+    positive test set, matched by an equal number of uniformly sampled
+    non-edges. A pair is scored by the sigmoid of its embedding inner product.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     und = undirected_edges(g)
-    n_test = int(round((1.0 - split_ratio) * len(und)))
+    n_test = int(round((1.0 - EDGE_TRAIN_FRAC) * len(und)))
     if n_test < 1 or len(und) - n_test < 1:
         raise ValueError(f"graph with {len(und)} undirected edges is too small "
-                         f"to split at ratio {split_ratio}")
+                         f"to split at ratio {EDGE_TRAIN_FRAC}")
     test_idx = rng.choice(len(und), size=n_test, replace=False)
     positives = und[test_idx]
     negatives = _sample_non_edges(g, n_test, rng)
@@ -250,27 +254,22 @@ def micro_f1(y_true, y_pred) -> float:
 
 
 def node_classification_f1(embeddings: np.ndarray, labels,
-                           train_frac: float = 0.9,
-                           rng: np.random.Generator | None = None,
-                           epochs: int = 500, lr: float = 0.1,
-                           max_retries: int = 20) -> float:
+                           rng: np.random.Generator) -> float:
     """Micro-F1 of one-vs-rest logistic regression on the embedding rows.
 
     Plain full-batch gradient descent, fixed epoch count, no regularization;
     an intercept column is appended to the features. Splits that leave fewer
     than two classes in the training set are redrawn a bounded number of times.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     labels = np.asarray(labels)
     n = len(labels)
     if embeddings.shape[0] != n:
         raise ValueError("one label per embedding row required")
-    n_train = int(round(train_frac * n))
+    n_train = int(round(LABEL_TRAIN_FRAC * n))
     if n_train < 1 or n - n_train < 1:
         raise ValueError("split leaves an empty train or test set")
 
-    for _ in range(max_retries):
+    for _ in range(SPLIT_RETRIES):
         perm = rng.permutation(n)
         train_idx, test_idx = perm[:n_train], perm[n_train:]
         if len(np.unique(labels[train_idx])) >= 2:
@@ -284,8 +283,8 @@ def node_classification_f1(embeddings: np.ndarray, labels,
     y_onehot = (labels[train_idx][:, None] == classes[None, :]).astype(np.float64)
 
     w = np.zeros((x.shape[1], len(classes)))
-    scaled_xt = lr * x_train.T
-    for _ in range(epochs):
+    scaled_xt = CLASSIFIER_LR * x_train.T
+    for _ in range(CLASSIFIER_EPOCHS):
         p = 1.0 / (1.0 + np.exp(-(x_train @ w)))
         w -= scaled_xt @ (p - y_onehot) / len(train_idx)
 

@@ -194,6 +194,12 @@ def batch_gradients(theta: Theta, batch: WalkBatch, g: Graph, gamma: float):
     return grad_v, grad_w
 
 
+# the defaults of Kingma & Ba (2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators for a fixed list of parameter tensors."""
@@ -201,16 +207,11 @@ class AdamState:
     m: list
     v: list
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params, beta1: float = 0.9, beta2: float = 0.999,
-                   eps: float = 1e-8) -> "AdamState":
+    def for_params(cls, params) -> "AdamState":
         return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params],
-                   beta1=beta1, beta2=beta2, eps=eps)
+                   v=[np.zeros_like(p) for p in params])
 
 
 def adam_step(state: AdamState, params, grads, eta: float):
@@ -222,24 +223,24 @@ def adam_step(state: AdamState, params, grads, eta: float):
             raise ValueError(f"shape mismatch: param {p.shape}, grad {g_arr.shape}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     out = []
     for m, v, p, g_arr in zip(state.m, state.v, params, grads):
         # moments in place, in the operation order of m = b1*m + (1-b1)*g,
         # v = b2*v + (1-b2)*g**2 and p - eta*m_hat / (sqrt(v_hat) + eps)
-        tmp = np.multiply(g_arr, 1.0 - state.beta1)
-        m *= state.beta1
+        tmp = np.multiply(g_arr, 1.0 - ADAM_BETA1)
+        m *= ADAM_BETA1
         m += tmp
         np.square(g_arr, out=tmp)
-        tmp *= 1.0 - state.beta2
-        v *= state.beta2
+        tmp *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
         v += tmp
         step = np.divide(m, bc1)
         step *= eta
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += state.eps
+        tmp += ADAM_EPS
         step /= tmp
         out.append(np.subtract(p, step, out=step))
     return out

@@ -154,8 +154,8 @@ def _coverage_edges(s_sym, rng: np.random.Generator) -> list:
     return edges
 
 
-def sample_graph(scores, target_edges: int | None = None,
-                 rng: np.random.Generator | None = None) -> Graph:
+def sample_graph(scores, target_edges: int | None = None, *,
+                 rng: np.random.Generator) -> Graph:
     """Sample an undirected simple graph with exactly ``target_edges`` edges
     and no isolated nodes from the symmetrized score matrix.
 
@@ -165,8 +165,6 @@ def sample_graph(scores, target_edges: int | None = None,
     global score mass, until the target is reached. The original graph is
     never consulted; the target must be supplied or derived from the scores.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     s_sym = symmetrize_scores(scores)
     n = s_sym.shape[0]
     if n < 2:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, WalkBatch, generate_walk_batch
+from .graph import Graph, generate_walk_batch
 from .model import (AdamState, Theta, WeightNormalizer, _loss_and_gradients,
                     adam_step, init_params)
 from .privacy import PrivacyLedger, PrivacySpec, perturb_gradient
@@ -132,11 +132,13 @@ class ScoreMatrix:
         return self._counts
 
 
-def accumulate_scores(v: np.ndarray, batch: WalkBatch, scores: ScoreMatrix,
+def accumulate_scores(v: np.ndarray, starts: np.ndarray, scores: ScoreMatrix,
                       rng: np.random.Generator, walk_length: int) -> ScoreMatrix:
     """Count transitions of synthetic walks driven by embedding similarity.
 
-    One walk per start node of the batch, ``walk_length`` nodes long. From
+    One walk per node of ``starts``, ``walk_length`` nodes long. Only the
+    start nodes are taken, never a data walk, so no pair of the graph can
+    reach ``scores`` except through the noised embeddings. From
     node u the step distribution is the softmax of row u of V V^T (diagonal
     masked out). Every sampled transition (u, w) is appended to ``scores``.
     Walkers advance in lockstep.
@@ -159,7 +161,7 @@ def accumulate_scores(v: np.ndarray, batch: WalkBatch, scores: ScoreMatrix,
     if n < 2 or walk_length < 2:
         return scores
     bound = norms * norms.max()
-    current = np.array(batch.starts, dtype=np.int64)
+    current = np.array(starts, dtype=np.int64)
     for _ in range(walk_length - 1):
         # uniform candidates over the n - 1 nodes other than the walker's own
         cand = rng.integers(n - 1, size=(len(current), PROPOSALS))
@@ -194,7 +196,6 @@ class TrainResult:
     scores: ScoreMatrix
     ledger: PrivacyLedger
     privacy: PrivacySpec
-    depth: int
 
 
 def _purpose_rngs(master_seed: int):
@@ -262,14 +263,13 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
             (theta.v,) = adam_step(adam_v, [theta.v], [noisy_grad_v], cfg.eta)
             emit("v_updated")
             ledger.record(eps_t, delta_t)
-            accumulate_scores(theta.v, batch, scores, rng_score,
+            accumulate_scores(theta.v, starts, scores, rng_score,
                               walk_length=cfg.r_wl)
         if run_dir is not None:
             save_checkpoint(Path(run_dir), epoch + 1, theta.w, scores)
 
     ledger.verify()
-    return TrainResult(theta=theta, scores=scores, ledger=ledger,
-                       privacy=pspec, depth=pspec.min_depth)
+    return TrainResult(theta=theta, scores=scores, ledger=ledger, privacy=pspec)
 
 
 def save_checkpoint(run_dir: Path, epochs_done: int, w: list,

@@ -309,6 +309,52 @@ def test_cli_refuses_batch_larger_than_graph(small_dataset, tmp_path, capsys):
     assert err.count("batch_nodes=61 exceeds the node count 60") == 1
 
 
+@pytest.mark.parametrize("epsilons", [[1.0, 1.0], [1.0, 1.0000001]],
+                         ids=["duplicate", "same-6-digits"])
+def test_cli_refuses_epsilons_sharing_a_run_directory(small_dataset, tmp_path,
+                                                      capsys, epsilons):
+    # both would write eps_1/run_k, the later run over the earlier one
+    dataset, _ = small_dataset
+    out_dir = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, small_config(dataset, out_dir, epsilons=epsilons))
+    assert main(["synth", "--config", str(cfg_path)]) == 1
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert f"epsilons {epsilons} would share the run directory eps_1" in err
+
+
+def test_cli_wrong_typed_config_values_are_config_errors(small_dataset,
+                                                         tmp_path, capsys):
+    dataset, _ = small_dataset
+    out_dir = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    payload = small_config(dataset, out_dir).to_dict()
+    good = dict(payload)
+    payload.update(dataset=3, labels=[], out_dir=None, epsilons=3.2,
+                   run_count="2", threads=True, target_edges=1.5, train=[])
+    cfg_path.write_text(json.dumps(payload))
+    assert main(["synth", "--config", str(cfg_path)]) == 1
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    for problem in ("dataset must be a path, got 3",
+                    "labels must be a path or null, got []",
+                    "out_dir must be a path, got None",
+                    "epsilons must be a list of numbers, got 3.2",
+                    "run_count must be an integer, got '2'",
+                    "threads must be an integer, got True",
+                    "target_edges must be an integer or null, got 1.5",
+                    "train must be an object, got []"):
+        assert problem in err
+    cfg_path.write_text(json.dumps({**good, "epsilons": [1.0, "2"]}))
+    assert main(["synth", "--config", str(cfg_path)]) == 1
+    assert "epsilons must be a list of numbers, got [1.0, '2']" in \
+        capsys.readouterr().err
+    cfg_path.write_text(json.dumps([good]))
+    assert main(["synth", "--config", str(cfg_path)]) == 1
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
 def test_cli_flag_overrides(small_dataset, tmp_path):
     dataset, _ = small_dataset
     cfg_path = tmp_path / "cfg.json"

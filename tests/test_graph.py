@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dprank.graph import (EdgeListParseError, PageRankDivergenceError,
-                          from_edges, generate_walk_batch, load_edge_list,
-                          pagerank_exact, write_edge_list)
+from dprank.graph import (EdgeListParseError, from_edges, generate_walk_batch,
+                          load_edge_list, pagerank_exact, write_edge_list)
 
 import oracles
 
@@ -61,11 +60,6 @@ def test_load_malformed_line_reports_number():
 def test_load_id_out_of_declared_range():
     with pytest.raises(IndexError):
         load_edge_list(io.StringIO("0 5"), num_nodes=3)
-
-
-def test_load_bytes_source():
-    g = load_edge_list(b"0 1\n1 0\n")
-    assert g.num_edges == 2
 
 
 def test_roundtrip_idempotent(tmp_path, rng):
@@ -198,7 +192,7 @@ def test_pagerank_three_cycle(three_cycle):
 def test_pagerank_dangling_matches_dense_oracle():
     g = from_edges(2, [(0, 1)])
     expected = oracles.pagerank_dense(2, [(0, 1)], gamma=0.85, iters=200)
-    pr = pagerank_exact(g, 0.85, tol=1e-14, max_iter=2000)
+    pr = pagerank_exact(g, 0.85)
     assert np.allclose(pr, expected, atol=1e-10)
 
 
@@ -209,7 +203,7 @@ def test_pagerank_random_graphs_match_oracle(rng):
         expected = oracles.pagerank_dense(g.num_nodes,
                                           [tuple(e) for e in g.edges],
                                           gamma=0.85, iters=400)
-        pr = pagerank_exact(g, 0.85, tol=1e-14, max_iter=5000)
+        pr = pagerank_exact(g, 0.85)
         assert np.allclose(pr, expected, atol=1e-9)
 
 
@@ -219,14 +213,7 @@ def test_pagerank_sums_to_one_and_positive(seed, gamma):
     gen = np.random.default_rng(seed)
     from conftest import random_graph
     g = random_graph(gen, max_nodes=25, allow_empty=True)
-    pr = pagerank_exact(g, gamma, tol=1e-12, max_iter=5000)
+    pr = pagerank_exact(g, gamma)
     assert abs(pr.sum() - 1.0) < 1e-9
     assert (pr > 0).all()
 
-
-def test_pagerank_nonconvergence_error():
-    g = from_edges(3, [(0, 1), (0, 2)])
-    with pytest.raises(PageRankDivergenceError) as err:
-        pagerank_exact(g, 0.85, tol=1e-15, max_iter=1)
-    assert np.isfinite(err.value.residual)
-    assert err.value.residual > 1e-15

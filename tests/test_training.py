@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import chi2
 
 import dprank.training as training
-from dprank.graph import WalkBatch, from_edges
+from dprank.graph import from_edges
 from dprank.model import adam_step
 from dprank.privacy import perturb_gradient
 from dprank.training import (ScoreMatrix, TrainConfig, TrainingDivergedError,
@@ -74,10 +74,10 @@ def test_train_depth_comes_from_sensitivity_rule():
     g = ring_graph(20)
     cfg = tiny_config()
     result = train(g, cfg)
-    assert result.depth == result.privacy.min_depth
-    assert len(result.theta.w) == result.depth + 1
+    depth = result.privacy.min_depth
+    assert len(result.theta.w) == depth + 1
     lhs = (result.privacy.batch_pairs * result.privacy.m_const
-           * (1.0 / cfg.s) ** (result.depth + 1))
+           * (1.0 / cfg.s) ** (depth + 1))
     assert lhs <= cfg.s_nabla / result.privacy.t
 
 
@@ -157,15 +157,10 @@ def test_train_handles_dangling_nodes():
 
 # ------------------------------------------------------ score accumulation
 
-def batch_with_starts(starts):
-    return WalkBatch(pairs=np.empty((0, 2), dtype=np.int64), batch_size=0,
-                     starts=np.asarray(starts, dtype=np.int64))
-
-
 def test_accumulate_two_nodes_off_diagonal(rng):
     v = rng.standard_normal((2, 3))
     scores = ScoreMatrix.zeros(2)
-    accumulate_scores(v, batch_with_starts([0, 1]), scores, rng, walk_length=6)
+    accumulate_scores(v, [0, 1], scores, rng, walk_length=6)
     assert not scores.counts.diagonal().any()
     assert scores.counts.sum() == 2 * 5  # two walks, five transitions each
 
@@ -176,7 +171,7 @@ def test_accumulate_zero_embeddings_uniform(rng):
     scores = ScoreMatrix.zeros(3)
     trials = 4000
     for _ in range(trials):
-        accumulate_scores(v, batch_with_starts([0]), scores, rng, walk_length=2)
+        accumulate_scores(v, [0], scores, rng, walk_length=2)
     counts = scores.counts.toarray()[0]
     assert counts.sum() == trials
     # 3-sigma binomial band around p = 1/2
@@ -195,7 +190,7 @@ def test_accumulate_dominant_pair_chisquare(rng):
     scores = ScoreMatrix.zeros(4)
     trials = 10_000
     for _ in range(trials):
-        accumulate_scores(v, batch_with_starts([0]), scores, rng, walk_length=2)
+        accumulate_scores(v, [0], scores, rng, walk_length=2)
     observed = scores.counts.toarray()[0]
     expected = probs * trials
     chi2 = np.sum((observed[1:] - expected[1:]) ** 2 / expected[1:])
@@ -221,7 +216,7 @@ def rare_acceptance_embeddings():
 def accumulate_counts(v, starts, rng):
     """counts[u, w] of one accumulate_scores step from each start."""
     scores = ScoreMatrix.zeros(len(v))
-    accumulate_scores(v, batch_with_starts(starts), scores, rng, walk_length=2)
+    accumulate_scores(v, starts, scores, rng, walk_length=2)
     return scores.counts.toarray()
 
 
@@ -284,7 +279,7 @@ def test_accumulate_never_self_loops_and_counts_every_step(v):
     rng = np.random.default_rng(23)
     starts = rng.integers(len(v), size=40)
     scores = ScoreMatrix.zeros(len(v))
-    accumulate_scores(v, batch_with_starts(starts), scores, rng, walk_length=9)
+    accumulate_scores(v, starts, scores, rng, walk_length=9)
     counts = scores.counts
     assert not counts.diagonal().any()
     assert counts.sum() == len(starts) * (9 - 1)
@@ -296,7 +291,7 @@ def test_accumulate_rejects_non_finite_embeddings(rng, bad):
     v[2, 1] = bad
     scores = ScoreMatrix.zeros(5)
     with pytest.raises(ValueError, match="finite"):
-        accumulate_scores(v, batch_with_starts(range(5)), scores, rng,
+        accumulate_scores(v, np.arange(5), scores, rng,
                           walk_length=2)
     assert scores.counts.nnz == 0
 
