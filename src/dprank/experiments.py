@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -68,8 +69,8 @@ class ExperimentConfig:
             problems.append(f"labels path does not exist: {self.labels}")
         if not self.epsilons:
             problems.append("epsilons list must not be empty")
-        if any(e <= 0 for e in self.epsilons):
-            problems.append("every epsilon must be positive")
+        if not all(math.isfinite(e) and e > 0 for e in self.epsilons):
+            problems.append("every epsilon must be positive and finite")
         by_tag = {}
         for e in self.epsilons:
             by_tag.setdefault(_eps_tag(e), []).append(e)

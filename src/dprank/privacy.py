@@ -1,5 +1,6 @@
 """Differential-privacy arithmetic: gradient-bound constant, minimum depth,
-per-iteration Gaussian calibration, noise injection, and the budget ledger."""
+per-iteration Gaussian calibration, noise injection (with a source that
+draws each step's noise one step ahead), and the budget ledger."""
 
 from __future__ import annotations
 
@@ -78,20 +79,77 @@ def noise_sigma(epsilon: float, delta: float, t: int = 1) -> float:
 
 
 def perturb_gradient(sum_grad_v: np.ndarray, s_nabla: float, sigma: float,
-                     batch_size: int, rng: np.random.Generator) -> np.ndarray:
+                     batch_size: int, rng) -> np.ndarray:
     """Gaussian mechanism on the summed embedding gradient.
 
     Adds i.i.d. zero-mean noise with standard deviation ``s_nabla * sigma`` to
     every entry of the full matrix (rows untouched by the batch included:
     which rows a batch touches is data-dependent, so sparing them would leak
     participation), then divides by the nominal batch pair count.
+
+    ``rng`` is a ``Generator`` or a :class:`PrefetchedNoise`; the result is
+    the array its ``normal`` returned, perturbed in place (IEEE addition
+    commutes, so it equals ``(sum_grad_v + noise) / batch_size`` bit for bit).
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if batch_size < 1:
         raise ValueError("batch size must be >= 1")
     noise = rng.normal(0.0, s_nabla * sigma, size=sum_grad_v.shape)
-    return (sum_grad_v + noise) / batch_size
+    noise += sum_grad_v
+    noise /= batch_size
+    return noise
+
+
+class PrefetchedNoise:
+    """Zero-mean Gaussian draws of one shape, each filled one call ahead on
+    a worker thread.
+
+    Serves exactly ``count`` calls of ``normal(0.0, scale, size=shape)`` with
+    the values that as many serial ``rng.normal`` calls return: filling with
+    ``standard_normal`` and scaling in place consumes the stream as
+    ``normal`` does (a zero may differ in sign, since ``normal`` adds the
+    mean). While the caller uses one draw, ``executor`` fills the next into
+    the other of two owned buffers, so a returned array is valid only until
+    the next call. Nothing else may draw from ``rng`` meanwhile. Other
+    arguments raise ``ValueError``; a call past ``count`` raises
+    ``RuntimeError``. The first fill is submitted on construction and no
+    fill after the last draw.
+    """
+
+    def __init__(self, rng: np.random.Generator, scale: float, shape: tuple,
+                 count: int, executor):
+        if count < 1:
+            raise ValueError("draw count must be >= 1")
+        self._rng = rng
+        self._scale = scale
+        self._shape = tuple(shape)
+        self._count = count
+        self._buffers = (np.empty(self._shape), np.empty(self._shape))
+        self._executor = executor
+        self._submitted = 0
+        self._pending = self._submit()
+
+    def _submit(self):
+        buf = self._buffers[self._submitted % 2]
+        self._submitted += 1
+        return self._executor.submit(self._fill, buf)
+
+    def _fill(self, buf: np.ndarray) -> np.ndarray:
+        self._rng.standard_normal(out=buf)
+        buf *= self._scale
+        return buf
+
+    def normal(self, loc: float, scale: float, size: tuple) -> np.ndarray:
+        if (loc, scale, tuple(size)) != (0.0, self._scale, self._shape):
+            raise ValueError(
+                f"noise source serves normal(0.0, {self._scale}, {self._shape}), "
+                f"not normal({loc}, {scale}, {tuple(size)})")
+        if self._pending is None:
+            raise RuntimeError(f"all {self._count} noise draws were taken")
+        draw = self._pending.result()
+        self._pending = self._submit() if self._submitted < self._count else None
+        return draw
 
 
 @dataclass(frozen=True)
@@ -114,6 +172,9 @@ class PrivacySpec:
     batch_pairs: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.epsilon, self.s, self.s_nabla,
+                                       self.sigma))):
+            raise ValueError("privacy parameters must be finite")
         if self.epsilon <= 0 or not 0 < self.delta < 1:
             raise ValueError("invalid privacy budget")
         if self.s <= 1 or self.s_nabla <= 0 or self.t < 1:
@@ -154,7 +215,13 @@ class PrivacyLedger:
     t: int
     entries: list = field(default_factory=list)
 
+    def __post_init__(self):
+        if not (math.isfinite(self.epsilon) and math.isfinite(self.delta)):
+            raise ValueError("declared budget must be finite")
+
     def record(self, eps_t: float, delta_t: float) -> None:
+        if not (math.isfinite(eps_t) and math.isfinite(delta_t)):
+            raise ValueError(f"budget entry ({eps_t}, {delta_t}) is not finite")
         if len(self.entries) >= self.t:
             raise PrivacyOverdraftError(
                 f"iteration {len(self.entries) + 1} exceeds the declared T={self.t}")

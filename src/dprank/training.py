@@ -12,7 +12,10 @@ counting real walks would route raw graph information around the noise.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -22,7 +25,8 @@ import scipy.sparse as sp
 from .graph import Graph, generate_walk_batch
 from .model import (AdamState, Theta, WeightNormalizer, _loss_and_gradients,
                     adam_step, init_params)
-from .privacy import PrivacyLedger, PrivacySpec, perturb_gradient
+from .privacy import (PrefetchedNoise, PrivacyLedger, PrivacySpec,
+                      perturb_gradient)
 
 CHECKPOINT_VERSION = 5
 CHECKPOINT_NAME = "checkpoint.npz"
@@ -61,6 +65,18 @@ class TrainConfig:
     master_seed: int = 0
 
     def validate(self):
+        counts = {name: getattr(self, name) for name in
+                  ("n_epochs", "batch_nodes", "r_wn", "r_wl", "r", "d", "master_seed")}
+        wrong = [f"{name} must be an integer, got {value!r}"
+                 for name, value in counts.items()
+                 if isinstance(value, bool) or not isinstance(value, numbers.Integral)]
+        if wrong:
+            raise ValueError("; ".join(wrong))
+        reals = {"gamma": self.gamma, "s": self.s, "s_nabla": self.s_nabla,
+                 "eta": self.eta, "epsilon": self.epsilon, "delta": self.delta}
+        nonfinite = [name for name, value in reals.items() if not math.isfinite(value)]
+        if nonfinite:
+            raise ValueError(f"{', '.join(nonfinite)} must be finite")
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
         if min(self.n_epochs, self.batch_nodes, self.r_wn, self.r, self.d) < 1:
@@ -212,7 +228,10 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
     normalize every weight to spectral norm 1/s, Adam-update the weights on
     the exact batch gradients, perturb the summed embedding gradient with
     calibrated Gaussian noise and Adam-update the embeddings, record the
-    budget split, and accumulate synthetic-walk transitions.
+    budget split, and accumulate synthetic-walk transitions. Each step's
+    noise is drawn during the step before it on one helper thread (see
+    :class:`PrefetchedNoise`), which is joined before ``train`` returns or
+    raises; the draws and the result are those of a serial run.
 
     ``run_dir`` enables an end-of-epoch checkpoint of the weights and scores,
     ``checkpoint.npz``, overwritten each epoch (see :func:`save_checkpoint`).
@@ -239,34 +258,43 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
     adam_w = AdamState.for_params(theta.w)
     adam_v = AdamState.for_params([theta.v])
 
-    for epoch in range(cfg.n_epochs):
-        order = rng_shuffle.permutation(n)
-        for it in range(per_epoch):
-            starts = order[it * cfg.batch_nodes:(it + 1) * cfg.batch_nodes]
-            batch = generate_walk_batch(g, starts, cfg.r_wn, cfg.r_wl, rng_walk)
-            normalizer.normalize_(theta)
-            emit("weights_normalized")
-            loss, grad_v_sum, grad_w = _loss_and_gradients(theta, batch, g, cfg.gamma)
-            emit("gradients_computed")
-            if not (np.isfinite(loss)
-                    and np.isfinite(grad_v_sum).all()
-                    and all(np.isfinite(gw).all() for gw in grad_w)):
-                raise TrainingDivergedError(epoch, it, loss)
+    # the noise reads neither the data nor the model, so each step's draw is
+    # made on a worker thread while the step before it runs; leaving the
+    # block joins the worker, also when a step raises
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        noise = PrefetchedNoise(rng_noise, cfg.s_nabla * pspec.sigma,
+                                theta.v.shape, pspec.t, pool)
+        for epoch in range(cfg.n_epochs):
+            order = rng_shuffle.permutation(n)
+            for it in range(per_epoch):
+                starts = order[it * cfg.batch_nodes:(it + 1) * cfg.batch_nodes]
+                batch = generate_walk_batch(g, starts, cfg.r_wn, cfg.r_wl, rng_walk)
+                normalizer.normalize_(theta)
+                emit("weights_normalized")
+                loss, grad_v_sum, grad_w = _loss_and_gradients(theta, batch, g, cfg.gamma)
+                emit("gradients_computed")
+                if not (np.isfinite(loss)
+                        and np.isfinite(grad_v_sum).all()
+                        and all(np.isfinite(gw).all() for gw in grad_w)):
+                    raise TrainingDivergedError(epoch, it, loss)
 
-            theta.w = adam_step(adam_w, theta.w,
-                                [gw / b_nominal for gw in grad_w], cfg.eta)
-            emit("w_updated")
-            noisy_grad_v = perturb_gradient(grad_v_sum, cfg.s_nabla, pspec.sigma,
-                                            b_nominal, rng_noise)
-            emit("v_grad_perturbed")
-            # only the perturbed gradient ever reaches the embedding optimizer
-            (theta.v,) = adam_step(adam_v, [theta.v], [noisy_grad_v], cfg.eta)
-            emit("v_updated")
-            ledger.record(eps_t, delta_t)
-            accumulate_scores(theta.v, starts, scores, rng_score,
-                              walk_length=cfg.r_wl)
-        if run_dir is not None:
-            save_checkpoint(Path(run_dir), epoch + 1, theta.w, scores)
+                theta.w = adam_step(adam_w, theta.w,
+                                    [gw / b_nominal for gw in grad_w], cfg.eta)
+                emit("w_updated")
+                noisy_grad_v = perturb_gradient(grad_v_sum, cfg.s_nabla, pspec.sigma,
+                                                b_nominal, noise)
+                # freed before Adam's temporaries, so the second noise buffer
+                # adds nothing to the peak
+                del grad_v_sum
+                emit("v_grad_perturbed")
+                # only the perturbed gradient ever reaches the embedding optimizer
+                (theta.v,) = adam_step(adam_v, [theta.v], [noisy_grad_v], cfg.eta)
+                emit("v_updated")
+                ledger.record(eps_t, delta_t)
+                accumulate_scores(theta.v, starts, scores, rng_score,
+                                  walk_length=cfg.r_wl)
+            if run_dir is not None:
+                save_checkpoint(Path(run_dir), epoch + 1, theta.w, scores)
 
     ledger.verify()
     return TrainResult(theta=theta, scores=scores, ledger=ledger, privacy=pspec)

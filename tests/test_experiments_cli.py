@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shutil
 
 import pytest
@@ -322,6 +323,29 @@ def test_cli_refuses_epsilons_sharing_a_run_directory(small_dataset, tmp_path,
     assert not out_dir.exists()
     err = capsys.readouterr().err
     assert f"epsilons {epsilons} would share the run directory eps_1" in err
+
+
+@pytest.mark.parametrize("override, problem", [
+    ({"epsilons": [math.nan]}, "every epsilon must be positive and finite"),
+    ({"train": {"eta": math.inf}}, "eta must be finite"),
+    ({"train": {"s_nabla": math.inf}}, "s_nabla must be finite"),
+    ({"train": {"n_epochs": math.inf}}, "n_epochs must be an integer, got inf"),
+    ({"train": {"r": 8.5}}, "r must be an integer, got 8.5"),
+], ids=["epsilon-nan", "eta-inf", "s_nabla-inf", "n_epochs-inf", "r-fractional"])
+def test_cli_non_finite_config_values_are_config_errors(small_dataset, tmp_path,
+                                                        capsys, override, problem):
+    # json reads NaN and Infinity, and a count may arrive as a float; each is
+    # refused before any directory is made
+    dataset, _ = small_dataset
+    out_dir = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    payload = small_config(dataset, out_dir).to_dict()
+    payload["train"].update(override.get("train", {}))
+    payload.update({k: v for k, v in override.items() if k != "train"})
+    cfg_path.write_text(json.dumps(payload))
+    assert main(["synth", "--config", str(cfg_path)]) == 1
+    assert not out_dir.exists()
+    assert problem in capsys.readouterr().err
 
 
 def test_cli_wrong_typed_config_values_are_config_errors(small_dataset,

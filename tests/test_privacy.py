@@ -1,12 +1,13 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dprank.privacy import (PrivacyLedger, PrivacyOverdraftError, PrivacySpec,
-                            compute_m, min_layers, noise_sigma,
-                            perturb_gradient)
+from dprank.privacy import (PrefetchedNoise, PrivacyLedger,
+                            PrivacyOverdraftError, PrivacySpec, compute_m,
+                            min_layers, noise_sigma, perturb_gradient)
 
 
 # ------------------------------------------------------------- constant M
@@ -148,7 +149,39 @@ def test_perturb_variance_scales_with_sensitivity():
     assert abs(out.std() - 3.0) / 3.0 < 0.02
 
 
+def test_prefetched_noise_serves_exactly_count_serial_draws():
+    rng = np.random.default_rng(5)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        noise = PrefetchedNoise(rng, 2.0, (4, 3), 3, pool)
+        for loc, scale, size in [(1.0, 2.0, (4, 3)), (0.0, 3.0, (4, 3)),
+                                 (0.0, 2.0, (3, 4))]:
+            with pytest.raises(ValueError, match="noise source serves"):
+                noise.normal(loc, scale, size=size)
+        draws = [noise.normal(0.0, 2.0, size=(4, 3)).copy() for _ in range(3)]
+        with pytest.raises(RuntimeError, match="all 3 noise draws"):
+            noise.normal(0.0, 2.0, size=(4, 3))
+    replay = np.random.default_rng(5)
+    for draw in draws:
+        assert np.array_equal(draw, replay.normal(0.0, 2.0, (4, 3)))
+    # three fills and no fourth: the stream stopped where three draws end
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
 # ----------------------------------------------------------------- ledger
+
+@pytest.mark.parametrize("epsilon, delta", [(math.nan, 1e-5), (math.inf, 1e-5),
+                                            (1.0, math.nan)])
+def test_ledger_rejects_non_finite_budget(epsilon, delta):
+    with pytest.raises(ValueError, match="finite"):
+        PrivacyLedger(epsilon, delta, 2)
+
+
+def test_ledger_rejects_non_finite_entry():
+    ledger = PrivacyLedger(epsilon=1.0, delta=1e-5, t=2)
+    with pytest.raises(ValueError, match="not finite"):
+        ledger.record(math.nan, 5e-6)
+    assert ledger.entries == []
+
 
 def test_ledger_even_split():
     ledger = PrivacyLedger(epsilon=3.2, delta=1e-5, t=4)
@@ -220,3 +253,12 @@ def test_spec_rejects_bad_budget():
     with pytest.raises(ValueError):
         PrivacySpec(epsilon=-1, delta=1e-5, s=8, s_nabla=5, t=1, sigma=1,
                     m_const=1, min_depth=1, batch_pairs=1)
+
+
+@pytest.mark.parametrize("field", ["epsilon", "s", "s_nabla", "sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_spec_rejects_non_finite_parameters(field, value):
+    params = dict(epsilon=1.0, delta=1e-5, s=8, s_nabla=5, t=2, sigma=1,
+                  m_const=1, min_depth=1, batch_pairs=1)
+    with pytest.raises(ValueError, match="must be finite"):
+        PrivacySpec(**{**params, field: value})

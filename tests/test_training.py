@@ -1,4 +1,6 @@
 import json
+import math
+import threading
 
 import numpy as np
 import pytest
@@ -114,9 +116,49 @@ def test_train_aborts_on_nonfinite(monkeypatch):
         return float("nan"), gv, gw
 
     monkeypatch.setattr(training, "_loss_and_gradients", bad_loss)
+    before = set(threading.enumerate())
     with pytest.raises(TrainingDivergedError) as err:
         train(g, cfg)
     assert err.value.epoch == 0 and err.value.iteration == 0
+    # the noise worker was busy with the first draw and is joined all the same
+    assert set(threading.enumerate()) <= before
+
+
+def test_noise_stream_is_consumed_in_order(monkeypatch):
+    # each step's noise is the next serial draw of the noise stream, however
+    # far ahead the worker filled it
+    g = ring_graph(20)
+    cfg = tiny_config()
+    steps = []
+
+    def spy_perturb(grad, s_nabla, sigma, batch_size, rng):
+        out = perturb_gradient(grad, s_nabla, sigma, batch_size, rng)
+        steps.append((grad, out.copy()))  # the noise buffers are reused
+        return out
+
+    monkeypatch.setattr(training, "perturb_gradient", spy_perturb)
+    result = train(g, cfg)
+    noise_seed = np.random.SeedSequence(cfg.master_seed).spawn(5)[2]
+    replay = np.random.default_rng(noise_seed)
+    scale = cfg.s_nabla * result.privacy.sigma
+    assert len(steps) == result.privacy.t
+    for grad, out in steps:
+        noise = replay.normal(0.0, scale, (20, cfg.r))
+        assert np.array_equal(out, (grad + noise) / cfg.nominal_batch_pairs())
+
+
+def test_train_joins_its_noise_worker(monkeypatch):
+    before = set(threading.enumerate())
+    during = []
+
+    def spy_perturb(*args):
+        during.append(set(threading.enumerate()) - before)
+        return perturb_gradient(*args)
+
+    monkeypatch.setattr(training, "perturb_gradient", spy_perturb)
+    train(ring_graph(20), tiny_config())
+    assert all(during)
+    assert set(threading.enumerate()) <= before
 
 
 def test_train_refuses_per_step_budget_of_one():
@@ -373,6 +415,12 @@ def test_config_validation():
         tiny_config(s=1.0).validate()
     with pytest.raises(ValueError):
         tiny_config(epsilon=0.0).validate()
+    for field, value in [("epsilon", math.nan), ("epsilon", math.inf),
+                         ("eta", math.nan), ("eta", math.inf),
+                         ("s_nabla", math.nan), ("s_nabla", math.inf),
+                         ("s", math.nan), ("s", math.inf)]:
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            tiny_config(**{field: value}).validate()
     tiny_config().validate()
 
 
