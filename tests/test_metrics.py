@@ -301,6 +301,29 @@ def test_node_classification_separable(rng):
     assert score == 1.0
 
 
+@pytest.mark.parametrize("n,n_classes,scale,seed", [
+    (300, 2, 1.0, 0), (300, 7, 1.0, 1), (400, 3, 0.5, 2),
+    (500, 7, 4.0, 3), (600, 2, 10.0, 4), (350, 5, 1.0, 5),
+])
+def test_node_classification_matches_textbook_layout(n, n_classes, scale,
+                                                      seed):
+    # class-dependent means, then a third of the labels redrawn at random, so
+    # neither layout can score 0 or 1 and a single changed prediction shows
+    gen = np.random.default_rng(seed)
+    labels = gen.integers(n_classes, size=n)
+    means = gen.standard_normal((n_classes, 16))
+    emb = scale * (means[labels] + gen.standard_normal((n, 16)))
+    noisy = gen.random(n) < 1 / 3
+    labels[noisy] = gen.integers(n_classes, size=int(noisy.sum()))
+
+    got = node_classification_f1(emb, labels, rng=np.random.default_rng(seed))
+    expected = oracles.logistic_ovr_f1_textbook(
+        emb, labels, np.random.default_rng(seed), metrics.LABEL_TRAIN_FRAC,
+        metrics.CLASSIFIER_EPOCHS, metrics.CLASSIFIER_LR, metrics.SPLIT_RETRIES)
+    assert 0.0 < got < 1.0
+    assert got == expected
+
+
 def test_node_classification_single_class_fails(rng):
     emb = rng.standard_normal((20, 3))
     labels = np.zeros(20, dtype=int)

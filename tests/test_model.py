@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dprank.graph import WalkBatch, from_edges
-from dprank.model import (AdamState, WeightNormalizer, adam_step,
+from dprank.model import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS,
+                          AdamState, WeightNormalizer, adam_step,
                           batch_gradients, edge_loss, forward, full_objective,
                           init_params, spectral_norm, weight_normalize)
 from dprank.privacy import compute_m
@@ -360,9 +361,11 @@ def test_network_gradient_bounded_by_spectral_norm_product(rng):
 
 def test_adam_zero_gradient_keeps_params():
     params = [np.ones((2, 2))]
+    before = params[0].copy()
     state = AdamState.for_params(params)
     out = adam_step(state, params, [np.zeros((2, 2))], eta=0.1)
-    assert np.array_equal(out[0], params[0])
+    assert out[0] is params[0]  # updated in place
+    assert np.array_equal(out[0], before)
 
 
 def test_adam_first_step_magnitude():
@@ -386,6 +389,21 @@ def test_adam_two_runs_identical(rng):
         return params[0]
 
     assert np.array_equal(run(), run())
+
+
+def test_adam_matches_reference_across_blocks(rng):
+    # V spans several blocks with a partial last one; the weights fit in one
+    shapes = [(3 * ADAM_BLOCK // 130 + 7, 130), (130, 5), (5, 1)]
+    params = [rng.standard_normal(s) for s in shapes]
+    grads_per_step = [[10.0 ** rng.integers(-12, 3) * rng.standard_normal(s)
+                       for s in shapes] for _ in range(4)]
+    expected = oracles.adam_reference(params, grads_per_step, 1e-3, ADAM_BETA1,
+                                      ADAM_BETA2, ADAM_EPS)
+    state = AdamState.for_params(params)
+    for grads in grads_per_step:
+        adam_step(state, params, grads, eta=1e-3)
+    for got, want in zip(params, expected):
+        assert np.array_equal(got, want)
 
 
 def test_adam_shape_mismatch():
