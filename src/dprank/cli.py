@@ -85,7 +85,7 @@ def main(argv=None) -> int:
                 raise ConfigError(["--labels requires --downstream; pass "
                                    "both to score node classification"])
             run_eval(args.original, args.synthetic_dir, out_dir=args.out,
-                     downstream=args.downstream or None,
+                     downstream=args.downstream,
                      labels_path=args.labels)
             out = args.out or args.synthetic_dir
             print(f"evaluation report written to {out}")

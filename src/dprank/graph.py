@@ -7,8 +7,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
 
 class EdgeListParseError(ValueError):
@@ -55,6 +53,14 @@ class Graph:
         return self.num_nodes == other.num_nodes and np.array_equal(self.edges, other.edges)
 
 
+def unique_pairs(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray:
+    """The distinct pairs ``(src[k], dst[k])`` of ids in [0, num_nodes) as an
+    (M, 2) int64 array sorted lexicographically: ``np.unique(axis=0)`` of the
+    stacked pairs, by a 1-D unique on the keys ``src * num_nodes + dst``."""
+    keys = np.unique(np.asarray(src, dtype=np.int64) * num_nodes + dst)
+    return np.column_stack(np.divmod(keys, num_nodes))
+
+
 def from_edges(num_nodes: int, edges, symmetrize: bool = False,
                original_ids=None) -> Graph:
     """Build a simple directed Graph, dropping self-loops and duplicate edges.
@@ -65,17 +71,15 @@ def from_edges(num_nodes: int, edges, symmetrize: bool = False,
     if num_nodes < 1:
         raise ValueError("graph needs at least one node")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if len(edges):
-        if edges.min() < 0 or edges.max() >= num_nodes:
-            raise IndexError(
-                f"edge endpoint out of range for num_nodes={num_nodes}"
-            )
-        edges = edges[edges[:, 0] != edges[:, 1]]          # no self-loops
-        if symmetrize and len(edges):
-            edges = np.vstack([edges, edges[:, ::-1]])
-        edges = np.unique(edges, axis=0)                   # dedup + lexsort
-    else:
-        edges = edges.reshape(0, 2)
+    if len(edges) and (edges.min() < 0 or edges.max() >= num_nodes):
+        raise IndexError(
+            f"edge endpoint out of range for num_nodes={num_nodes}"
+        )
+    edges = edges[edges[:, 0] != edges[:, 1]]              # no self-loops
+    src, dst = edges[:, 0], edges[:, 1]
+    if symmetrize:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    edges = unique_pairs(src, dst, num_nodes)              # dedup + lexsort
 
     # the edges are sorted by (src, dst), so dst is already the CSR index array
     src, dst = edges[:, 0], edges[:, 1]
@@ -222,6 +226,10 @@ def pagerank_exact(g: Graph, gamma: float = 0.85) -> np.ndarray:
     so PR is proportional to x = (I - gamma P^T)^{-1} 1/N, and normalizing x
     to sum 1 supplies the dangling mass.
     """
+    # imported here so that the CLI, which never calls this, loads no scipy
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
     if not 0.0 < gamma < 1.0:
         raise ValueError("damping factor must lie in (0, 1)")
     n = g.num_nodes

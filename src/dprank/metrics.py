@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .graph import Graph
+from .graph import Graph, from_edges, unique_pairs
 
 STAT_NAMES = ("triangle_count", "wedge_count", "claw_count", "rede",
               "cpl", "diameter", "lcc_size")
@@ -28,24 +26,14 @@ SPLIT_RETRIES = 20          # redraws of a training split with one class
 
 
 def undirected_edges(g: Graph) -> np.ndarray:
-    """Unique undirected edges as (min, max) pairs."""
-    if g.num_edges == 0:
-        return np.empty((0, 2), dtype=np.int64)
+    """Unique undirected edges as (min, max) pairs, sorted."""
     lo = np.minimum(g.edges[:, 0], g.edges[:, 1])
     hi = np.maximum(g.edges[:, 0], g.edges[:, 1])
-    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+    return unique_pairs(lo, hi, g.num_nodes)
 
 
 def undirected_degrees(g: Graph) -> np.ndarray:
     return np.bincount(undirected_edges(g).ravel(), minlength=g.num_nodes)
-
-
-def _undirected_csr(g: Graph, und=None):
-    und = undirected_edges(g) if und is None else und
-    n = g.num_nodes
-    rows = np.concatenate([und[:, 0], und[:, 1]])
-    cols = np.concatenate([und[:, 1], und[:, 0]])
-    return csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -66,10 +54,56 @@ class GraphStats:
         return {name: getattr(self, name) for name in STAT_NAMES}
 
 
-def _triangles(adj) -> int:
-    """Exact triangle count: trace(A^3) counts each triangle six times, and
-    on the 0/1 adjacency the trace equals the sum of (A @ A) * A."""
-    return int((adj @ adj).multiply(adj).sum()) // 6
+def _triangles(g: Graph) -> int:
+    """Exact triangle count of a symmetric graph by a degree-ordered forward
+    wedge count (Schank and Wagner, 2005).
+
+    Nodes are ranked by (degree, id) and every edge points from its lower- to
+    its higher-ranked end. A triangle is then exactly one wedge u -> v,
+    u -> w with rank v < rank w whose closing edge v -> w exists, so each is
+    counted once. A forward list holds at most O(sqrt(M)) nodes, so there
+    are O(M^1.5) wedges, and none at all on a star (every edge points at the
+    hub, which points nowhere)."""
+    n = g.num_nodes
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(g.out_degree, kind="stable")] = np.arange(n)
+    a, b = rank[g.edges[:, 0]], rank[g.edges[:, 1]]
+    forward = a < b
+    keys = np.sort(a[forward] * n + b[forward])    # rank-labelled, sorted
+    tail, head = np.divmod(keys, n)
+    # each edge pairs with the later edges of its tail's forward list
+    later = np.searchsorted(tail, tail, side="right") - np.arange(len(keys)) - 1
+    first = np.repeat(np.arange(len(keys)), later)
+    offset = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    closing = head[first] * n + head[first + 1 + offset]
+    found = np.searchsorted(keys, closing)
+    return int(np.count_nonzero(
+        keys[np.minimum(found, len(keys) - 1)] == closing))
+
+
+def _components(g: Graph) -> np.ndarray:
+    """Each node's connected-component label: the smallest node id of its
+    component, so labels order components as scipy's ``connected_components``
+    numbers them.
+
+    Hook and compress: every edge whose ends carry different labels hooks
+    the root with the larger label under the smaller one, then pointer
+    jumping flattens every tree. Labels only ever decrease, so a tree's root
+    is its smallest node; each round at least halves the roots left in a
+    component, so there are O(log N) rounds."""
+    label = np.arange(g.num_nodes)
+    src, dst = g.edges[:, 0], g.edges[:, 1]
+    while True:
+        a, b = label[src], label[dst]
+        differ = a != b
+        if not differ.any():
+            return label
+        np.minimum.at(label, np.maximum(a, b)[differ], np.minimum(a, b)[differ])
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 # uint64 words in the (nnz, words) neighbour gather of one BFS source chunk,
@@ -79,10 +113,11 @@ def _triangles(adj) -> int:
 BFS_WORD_BUDGET = 1 << 17
 
 
-def shortest_path(adj) -> tuple[int, int]:
+def shortest_path(indptr: np.ndarray, indices: np.ndarray) -> tuple[int, int]:
     """Sum and maximum of the hop distances d(s, t) over all ordered pairs
     s != t with t reachable from s, on an unweighted undirected graph given
-    as a CSR adjacency with no empty row.
+    as the ``indptr``/``indices`` arrays of a CSR adjacency with no empty
+    row.
 
     A level-synchronous BFS from 64 sources per uint64 word ("The More the
     Merrier", Then et al., VLDB 2015): bit k of ``frontier[v, w]`` says that
@@ -92,8 +127,7 @@ def shortest_path(adj) -> tuple[int, int]:
     O(nnz + N) words per chunk and never N x N. The sum is an exact Python
     integer.
     """
-    n = adj.shape[0]
-    indptr, indices = adj.indptr, adj.indices
+    n = len(indptr) - 1
     if (np.diff(indptr) == 0).any():
         # reduceat would give an empty row the value of the next row's first
         # neighbour rather than the identity
@@ -140,16 +174,19 @@ def compute_stats(g: Graph) -> GraphStats:
     diameter = None
     lcc_size = 1 if n else 0
     if m > 0:
-        csr = _undirected_csr(g, und)
-        triangles = _triangles(csr)
-        n_comp, labels = connected_components(csr, directed=False)
+        sym = from_edges(n, und, symmetrize=True)
+        triangles = _triangles(sym)
+        labels = _components(sym)
         sizes = np.bincount(labels)
+        # the first largest: the one with the smallest node, as with scipy
         lcc_label = int(np.argmax(sizes))
         lcc_size = int(sizes[lcc_label])
-        members = np.flatnonzero(labels == lcc_label)
         if lcc_size > 1:
-            sub = csr[members][:, members]
-            total, diameter = shortest_path(sub)
+            members = labels == lcc_label
+            new_id = np.cumsum(members) - 1     # keeps the node order
+            sub = from_edges(lcc_size, new_id[und[members[und[:, 0]]]],
+                             symmetrize=True)
+            total, diameter = shortest_path(sub.out_indptr, sub.out_indices)
             # int / int rounds once, as float64 division of the exact sum did
             cpl = float(total / (lcc_size * (lcc_size - 1)))
 

@@ -202,12 +202,32 @@ class PrivacySpec:
         return asdict(self)
 
 
+def _add_exact(partials: list, value: float) -> None:
+    """Add ``value`` to the exact sum held as the float list ``partials``
+    (Shewchuk's grow-expansion, the loop of ``math.fsum``), so that
+    ``math.fsum(partials)`` stays the correctly rounded sum of every value
+    added. Each step is an exact two-sum; if one would overflow, ``value``
+    is appended unmerged instead, which keeps the sum exact."""
+    out, x = [], value
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            out.append(lo)
+        x = hi
+    partials[:] = out + [x] if math.isfinite(x) else partials + [value]
+
+
 @dataclass
 class PrivacyLedger:
     """Sequential-composition audit record.
 
     Exactly ``t`` entries may be recorded; totals may never exceed the declared
-    (epsilon, delta). Overdrafts raise and are meant to abort the run.
+    (epsilon, delta). Overdrafts raise and are meant to abort the run. The
+    totals are kept as exact partial sums, so a record costs O(1) however
+    many entries precede it and rounds as ``math.fsum`` over all of them.
     """
 
     epsilon: float
@@ -218,6 +238,10 @@ class PrivacyLedger:
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and math.isfinite(self.delta)):
             raise ValueError("declared budget must be finite")
+        self._eps_partials, self._delta_partials = [], []
+        for eps_t, delta_t in self.entries:
+            _add_exact(self._eps_partials, eps_t)
+            _add_exact(self._delta_partials, delta_t)
 
     def record(self, eps_t: float, delta_t: float) -> None:
         if not (math.isfinite(eps_t) and math.isfinite(delta_t)):
@@ -225,8 +249,9 @@ class PrivacyLedger:
         if len(self.entries) >= self.t:
             raise PrivacyOverdraftError(
                 f"iteration {len(self.entries) + 1} exceeds the declared T={self.t}")
-        eps_after = math.fsum(e for e, _ in self.entries) + eps_t
-        delta_after = math.fsum(d for _, d in self.entries) + delta_t
+        eps_spent, delta_spent = self.spent()
+        eps_after = eps_spent + eps_t
+        delta_after = delta_spent + delta_t
         if eps_after > self.epsilon * (1 + 1e-12) + 1e-300:
             raise PrivacyOverdraftError(
                 f"epsilon overdraft: {eps_after} > {self.epsilon}")
@@ -234,10 +259,11 @@ class PrivacyLedger:
             raise PrivacyOverdraftError(
                 f"delta overdraft: {delta_after} > {self.delta}")
         self.entries.append((eps_t, delta_t))
+        _add_exact(self._eps_partials, eps_t)
+        _add_exact(self._delta_partials, delta_t)
 
     def spent(self) -> tuple:
-        return (math.fsum(e for e, _ in self.entries),
-                math.fsum(d for _, d in self.entries))
+        return (math.fsum(self._eps_partials), math.fsum(self._delta_partials))
 
     def verify(self) -> tuple:
         """Check T entries recorded and totals equal to the declared budget

@@ -1,54 +1,70 @@
 """Reconstruct a simple undirected graph from the accumulated transition-score
 matrix. Pure post-processing: consumes only the score matrix and config.
 
-Scores are held as ``scipy.sparse`` CSR arrays throughout. A run records
-O(T * batch) transitions, so no step here allocates O(N^2)."""
+Scores are held as coordinate triplets of their nonzero entries throughout.
+A run records O(T * batch) transitions, so no step here allocates O(N^2)."""
 
 from __future__ import annotations
 
 import logging
 import math
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import Graph, from_edges
 
 log = logging.getLogger(__name__)
 
 
-def _score_array(scores) -> sp.csr_array:
-    """Accept a dense or sparse array, or anything exposing ``.counts``
-    (ScoreMatrix); return it as a canonical float64 CSR array with no stored
-    zeros."""
-    raw = getattr(scores, "counts", scores)
-    if not sp.issparse(raw):
-        raw = np.asarray(raw)
-    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-        raise ValueError("score matrix must be square")
-    arr = sp.csr_array(raw, dtype=np.float64)
-    if not (arr.data >= 0).all():
+@dataclass(frozen=True)
+class SymmetricScores:
+    """``max(S, S^T)`` with the diagonal dropped, held as its positive
+    strictly-upper-triangle entries ``(rows[k], cols[k], weights[k])`` in
+    row-major order, the order of ``np.triu_indices``."""
+
+    num_nodes: int
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+
+
+def _score_triplet(scores) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """``(n, rows, cols, values)`` of the nonzero entries of a dense square
+    array or a ScoreMatrix, as float64 values; raises on a non-square shape
+    or a negative (or NaN) entry."""
+    if hasattr(scores, "triplet"):
+        n = scores.num_nodes
+        rows, cols, values = scores.triplet()
+    else:
+        dense = np.asarray(scores, dtype=np.float64)
+        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+            raise ValueError("score matrix must be square")
+        n = dense.shape[0]
+        rows, cols = np.nonzero(dense)
+        values = dense[rows, cols]
+    if not (values >= 0).all():
         raise ValueError("score matrix entries must be nonnegative")
-    arr.eliminate_zeros()
-    arr.sum_duplicates()
-    return arr
+    return n, rows, cols, values
 
 
-def symmetrize_scores(scores) -> sp.csr_array:
-    """Elementwise max with the transpose, diagonal removed, as a CSR array."""
-    s = _score_array(scores)
-    upper = sp.triu(s.maximum(s.T), k=1, format="csr")
-    return upper + upper.T
-
-
-def _upper_support(s_sym):
-    """``(n, rows, cols, weights)`` of the positive strictly-upper-triangle
-    entries in row-major order, the order of ``np.triu_indices``."""
-    upper = sp.triu(_score_array(s_sym), k=1, format="csr")
-    upper.sum_duplicates()
-    n = upper.shape[0]
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(upper.indptr))
-    return n, rows, upper.indices.astype(np.int64), upper.data
+def symmetrize_scores(scores) -> SymmetricScores:
+    """Elementwise max with the transpose, diagonal removed, of a dense
+    square array or a ScoreMatrix; a SymmetricScores passes through."""
+    if isinstance(scores, SymmetricScores):
+        return scores
+    n, rows, cols, values = _score_triplet(scores)
+    off = rows != cols
+    rows, cols, values = rows[off], cols[off], values[off]
+    # entries (u, v) and (v, u) share the key min*n + max; sorting by
+    # (key, value) puts each key's larger value last
+    keys = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+    order = np.lexsort((values, keys))
+    keys, values = keys[order], values[order]
+    last = np.ones(len(keys), dtype=bool)
+    last[:-1] = keys[1:] != keys[:-1]
+    upper_rows, upper_cols = np.divmod(keys[last], n)
+    return SymmetricScores(n, upper_rows, upper_cols, values[last])
 
 
 def default_target_edges(scores) -> int:
@@ -66,7 +82,8 @@ def default_target_edges(scores) -> int:
     lower default would make the no-isolated-node guarantee unsatisfiable on
     uneven supports.
     """
-    n, _, _, pos = _upper_support(symmetrize_scores(scores))
+    s_sym = symmetrize_scores(scores)
+    n, pos = s_sym.num_nodes, s_sym.weights
     if pos.size == 0:
         raise ValueError("score matrix is all zero; no edge budget derivable")
     std = pos.std()
@@ -91,7 +108,9 @@ def sample_edges_without_replacement(s_sym, count: int,
     over the still-unused support, so the loop always terminates. Raises when
     the positive support is exhausted before ``count`` edges exist.
     """
-    n, rows, cols, weights = _upper_support(s_sym)
+    s_sym = symmetrize_scores(s_sym)
+    n, rows, cols, weights = (s_sym.num_nodes, s_sym.rows, s_sym.cols,
+                              s_sym.weights)
     unused = np.ones(len(weights), dtype=bool)
     if len(existing):
         e = np.asarray(existing, dtype=np.int64).reshape(-1, 2)
@@ -128,9 +147,16 @@ def _coverage_edges(s_sym, rng: np.random.Generator) -> list:
     which makes the same single uniform draw as a draw over the dense row. An
     empty row falls back to a uniform random partner.
     """
-    s = _score_array(s_sym)
-    n = s.shape[0]
-    indptr, indices, data = s.indptr, s.indices, s.data
+    s_sym = symmetrize_scores(s_sym)
+    n = s_sym.num_nodes
+    # the full symmetric matrix as CSR rows, each row's columns ascending
+    rows = np.concatenate([s_sym.rows, s_sym.cols])
+    cols = np.concatenate([s_sym.cols, s_sym.rows])
+    order = np.argsort(rows * n + cols)
+    indices = cols[order]
+    data = np.concatenate([s_sym.weights, s_sym.weights])[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     covered = np.zeros(n, dtype=bool)
     edges = []
     for i in range(n):
@@ -166,13 +192,13 @@ def sample_graph(scores, target_edges: int | None = None, *,
     never consulted; the target must be supplied or derived from the scores.
     """
     s_sym = symmetrize_scores(scores)
-    n = s_sym.shape[0]
+    n = s_sym.num_nodes
     if n < 2:
         raise ValueError("need at least two nodes to synthesize a graph")
-    if s_sym.nnz == 0:
+    if len(s_sym.weights) == 0:
         raise ValueError("score matrix is all zero; nothing to sample from")
     if target_edges is None:
-        target_edges = default_target_edges(scores)
+        target_edges = default_target_edges(s_sym)
     min_edges = math.ceil(n / 2)
     max_edges = n * (n - 1) // 2
     if target_edges < min_edges:

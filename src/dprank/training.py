@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import Graph, generate_walk_batch
 from .model import (AdamState, Theta, WeightNormalizer, _loss_and_gradients,
@@ -117,35 +116,56 @@ class ScoreMatrix:
     """Sparse N x N accumulator of synthetic-walk transition counts.
 
     Each step of :func:`accumulate_scores` appends its ``(current, next)``
-    index arrays; :attr:`counts` collapses them into a ``scipy.sparse`` CSR
-    array with duplicates summed, so memory grows with the number of
+    index arrays; :meth:`triplet` collapses them with one 1-D ``np.unique``
+    on the ``u * N + v`` keys, so memory grows with the number of distinct
     recorded transitions, never with N^2. The diagonal stays empty (the
     synthesis target is a simple graph)."""
 
-    def __init__(self, counts: sp.csr_array):
-        self.num_nodes = counts.shape[0]
-        self._counts = counts
+    def __init__(self, n: int):
+        self.num_nodes = n
+        self._keys = np.empty(0, dtype=np.int64)      # sorted u * n + v
+        self._counts = np.empty(0, dtype=np.float64)
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
 
     @classmethod
     def zeros(cls, n: int) -> "ScoreMatrix":
-        return cls(sp.csr_array((n, n), dtype=np.float64))
+        return cls(n)
 
     def add(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Record one transition per ``(rows[k], cols[k])`` pair."""
         self._pending.append((rows, cols))
 
-    @property
-    def counts(self) -> sp.csr_array:
-        """The transition counts as a canonical float64 CSR array."""
+    def triplet(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, counts)``: one int64/int64/float64 entry per
+        distinct recorded pair, in row-major order."""
         if self._pending:
             rows, cols = (np.concatenate(a) for a in zip(*self._pending))
             self._pending.clear()
-            n = self.num_nodes
-            # the COO -> CSR conversion sums duplicate pairs
-            self._counts = self._counts + sp.csr_array(
-                (np.ones(len(rows)), (rows, cols)), shape=(n, n))
-        return self._counts
+            keys = np.concatenate([self._keys, rows * self.num_nodes + cols])
+            counts = np.concatenate([self._counts, np.ones(len(rows))])
+            self._keys, inverse = np.unique(keys, return_inverse=True)
+            # the counts are integers far below 2**53, so any summation
+            # order gives the same float64 totals
+            self._counts = np.bincount(inverse, weights=counts)
+        rows, cols = np.divmod(self._keys, self.num_nodes)
+        return rows, cols, self._counts
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(data, indices, indptr)`` of the counts as a canonical CSR
+        matrix with int64 indices."""
+        rows, cols, data = self.triplet()
+        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.num_nodes), out=indptr[1:])
+        return data, cols, indptr
+
+    @property
+    def counts(self):
+        """The transition counts as a ``scipy.sparse`` CSR array, for
+        callers outside the pipeline; scipy is imported on first use."""
+        import scipy.sparse as sp
+
+        n = self.num_nodes
+        return sp.csr_array(self.csr(), shape=(n, n))
 
 
 def accumulate_scores(v: np.ndarray, starts: np.ndarray, scores: ScoreMatrix,
@@ -315,10 +335,10 @@ def save_checkpoint(run_dir: Path, epochs_done: int, w: list,
     run_dir.mkdir(parents=True, exist_ok=True)
     path = run_dir / CHECKPOINT_NAME
     meta = {"version": CHECKPOINT_VERSION, "epochs_done": epochs_done}
-    counts = scores.counts
+    data, indices, indptr = scores.csr()
     arrays = {f"w{k}": wk for k, wk in enumerate(w)}
-    arrays.update(scores_data=counts.data, scores_indices=counts.indices,
-                  scores_indptr=counts.indptr)
+    arrays.update(scores_data=data, scores_indices=indices,
+                  scores_indptr=indptr)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dprank
 from dprank.cli import main
 from dprank.datasets import benchmark_labels, citation_benchmark_graph
 from dprank.experiments import (ConfigError, ExperimentConfig, SWEEP_COLUMNS,
@@ -271,6 +276,80 @@ def test_cli_synth_and_eval_and_report(small_dataset, tmp_path, capsys):
     assert main(["report", "--dir", str(out_dir)]) == 0
     printed = capsys.readouterr().out
     assert "triangle_count" in printed
+
+
+def test_cli_eval_without_downstream_ignores_the_manifest(small_dataset,
+                                                         tmp_path):
+    # the synth config asks for downstream scores; a bare eval runs none
+    dataset, labels_path = small_dataset
+    synth_dir = tmp_path / "synth"
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, small_config(dataset, synth_dir, run_count=1,
+                                        downstream=True,
+                                        labels=str(labels_path)))
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    assert main(["eval", "--original", str(dataset), "--synthetic-dir",
+                 str(synth_dir), "--out", str(tmp_path / "bare")]) == 0
+    report = json.loads((tmp_path / "bare" / "eval_report.json").read_text())
+    (entry,) = report["per_epsilon"].values()
+    assert entry["auc"] is None
+    assert entry["micro_f1"] is None
+    assert main(["eval", "--original", str(dataset), "--synthetic-dir",
+                 str(synth_dir), "--out", str(tmp_path / "full"),
+                 "--downstream"]) == 0
+    report = json.loads((tmp_path / "full" / "eval_report.json").read_text())
+    (entry,) = report["per_epsilon"].values()
+    assert entry["auc"] is not None and entry["micro_f1"] is not None
+
+
+# runs the CLI in a fresh interpreter, with every scipy import failing when
+# the first argument is "block"; exits 1 if a scipy module got loaded
+CLI_CHILD = """
+import sys
+if sys.argv.pop(1) == "block":
+    sys.modules["scipy"] = None
+from dprank.cli import main
+code = main(sys.argv[1:])
+sys.exit(code or any(m.split(".")[0] == "scipy" and sys.modules[m] is not None
+                     for m in sys.modules))
+"""
+
+
+def run_child_cli(mode, argv):
+    src = str(Path(dprank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", CLI_CHILD, mode, *argv],
+                          env=env, capture_output=True, text=True)
+
+
+def test_cli_synth_and_eval_need_no_scipy(small_dataset, tmp_path):
+    # with scipy unimportable, synth and eval --downstream exit 0, load no
+    # scipy module, and write the bytes of an unblocked run
+    dataset, labels_path = small_dataset
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, small_config(dataset, tmp_path / "unused",
+                                        run_count=1))
+    for mode in ("block", "allow"):
+        synth, report = tmp_path / f"synth_{mode}", tmp_path / f"eval_{mode}"
+        done = run_child_cli(mode, ["synth", "--config", str(cfg_path),
+                                    "--out", str(synth)])
+        assert done.returncode == 0, done.stderr
+        done = run_child_cli(mode, ["eval", "--original", str(dataset),
+                                    "--synthetic-dir", str(synth), "--out",
+                                    str(report), "--downstream", "--labels",
+                                    str(labels_path)])
+        assert done.returncode == 0, done.stderr
+    run = Path("eps_3.2") / "run_0"
+    released = ["id_map.csv"] + [str(run / name) for name in (
+        "synthetic_edges.tsv", "embeddings.npy", "ledger.json",
+        "sidecar.json", "checkpoints/checkpoint.npz")]
+    for name in released:
+        assert ((tmp_path / "synth_block" / name).read_bytes()
+                == (tmp_path / "synth_allow" / name).read_bytes()), name
+    for name in ("eval_report.json", "eval_report.csv"):
+        assert ((tmp_path / "eval_block" / name).read_bytes()
+                == (tmp_path / "eval_allow" / name).read_bytes()), name
 
 
 def test_cli_exit_codes(small_dataset, tmp_path):

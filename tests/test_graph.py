@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dprank.graph import (EdgeListParseError, from_edges, generate_walk_batch,
-                          load_edge_list, pagerank_exact, write_edge_list)
+                          load_edge_list, pagerank_exact, unique_pairs,
+                          write_edge_list)
+from dprank.metrics import undirected_edges
 
 import oracles
 
@@ -85,6 +87,30 @@ def test_degree_bookkeeping_matches_recount(pairs):
     assert np.array_equal(g.out_degree, out_ref)
     assert np.array_equal(g.in_degree, in_ref)
     assert g.out_degree.sum() == g.in_degree.sum() == g.num_edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=300),
+    st.booleans())))
+def test_key_dedup_matches_row_unique(case):
+    # the 1-D unique on u*n + v keys against np.unique(axis=0), the form it
+    # replaced in from_edges and undirected_edges
+    n, pairs, symmetrize = case
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    got = unique_pairs(arr[:, 0], arr[:, 1], n)
+    assert got.dtype == np.int64 and got.shape == (len(got), 2)
+    assert np.array_equal(got, np.unique(arr, axis=0).reshape(-1, 2))
+
+    g = from_edges(n, pairs, symmetrize=symmetrize)
+    kept = arr[arr[:, 0] != arr[:, 1]]
+    if symmetrize:
+        kept = np.vstack([kept, kept[:, ::-1]])
+    assert np.array_equal(g.edges, np.unique(kept, axis=0).reshape(-1, 2))
+    lo, hi = g.edges.min(axis=1), g.edges.max(axis=1)
+    old = np.unique(np.stack([lo, hi], axis=1), axis=0).reshape(-1, 2)
+    assert np.array_equal(undirected_edges(g), old)
 
 
 def test_has_edge(three_cycle):

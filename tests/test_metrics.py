@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import shortest_path as scipy_shortest_path
 
 import dprank.metrics as metrics
@@ -76,19 +77,110 @@ def test_rede_is_one_for_regular_graphs(n):
     assert compute_stats(cycle_graph(n)).rede == pytest.approx(1.0, abs=1e-12)
 
 
+# ------------------------------------------- triangles and components
+
+def test_triangles_of_cliques_and_wheels():
+    for n in (3, 4, 7, 12):
+        clique = from_edges(n, [(i, j) for i in range(n) for j in range(i)],
+                            symmetrize=True)
+        assert metrics._triangles(clique) == n * (n - 1) * (n - 2) // 6
+    # a hub joined to every node of a 50-cycle: one triangle per rim edge
+    rim = [(i, i % 50 + 1) for i in range(1, 51)]
+    wheel = from_edges(51, rim + [(0, i) for i in range(1, 51)], symmetrize=True)
+    assert metrics._triangles(wheel) == 50
+
+
+def test_triangles_of_a_large_star_make_no_wedges():
+    # every edge points at the hub, which points nowhere: nothing is
+    # gathered, where orienting the hub outward would pair its 10^4 leaves
+    # (5 * 10^7 wedges, 400 MB per int64 array)
+    import tracemalloc
+    star = star_graph(10_000)
+    tracemalloc.start()
+    try:
+        count = metrics._triangles(star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 0
+    assert peak < 4e6
+
+
+def scipy_lcc(g):
+    """The LCC members scipy's ``connected_components`` picks by argmax."""
+    n = g.num_nodes
+    adj = sp.csr_matrix((np.ones(g.num_edges), g.out_indices, g.out_indptr),
+                        shape=(n, n))
+    _, labels = connected_components(adj, directed=False)
+    return labels, np.flatnonzero(labels == np.argmax(np.bincount(labels)))
+
+
+def scipy_lcc_graph(g, members):
+    """The subgraph on the sorted ``members``, relabelled 0..len - 1."""
+    keep = np.isin(g.edges, members).all(axis=1)
+    return from_edges(len(members), np.searchsorted(members, g.edges[keep]))
+
+
+def equal_components_graph(rng, parts, size, singletons):
+    """``parts`` connected components of ``size`` nodes each (a random tree
+    plus chords) and ``singletons`` isolated nodes, ids shuffled."""
+    n = parts * size + singletons
+    ids = rng.permutation(n)
+    pairs = []
+    for c in range(parts):
+        nodes = ids[c * size:(c + 1) * size]
+        for k in range(1, size):
+            pairs.append((nodes[k], nodes[rng.integers(k)]))
+        for _ in range(int(rng.integers(0, size))):
+            pairs.append(tuple(rng.choice(nodes, size=2)))
+    return from_edges(n, pairs, symmetrize=True)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_components_match_scipy_with_tied_sizes(seed):
+    rng = np.random.default_rng(seed)
+    g = equal_components_graph(rng, parts=int(rng.integers(2, 6)),
+                               size=int(rng.integers(2, 30)),
+                               singletons=int(rng.integers(0, 5)))
+    labels = metrics._components(g)
+    scipy_labels, scipy_members = scipy_lcc(g)
+    # min-node-id labels, renumbered in order, are scipy's labels
+    assert np.array_equal(np.unique(labels, return_inverse=True)[1], scipy_labels)
+    ours = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
+    assert np.array_equal(ours, scipy_members)
+    # the path stats are those of the component scipy picks
+    sub = scipy_lcc_graph(g, scipy_members)
+    total, diameter = scipy_sum_max(sub.out_indptr, sub.out_indices)
+    stats = compute_stats(g)
+    assert stats.lcc_size == len(scipy_members)
+    assert stats.diameter == diameter
+    assert stats.cpl == total / (len(scipy_members) * (len(scipy_members) - 1))
+
+
+def test_components_of_a_long_path_are_fast():
+    import time
+    n = 100_000
+    order = np.random.default_rng(5).permutation(n)
+    for path in (np.arange(n), order):
+        g = from_edges(n, np.column_stack([path[:-1], path[1:]]), symmetrize=True)
+        start = time.perf_counter()
+        labels = metrics._components(g)
+        assert time.perf_counter() - start < 1.0
+        assert not labels.any()
+
+
 # ---------------------------------------------------------- shortest_path
 
 def adjacency(n, pairs):
-    """Symmetric 0/1 CSR adjacency of the undirected pairs."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    adj.sum_duplicates()
-    return adj
+    """``(indptr, indices)`` of the symmetric CSR adjacency of the
+    undirected pairs."""
+    g = from_edges(n, pairs, symmetrize=True)
+    return g.out_indptr, g.out_indices
 
 
-def scipy_sum_max(adj):
+def scipy_sum_max(indptr, indices):
+    n = len(indptr) - 1
+    adj = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
     dist = scipy_shortest_path(adj, unweighted=True, directed=False)
     reached = dist[np.isfinite(dist)]
     return int(reached.sum()), int(reached.max())
@@ -106,10 +198,10 @@ def test_shortest_path_matches_bfs_and_scipy(data):
     pairs = [(u, v) for u, v in pairs if u != v]
     adj = adjacency(n, pairs)
     expected = oracles.brute_distance_sum_max(n, pairs)
-    assert shortest_path(adj) == expected == scipy_sum_max(adj)
+    assert shortest_path(*adj) == expected == scipy_sum_max(*adj)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "BFS_WORD_BUDGET", 1)  # 64 sources per chunk
-        assert shortest_path(adj) == expected
+        assert shortest_path(*adj) == expected
 
 
 @pytest.mark.parametrize("budget", [metrics.BFS_WORD_BUDGET, 1])
@@ -119,26 +211,26 @@ def test_shortest_path_closed_forms(n, budget, monkeypatch):
     monkeypatch.setattr(metrics, "BFS_WORD_BUDGET", budget)
     path = adjacency(n, [(i, i + 1) for i in range(n - 1)])
     # ordered pairs at distance d: 2 (n - d), summed d (n - d) over d
-    assert shortest_path(path) == ((n - 1) * n * (n + 1) // 3, n - 1)
+    assert shortest_path(*path) == ((n - 1) * n * (n + 1) // 3, n - 1)
     star = adjacency(n, [(0, i) for i in range(1, n)])
     leaves = n - 1
-    assert shortest_path(star) == (2 * leaves + 2 * leaves * (leaves - 1),
+    assert shortest_path(*star) == (2 * leaves + 2 * leaves * (leaves - 1),
                                    1 if n == 2 else 2)
 
 
 def test_shortest_path_single_node():
     # a self-loop is a neighbour: no pair s != t, so (0, 0); without it the
     # one node is isolated
-    assert shortest_path(adjacency(1, [(0, 0)])) == (0, 0)
+    assert shortest_path(np.array([0, 1]), np.array([0])) == (0, 0)
     with pytest.raises(ValueError, match="neighbour"):
-        shortest_path(adjacency(1, []))
+        shortest_path(*adjacency(1, []))
 
 
 @pytest.mark.parametrize("isolated", [0, 2, 4])
 def test_shortest_path_rejects_isolated_node(isolated):
     others = [v for v in range(5) if v != isolated]
     with pytest.raises(ValueError, match="neighbour"):
-        shortest_path(adjacency(5, list(zip(others, others[1:]))))
+        shortest_path(*adjacency(5, list(zip(others, others[1:]))))
 
 
 def test_stats_peak_memory_is_one_distance_matrix():

@@ -234,6 +234,76 @@ def test_ledger_benchmark_iteration_arithmetic():
     assert abs(eps_total - 3.2) <= 1e-12 * 3.2
 
 
+def old_record_outcome(epsilon, delta, t, entries, eps_t, delta_t):
+    """What ``record`` did before it kept exact partial sums, re-summing
+    every earlier entry: None when it records, else the overdraft message."""
+    if len(entries) >= t:
+        return f"iteration {len(entries) + 1} exceeds the declared T={t}"
+    eps_after = math.fsum(e for e, _ in entries) + eps_t
+    delta_after = math.fsum(d for _, d in entries) + delta_t
+    if eps_after > epsilon * (1 + 1e-12) + 1e-300:
+        return f"epsilon overdraft: {eps_after} > {epsilon}"
+    if delta_after > delta * (1 + 1e-12) + 1e-300:
+        return f"delta overdraft: {delta_after} > {delta}"
+    return None
+
+
+def budget_edge_entry(draw, budget, t, spent):
+    """An entry near budget / t, or one that takes the exact sum of
+    ``spent`` to within a few ulps of the overdraft threshold, or a tiny
+    or far larger one."""
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        return draw(st.floats(0, 3 * budget))
+    if kind == 1:
+        return budget / t * 1e-13
+    x = budget / t
+    if kind >= 4:
+        x = budget * (1 + 1e-12) + 1e-300 - math.fsum(spent)
+    steps = draw(st.integers(-3, 3))
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, np.inf if steps > 0 else -np.inf))
+    return x
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_ledger_decisions_match_full_resum(data):
+    epsilon = data.draw(st.sampled_from([3.2, 1.0, 0.1, 7.3e-3, 1e300]))
+    delta = data.draw(st.sampled_from([1e-5, 0.3, 1e-200]))
+    t = data.draw(st.integers(1, 40))
+    ledger = PrivacyLedger(epsilon, delta, t)
+    entries = []
+    for _ in range(data.draw(st.integers(1, 2 * t + 2))):
+        eps_t = budget_edge_entry(data.draw, epsilon, t, [e for e, _ in entries])
+        delta_t = budget_edge_entry(data.draw, delta, t, [d for _, d in entries])
+        expected = old_record_outcome(epsilon, delta, t, entries, eps_t, delta_t)
+        try:
+            ledger.record(eps_t, delta_t)
+            outcome = None
+        except PrivacyOverdraftError as exc:
+            outcome = str(exc)
+        assert outcome == expected
+        if expected is None:
+            entries.append((eps_t, delta_t))
+    assert ledger.entries == entries
+    assert ledger.spent() == (math.fsum(e for e, _ in entries),
+                              math.fsum(d for _, d in entries))
+
+
+def test_ledger_exact_sum_survives_cancellation_and_overflow():
+    # values whose running float sum loses everything but the exact sum does
+    # not, and a pair whose two-sum overflows
+    ledger = PrivacyLedger(epsilon=1e308, delta=0.5, t=6)
+    for eps_t in (1e308, 1.0, -1e308, 1e-300):
+        ledger.record(eps_t, 0.0)
+    assert ledger.spent()[0] == math.fsum([1e308, 1.0, -1e308, 1e-300]) == 1.0
+    ledger = PrivacyLedger(epsilon=1.0, delta=0.5, t=3, entries=[(-1e308, 0.0)])
+    ledger.record(-1e308, 0.0)
+    with pytest.raises(OverflowError):
+        ledger.spent()
+
+
 # ------------------------------------------------------------ PrivacySpec
 
 def test_spec_derivation_consistency():

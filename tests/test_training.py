@@ -327,6 +327,35 @@ def test_accumulate_never_self_loops_and_counts_every_step(v):
     assert counts.sum() == len(starts) * (9 - 1)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_score_matrix_matches_scipy_duplicate_sum(seed):
+    # collapsed in several rounds, as the per-epoch checkpoints do, against
+    # one scipy COO -> CSR conversion of every appended pair
+    import scipy.sparse as sp
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(2, 60))
+    scores = ScoreMatrix.zeros(n)
+    rows, cols = [], []
+    for step in range(int(gen.integers(1, 30))):
+        r = gen.integers(n, size=int(gen.integers(0, 12)))
+        c = (r + gen.integers(1, n, size=len(r))) % n
+        scores.add(r, c)
+        rows.append(r)
+        cols.append(c)
+        if step % 4 == 3:
+            scores.triplet()
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    expected = sp.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    expected.sum_duplicates()
+    data, indices, indptr = scores.csr()
+    assert np.array_equal(data, expected.data)
+    assert np.array_equal(indices, expected.indices)
+    assert np.array_equal(indptr, expected.indptr)
+    r, c, counts = scores.triplet()
+    assert np.array_equal(expected.toarray()[r, c], counts)
+    assert (expected.toarray() != 0).sum() == len(counts)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_accumulate_rejects_non_finite_embeddings(rng, bad):
     v = rng.standard_normal((5, 3))
@@ -402,6 +431,10 @@ def test_checkpoint_stores_sparse_scores(tmp_path):
     assert np.array_equal(arrays["scores_data"], counts.data)
     assert np.array_equal(arrays["scores_indices"], counts.indices)
     assert np.array_equal(arrays["scores_indptr"], counts.indptr)
+    # the dtypes scipy wrote when it built the triplet from int64 pairs
+    assert arrays["scores_data"].dtype == np.float64
+    assert arrays["scores_indices"].dtype == np.int64
+    assert arrays["scores_indptr"].dtype == np.int64
 
 
 # ---------------------------------------------------------------- config
