@@ -25,7 +25,7 @@ from . import __version__
 from .graph import Graph, load_edge_list, write_edge_list, write_id_map
 from .metrics import (EvalReport, build_report, compute_stats, degree_ks,
                       link_prediction_auc, node_classification_f1)
-from .synthesis import default_target_edges, sample_graph
+from .synthesis import default_target_edges, sample_graph, symmetrize_scores
 from .training import TrainConfig, train
 
 MANIFEST_NAME = "manifest.json"
@@ -179,10 +179,11 @@ def synth_one_run(cfg: ExperimentConfig, g: Graph, epsilon: float,
     ckpt_dir.mkdir(parents=True, exist_ok=True)
 
     result = train(g, tcfg, run_dir=ckpt_dir)
+    s_sym = symmetrize_scores(result.scores)
     target = cfg.target_edges
     if target is None:
-        target = default_target_edges(result.scores)
-    synthetic = sample_graph(result.scores, target_edges=target,
+        target = default_target_edges(s_sym)
+    synthetic = sample_graph(s_sym, target_edges=target,
                              rng=np.random.default_rng(synth_seed))
 
     edges_path = run_dir / "synthetic_edges.tsv"
@@ -239,10 +240,14 @@ def run_synth(cfg: ExperimentConfig, out_dir=None) -> Path:
         records = [synth_one_run(*job) for job in jobs]
 
     records.sort(key=lambda rec: (rec["epsilon"], rec["run"]))
+    config = cfg.to_dict()
+    if cfg.labels is not None:
+        # eval falls back to these labels and may run from another directory
+        config["labels"] = str(Path(cfg.labels).resolve())
     manifest = {
         "kind": "synthesis",
         "version": __version__,
-        "config": cfg.to_dict(),
+        "config": config,
         "num_nodes": g.num_nodes,
         "num_edges": g.num_edges,
         "runs": records,

@@ -317,23 +317,40 @@ def node_classification_f1(embeddings: np.ndarray, labels,
         raise RuntimeError("could not draw a training split with two classes")
 
     classes = np.unique(labels[train_idx])
-    x = np.hstack([embeddings, np.ones((n, 1))])
+    r = embeddings.shape[1]
     # weights and targets are kept with classes as rows, so both products of
     # an epoch have the class count as their short leading dimension, which
     # OpenBLAS runs 2-3x faster than the textbook (features x classes)
-    # layout; the results agree with that layout to rounding. x_train_t is
-    # built first and np.take(x.T, ...) is avoided (it copies all of x.T), so
-    # no more (n x features) arrays are live at once than in that layout.
-    x_train_t = x[train_idx].T.copy()
-    scaled_x = CLASSIFIER_LR * x[train_idx]
+    # layout; the results agree with that layout to rounding. Only the two
+    # layouts of the training rows are built, never the features of all n
+    # rows, and an epoch writes into two preallocated buffers.
+    scaled_x = np.empty((n_train, r + 1))
+    np.take(embeddings, train_idx, axis=0, out=scaled_x[:, :r])
+    scaled_x[:, r] = 1.0
+    x_train_t = scaled_x.T.copy()
+    scaled_x *= CLASSIFIER_LR
     y_t = (classes[:, None] == labels[train_idx][None, :]).astype(np.float64)
 
-    w_t = np.zeros((len(classes), x.shape[1]))
+    w_t = np.zeros((len(classes), r + 1))
+    p_t = np.empty((len(classes), n_train))
+    step = np.empty_like(w_t)
     for _ in range(CLASSIFIER_EPOCHS):
-        p_t = 1.0 / (1.0 + np.exp(-(w_t @ x_train_t)))
-        w_t -= (p_t - y_t) @ scaled_x / len(train_idx)
+        # p_t = 1 / (1 + exp(-(w_t @ x_train_t))), in place
+        np.matmul(w_t, x_train_t, out=p_t)
+        np.negative(p_t, out=p_t)
+        np.exp(p_t, out=p_t)
+        p_t += 1.0
+        np.divide(1.0, p_t, out=p_t)
+        p_t -= y_t
+        np.matmul(p_t, scaled_x, out=step)
+        step /= n_train
+        w_t -= step
 
-    pred = classes[np.argmax(x[test_idx] @ w_t.T, axis=1)]
+    del scaled_x, x_train_t
+    x_test = np.empty((n - n_train, r + 1))
+    np.take(embeddings, test_idx, axis=0, out=x_test[:, :r])
+    x_test[:, r] = 1.0
+    pred = classes[np.argmax(x_test @ w_t.T, axis=1)]
     return micro_f1(labels[test_idx], pred)
 
 

@@ -90,6 +90,8 @@ def perturb_gradient(sum_grad_v: np.ndarray, s_nabla: float, sigma: float,
     ``rng`` is a ``Generator`` or a :class:`PrefetchedNoise`; the result is
     the array its ``normal`` returned, perturbed in place (IEEE addition
     commutes, so it equals ``(sum_grad_v + noise) / batch_size`` bit for bit).
+    A caller drawing from a :class:`PrefetchedNoise` hands the array back
+    with its ``release`` once done with it.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
@@ -102,17 +104,19 @@ def perturb_gradient(sum_grad_v: np.ndarray, s_nabla: float, sigma: float,
 
 
 class PrefetchedNoise:
-    """Zero-mean Gaussian draws of one shape, each filled one call ahead on
-    a worker thread.
+    """Zero-mean Gaussian draws of one shape, each filled ahead on a worker
+    thread into the one buffer the source owns.
 
     Serves exactly ``count`` calls of ``normal(0.0, scale, size=shape)`` with
     the values that as many serial ``rng.normal`` calls return: filling with
     ``standard_normal`` and scaling in place consumes the stream as
     ``normal`` does (a zero may differ in sign, since ``normal`` adds the
-    mean). While the caller uses one draw, ``executor`` fills the next into
-    the other of two owned buffers, so a returned array is valid only until
-    the next call. Nothing else may draw from ``rng`` meanwhile. Other
-    arguments raise ``ValueError``; a call past ``count`` raises
+    mean). ``normal`` waits for the pending fill and returns the buffer; the
+    caller calls :meth:`release` once done with it, which lets ``executor``
+    fill the next draw into the same buffer while the caller goes on. Nothing
+    else may draw from ``rng`` meanwhile. Other arguments raise
+    ``ValueError``; a call past ``count``, a ``normal`` before the previous
+    draw was released, or a ``release`` with no draw out raises
     ``RuntimeError``. The first fill is submitted on construction and no
     fill after the last draw.
     """
@@ -125,31 +129,43 @@ class PrefetchedNoise:
         self._scale = scale
         self._shape = tuple(shape)
         self._count = count
-        self._buffers = (np.empty(self._shape), np.empty(self._shape))
+        self._buffer = np.empty(self._shape)
         self._executor = executor
         self._submitted = 0
+        self._lent = False
         self._pending = self._submit()
 
     def _submit(self):
-        buf = self._buffers[self._submitted % 2]
         self._submitted += 1
-        return self._executor.submit(self._fill, buf)
+        return self._executor.submit(self._fill)
 
-    def _fill(self, buf: np.ndarray) -> np.ndarray:
-        self._rng.standard_normal(out=buf)
-        buf *= self._scale
-        return buf
+    def _fill(self) -> np.ndarray:
+        self._rng.standard_normal(out=self._buffer)
+        self._buffer *= self._scale
+        return self._buffer
 
     def normal(self, loc: float, scale: float, size: tuple) -> np.ndarray:
         if (loc, scale, tuple(size)) != (0.0, self._scale, self._shape):
             raise ValueError(
                 f"noise source serves normal(0.0, {self._scale}, {self._shape}), "
                 f"not normal({loc}, {scale}, {tuple(size)})")
+        if self._lent:
+            raise RuntimeError("the previous noise draw was not released")
         if self._pending is None:
             raise RuntimeError(f"all {self._count} noise draws were taken")
         draw = self._pending.result()
-        self._pending = self._submit() if self._submitted < self._count else None
+        self._pending = None
+        self._lent = True
         return draw
+
+    def release(self) -> None:
+        """Hand back the array the last ``normal`` returned; the next draw
+        is filled into it from here on."""
+        if not self._lent:
+            raise RuntimeError("no noise draw is out to release")
+        self._lent = False
+        if self._submitted < self._count:
+            self._pending = self._submit()
 
 
 @dataclass(frozen=True)

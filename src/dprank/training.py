@@ -27,7 +27,7 @@ from .model import (AdamState, Theta, WeightNormalizer, _loss_and_gradients,
 from .privacy import (PrefetchedNoise, PrivacyLedger, PrivacySpec,
                       perturb_gradient)
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 CHECKPOINT_NAME = "checkpoint.npz"
 INIT_SCALE = 0.1
 PROPOSALS = 16      # rejection-sampler candidates per walker step
@@ -115,17 +115,19 @@ class TrainConfig:
 class ScoreMatrix:
     """Sparse N x N accumulator of synthetic-walk transition counts.
 
-    Each step of :func:`accumulate_scores` appends its ``(current, next)``
-    index arrays; :meth:`triplet` collapses them with one 1-D ``np.unique``
-    on the ``u * N + v`` keys, so memory grows with the number of distinct
-    recorded transitions, never with N^2. The diagonal stays empty (the
-    synthesis target is a simple graph)."""
+    :meth:`add` appends each transition's ``u * N + v`` key to one growing
+    int64 buffer, 8 bytes per transition; :meth:`triplet` folds the buffer
+    into the collapsed keys with one 1-D ``np.unique``, so memory grows with
+    the number of recorded transitions, never with N^2, and a run that
+    reads its scores once collapses them once. The diagonal stays empty
+    (the synthesis target is a simple graph)."""
 
     def __init__(self, n: int):
         self.num_nodes = n
         self._keys = np.empty(0, dtype=np.int64)      # sorted u * n + v
         self._counts = np.empty(0, dtype=np.float64)
-        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self._pending = np.empty(0, dtype=np.int64)   # keys not yet folded in
+        self._num_pending = 0
 
     @classmethod
     def zeros(cls, n: int) -> "ScoreMatrix":
@@ -133,16 +135,24 @@ class ScoreMatrix:
 
     def add(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Record one transition per ``(rows[k], cols[k])`` pair."""
-        self._pending.append((rows, cols))
+        start, stop = self._num_pending, self._num_pending + len(rows)
+        if stop > len(self._pending):
+            grown = np.empty(max(2 * len(self._pending), stop, 1024), dtype=np.int64)
+            grown[:start] = self._pending[:start]
+            self._pending = grown
+        keys = self._pending[start:stop]
+        np.multiply(rows, self.num_nodes, out=keys)
+        keys += cols
+        self._num_pending = stop
 
     def triplet(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rows, cols, counts)``: one int64/int64/float64 entry per
         distinct recorded pair, in row-major order."""
-        if self._pending:
-            rows, cols = (np.concatenate(a) for a in zip(*self._pending))
-            self._pending.clear()
-            keys = np.concatenate([self._keys, rows * self.num_nodes + cols])
-            counts = np.concatenate([self._counts, np.ones(len(rows))])
+        if self._num_pending:
+            keys = np.concatenate([self._keys, self._pending[:self._num_pending]])
+            counts = np.concatenate([self._counts, np.ones(self._num_pending)])
+            self._pending = np.empty(0, dtype=np.int64)
+            self._num_pending = 0
             self._keys, inverse = np.unique(keys, return_inverse=True)
             # the counts are integers far below 2**53, so any summation
             # order gives the same float64 totals
@@ -249,11 +259,12 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
     the exact batch gradients, perturb the summed embedding gradient with
     calibrated Gaussian noise and Adam-update the embeddings, record the
     budget split, and accumulate synthetic-walk transitions. Each step's
-    noise is drawn during the step before it on one helper thread (see
-    :class:`PrefetchedNoise`), which is joined before ``train`` returns or
-    raises; the draws and the result are those of a serial run.
+    noise is drawn on one helper thread from the moment Adam on V is done
+    with the previous draw (see :class:`PrefetchedNoise`); the helper is
+    joined before ``train`` returns or raises, and the draws and the result
+    are those of a serial run.
 
-    ``run_dir`` enables an end-of-epoch checkpoint of the weights and scores,
+    ``run_dir`` enables an end-of-epoch checkpoint of the weights,
     ``checkpoint.npz``, overwritten each epoch (see :func:`save_checkpoint`).
     ``trace`` is an optional callable receiving event names, used by audits
     of the iteration order.
@@ -279,8 +290,9 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
     adam_v = AdamState.for_params([theta.v])
 
     # the noise reads neither the data nor the model, so each step's draw is
-    # made on a worker thread while the step before it runs; leaving the
-    # block joins the worker, also when a step raises
+    # made on a worker thread between the end of Adam on V in the step
+    # before it and its own perturbation; leaving the block joins the
+    # worker, also when a step raises
     with ThreadPoolExecutor(max_workers=1) as pool:
         noise = PrefetchedNoise(rng_noise, cfg.s_nabla * pspec.sigma,
                                 theta.v.shape, pspec.t, pool)
@@ -303,42 +315,38 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
                 emit("w_updated")
                 noisy_grad_v = perturb_gradient(grad_v_sum, cfg.s_nabla, pspec.sigma,
                                                 b_nominal, noise)
-                # freed before Adam's temporaries, so the second noise buffer
-                # adds nothing to the peak
+                # freed here rather than when the next step's gradient
+                # replaces it, so two dense gradients are never live at once
                 del grad_v_sum
                 emit("v_grad_perturbed")
                 # only the perturbed gradient ever reaches the embedding optimizer
                 (theta.v,) = adam_step(adam_v, [theta.v], [noisy_grad_v], cfg.eta)
+                noise.release()  # the next step's draw fills the same buffer
                 emit("v_updated")
                 ledger.record(eps_t, delta_t)
                 accumulate_scores(theta.v, starts, scores, rng_score,
                                   walk_length=cfg.r_wl)
             if run_dir is not None:
-                save_checkpoint(Path(run_dir), epoch + 1, theta.w, scores)
+                save_checkpoint(Path(run_dir), epoch + 1, theta.w)
 
     ledger.verify()
     return TrainResult(theta=theta, scores=scores, ledger=ledger, privacy=pspec)
 
 
-def save_checkpoint(run_dir: Path, epochs_done: int, w: list,
-                    scores: ScoreMatrix) -> Path:
-    """Write the weights and scores after ``epochs_done`` epochs to
+def save_checkpoint(run_dir: Path, epochs_done: int, w: list) -> Path:
+    """Write the weights after ``epochs_done`` epochs to
     ``run_dir/checkpoint.npz``, replacing the previous epoch's file.
 
     The file holds only what no released file does: the weights ``w0, w1,
-    ...`` (trained on exact gradients, never released) and the scores as
-    their CSR triplet ``scores_data``, ``scores_indices``, ``scores_indptr``.
-    ``__meta__`` is JSON with the format version and ``epochs_done``. The
-    file is written under a temporary name in ``run_dir`` and moved into
-    place with ``os.replace``, so an interrupted write leaves the previous
-    checkpoint intact and never a partial one."""
+    ...``, trained on exact gradients and never released. ``__meta__`` is
+    JSON with the format version and ``epochs_done``. The file is written
+    under a temporary name in ``run_dir`` and moved into place with
+    ``os.replace``, so an interrupted write leaves the previous checkpoint
+    intact and never a partial one."""
     run_dir.mkdir(parents=True, exist_ok=True)
     path = run_dir / CHECKPOINT_NAME
     meta = {"version": CHECKPOINT_VERSION, "epochs_done": epochs_done}
-    data, indices, indptr = scores.csr()
     arrays = {f"w{k}": wk for k, wk in enumerate(w)}
-    arrays.update(scores_data=data, scores_indices=indices,
-                  scores_indptr=indptr)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:

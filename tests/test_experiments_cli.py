@@ -302,6 +302,28 @@ def test_cli_eval_without_downstream_ignores_the_manifest(small_dataset,
     assert entry["auc"] is not None and entry["micro_f1"] is not None
 
 
+def test_cli_eval_finds_relative_labels_from_another_directory(
+        small_dataset, tmp_path, monkeypatch):
+    # synth is given the labels relative to its working directory; eval
+    # --downstream falls back to the manifest's labels from a subdirectory
+    dataset, labels_path = small_dataset
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "cfg.json",
+                 small_config(dataset, "synth", run_count=1,
+                              labels=labels_path.name))
+    assert main(["synth", "--config", "cfg.json"]) == 0
+    manifest = json.loads((tmp_path / "synth" / "manifest.json").read_text())
+    assert manifest["config"]["labels"] == str(labels_path.resolve())
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    assert main(["eval", "--original", str(dataset), "--synthetic-dir",
+                 "../synth", "--out", "eval", "--downstream"]) == 0
+    report = json.loads((tmp_path / "sub" / "eval" / "eval_report.json")
+                        .read_text())
+    (entry,) = report["per_epsilon"].values()
+    assert 0.0 <= entry["micro_f1"]["mean"] <= 1.0
+
+
 # runs the CLI in a fresh interpreter, with every scipy import failing when
 # the first argument is "block"; exits 1 if a scipy module got loaded
 CLI_CHILD = """

@@ -416,6 +416,26 @@ def test_node_classification_matches_textbook_layout(n, n_classes, scale,
     assert got == expected
 
 
+def test_node_classification_peak_memory_is_two_feature_layouts():
+    # the training rows once as rows and once as columns; the per-class
+    # epoch buffers and the test rows are small beside them
+    import tracemalloc
+    gen = np.random.default_rng(0)
+    n, r = 3000, 128
+    labels = gen.integers(4, size=n)
+    emb = gen.standard_normal((n, r))
+    n_train = int(round(metrics.LABEL_TRAIN_FRAC * n))
+    # the first call imports lazily; keep that out of the measured peak
+    node_classification_f1(emb[:20], labels[:20], rng=np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        node_classification_f1(emb, labels, rng=np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n_train * (r + 1) * 8
+
+
 def test_node_classification_single_class_fails(rng):
     emb = rng.standard_normal((20, 3))
     labels = np.zeros(20, dtype=int)

@@ -157,7 +157,15 @@ def test_prefetched_noise_serves_exactly_count_serial_draws():
                                  (0.0, 2.0, (3, 4))]:
             with pytest.raises(ValueError, match="noise source serves"):
                 noise.normal(loc, scale, size=size)
-        draws = [noise.normal(0.0, 2.0, size=(4, 3)).copy() for _ in range(3)]
+        with pytest.raises(RuntimeError, match="no noise draw is out"):
+            noise.release()
+        draws = []
+        for _ in range(3):
+            draws.append(noise.normal(0.0, 2.0, size=(4, 3)).copy())
+            # the one buffer is still lent out: a second draw would refill it
+            with pytest.raises(RuntimeError, match="was not released"):
+                noise.normal(0.0, 2.0, size=(4, 3))
+            noise.release()
         with pytest.raises(RuntimeError, match="all 3 noise draws"):
             noise.normal(0.0, 2.0, size=(4, 3))
     replay = np.random.default_rng(5)

@@ -1,6 +1,7 @@
 import json
 import math
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -159,6 +160,53 @@ def test_train_joins_its_noise_worker(monkeypatch):
     train(ring_graph(20), tiny_config())
     assert all(during)
     assert set(threading.enumerate()) <= before
+
+
+class InlineExecutor:
+    """Runs each submitted fill at once, in the caller's thread."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_train_with_inline_fills_matches_threaded(monkeypatch):
+    # an inline fill overwrites the noise buffer the moment train releases
+    # it, so a draw still read after its release would change the result
+    g = ring_graph(20)
+    cfg = tiny_config()
+    threaded = train(g, cfg)
+    monkeypatch.setattr(training, "ThreadPoolExecutor", InlineExecutor)
+    inline = train(g, cfg)
+    assert np.array_equal(threaded.theta.v, inline.theta.v)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(threaded.scores.triplet(), inline.scores.triplet()))
+
+
+def test_train_peak_memory_holds_five_embedding_sized_arrays():
+    # V, its two Adam moments, the one noise buffer and the dense summed
+    # gradient; N * r * 8 bytes dwarfs every batch-sized array here (the
+    # score walks gather batch_nodes * 16 rows of V)
+    import tracemalloc
+    n, cfg = 8000, tiny_config(n_epochs=1, batch_nodes=50, r=32, s=8.0)
+    g = ring_graph(n)
+    tracemalloc.start()
+    try:
+        train(g, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * n * cfg.r * 8
 
 
 def test_train_refuses_per_step_budget_of_one():
@@ -379,17 +427,15 @@ def checkpoint_contents(run_dir):
     return json.loads(bytes(arrays.pop("__meta__")).decode()), arrays
 
 
-def test_checkpoint_holds_only_weights_and_scores(tmp_path):
+def test_checkpoint_holds_only_weights(tmp_path):
     g = ring_graph(20)
     cfg = tiny_config(n_epochs=3)
     full = train(g, cfg, run_dir=tmp_path / "full")
     assert [p.name for p in (tmp_path / "full").iterdir()] == ["checkpoint.npz"]
     meta, arrays = checkpoint_contents(tmp_path / "full")
-    assert meta == {"version": training.CHECKPOINT_VERSION, "epochs_done": 3}
+    assert meta == {"version": 6, "epochs_done": 3}
     n_w = len(full.theta.w)
-    assert sorted(arrays) == sorted(
-        [f"w{k}" for k in range(n_w)]
-        + ["scores_data", "scores_indices", "scores_indptr"])
+    assert sorted(arrays) == sorted(f"w{k}" for k in range(n_w))
     assert all(np.array_equal(arrays[f"w{k}"], w)
                for k, w in enumerate(full.theta.w))
 
@@ -420,21 +466,6 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         train(ring_graph(20), tiny_config(n_epochs=1), run_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []
-
-
-def test_checkpoint_stores_sparse_scores(tmp_path):
-    g = ring_graph(20)
-    result = train(g, tiny_config(n_epochs=1), run_dir=tmp_path)
-    _, arrays = checkpoint_contents(tmp_path)
-    assert "scores" not in arrays
-    counts = result.scores.counts
-    assert np.array_equal(arrays["scores_data"], counts.data)
-    assert np.array_equal(arrays["scores_indices"], counts.indices)
-    assert np.array_equal(arrays["scores_indptr"], counts.indptr)
-    # the dtypes scipy wrote when it built the triplet from int64 pairs
-    assert arrays["scores_data"].dtype == np.float64
-    assert arrays["scores_indices"].dtype == np.int64
-    assert arrays["scores_indptr"].dtype == np.int64
 
 
 # ---------------------------------------------------------------- config
