@@ -180,6 +180,7 @@ def synth_one_run(cfg: ExperimentConfig, g: Graph, epsilon: float,
 
     result = train(g, tcfg, run_dir=ckpt_dir)
     s_sym = symmetrize_scores(result.scores)
+    result.scores = None    # the collapsed counts are not read again
     target = cfg.target_edges
     if target is None:
         target = default_target_edges(s_sym)

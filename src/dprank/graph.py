@@ -61,6 +61,43 @@ def unique_pairs(src: np.ndarray, dst: np.ndarray, num_nodes: int) -> np.ndarray
     return np.column_stack(np.divmod(keys, num_nodes))
 
 
+def row_pointers(index: np.ndarray, n: int) -> np.ndarray:
+    """The n + 1 CSR pointers of entries whose rows are ``index``, sorted
+    or not: entries of row i take slots ``ptr[i]:ptr[i + 1]`` once grouped."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(index, minlength=n), out=ptr[1:])
+    return ptr
+
+
+def merge_keyed(keys: np.ndarray, values: np.ndarray, new_keys: np.ndarray,
+                new_values: np.ndarray, combine) -> tuple[np.ndarray, np.ndarray]:
+    """Merge sorted unique ``new_keys`` into sorted unique ``keys``, one value
+    per key: a key in both takes ``combine(value, new_value)`` (a ufunc such
+    as ``np.add``). Returns new ``(keys, values)`` arrays, sorted and unique;
+    the inputs are left as they are."""
+    pos = np.searchsorted(keys, new_keys)
+    hit = pos < len(keys)
+    hit[hit] = keys[pos[hit]] == new_keys[hit]
+    miss = ~hit
+    # new key k lands before old entry pos[k], after the new keys before it;
+    # an old entry moves right by the new keys that land before it
+    slot = pos[miss]
+    at = pos[hit]
+    del pos
+    at += np.searchsorted(slot, at, side="right")
+    slot += np.arange(len(slot))
+    old = np.ones(len(keys) + len(slot), dtype=bool)
+    old[slot] = False
+    merged_keys = np.empty(len(old), dtype=keys.dtype)
+    merged_keys[old] = keys
+    merged_keys[slot] = new_keys[miss]
+    merged_values = np.empty(len(old), dtype=values.dtype)
+    merged_values[old] = values
+    merged_values[slot] = new_values[miss]
+    merged_values[at] = combine(merged_values[at], new_values[hit])
+    return merged_keys, merged_values
+
+
 def from_edges(num_nodes: int, edges, symmetrize: bool = False,
                original_ids=None) -> Graph:
     """Build a simple directed Graph, dropping self-loops and duplicate edges.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, from_edges
+from .graph import Graph, from_edges, merge_keyed, row_pointers
 
 log = logging.getLogger(__name__)
 
@@ -31,8 +31,8 @@ class SymmetricScores:
 
 def _score_triplet(scores) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """``(n, rows, cols, values)`` of the nonzero entries of a dense square
-    array or a ScoreMatrix, as float64 values; raises on a non-square shape
-    or a negative (or NaN) entry."""
+    array or a ScoreMatrix, in row-major order, as float64 values; raises on
+    a non-square shape or a negative (or NaN) entry."""
     if hasattr(scores, "triplet"):
         n = scores.num_nodes
         rows, cols, values = scores.triplet()
@@ -54,17 +54,28 @@ def symmetrize_scores(scores) -> SymmetricScores:
     if isinstance(scores, SymmetricScores):
         return scores
     n, rows, cols, values = _score_triplet(scores)
-    off = rows != cols
-    rows, cols, values = rows[off], cols[off], values[off]
-    # entries (u, v) and (v, u) share the key min*n + max; sorting by
-    # (key, value) puts each key's larger value last
-    keys = np.minimum(rows, cols) * n + np.maximum(rows, cols)
-    order = np.lexsort((values, keys))
-    keys, values = keys[order], values[order]
-    last = np.ones(len(keys), dtype=bool)
-    last[:-1] = keys[1:] != keys[:-1]
-    upper_rows, upper_cols = np.divmod(keys[last], n)
-    return SymmetricScores(n, upper_rows, upper_cols, values[last])
+    # the triplet is row-major, so its upper entries come with sorted keys
+    # u * n + v; each lower entry (v, u) is sorted by its transposed key and
+    # merged in, the larger value winning where both exist; each array is
+    # dropped once read, so a few entry-length arrays are live at a time
+    lower, upper = rows > cols, rows < cols
+    low_keys = cols[lower]
+    low_keys *= n
+    low_keys += rows[lower]
+    keys = rows[upper]
+    keys *= n
+    keys += cols[upper]
+    del rows, cols
+    low_values, values = values[lower], values[upper]
+    del lower, upper
+    order = np.argsort(low_keys)
+    low_keys, low_values = low_keys[order], low_values[order]
+    del order
+    keys, values = merge_keyed(keys, values, low_keys, low_values, np.maximum)
+    del low_keys, low_values
+    cols = keys % n
+    keys //= n
+    return SymmetricScores(n, keys, cols, values)
 
 
 def default_target_edges(scores) -> int:
@@ -90,7 +101,9 @@ def default_target_edges(scores) -> int:
     if std == 0.0:
         count = int(pos.size)
     else:
-        count = int(np.sum((pos - pos.mean()) / std > 0))
+        z = pos - pos.mean()
+        z /= std
+        count = int(np.count_nonzero(z > 0))
     lo = max(n - 1, 1)
     hi = n * (n - 1) // 2
     return int(min(max(count, lo), hi))
@@ -114,18 +127,28 @@ def sample_edges_without_replacement(s_sym, count: int,
     unused = np.ones(len(weights), dtype=bool)
     if len(existing):
         e = np.asarray(existing, dtype=np.int64).reshape(-1, 2)
-        # a pair (u, v), u < v, is the key u*n + v
-        unused[np.isin(rows * n + cols, e.min(axis=1) * n + e.max(axis=1))] = False
-    if count > int(unused.sum()):
+        # a pair (u, v), u < v, is the key u*n + v; the support's keys are
+        # sorted, so each pair is one binary search
+        wanted = e.min(axis=1) * n + e.max(axis=1)
+        keys = rows * n
+        keys += cols
+        pos = np.searchsorted(keys, wanted)
+        found = pos < len(keys)
+        found[found] = keys[pos[found]] == wanted[found]
+        unused[pos[found]] = False
+        del keys
+    num_unused = int(np.count_nonzero(unused))
+    if count > num_unused:
         raise RuntimeError(
-            f"score support holds only {int(unused.sum())} unused pairs, "
+            f"score support holds only {num_unused} unused pairs, "
             f"cannot sample {count} more edges")
 
     picked = []
     while len(picked) < count:
         live = np.flatnonzero(unused)
-        probs = weights[live] / weights[live].sum()
-        cdf = np.cumsum(probs)
+        cdf = weights[live]
+        cdf /= cdf.sum()
+        np.cumsum(cdf, out=cdf)
         cdf[-1] = 1.0
         need = count - len(picked)
         draws = live[np.searchsorted(cdf, rng.random(max(64, 2 * need)))]
@@ -148,28 +171,32 @@ def _coverage_edges(s_sym, rng: np.random.Generator) -> list:
     empty row falls back to a uniform random partner.
     """
     s_sym = symmetrize_scores(s_sym)
-    n = s_sym.num_nodes
-    # the full symmetric matrix as CSR rows, each row's columns ascending
-    rows = np.concatenate([s_sym.rows, s_sym.cols])
-    cols = np.concatenate([s_sym.cols, s_sym.rows])
-    order = np.argsort(rows * n + cols)
-    indices = cols[order]
-    data = np.concatenate([s_sym.weights, s_sym.weights])[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    n, rows, cols, weights = (s_sym.num_nodes, s_sym.rows, s_sym.cols,
+                              s_sym.weights)
+    # row i of the symmetric matrix, columns ascending, is its entries (k, i)
+    # with k < i, which a stable sort by column keeps ordered by k, then its
+    # upper entries (i, k), which the row-major support stores in order
+    upper_ptr = row_pointers(rows, n)
+    lower_ptr = row_pointers(cols, n)
+    by_col = np.argsort(cols, kind="stable")
+    lower_weights = weights[by_col]
     covered = np.zeros(n, dtype=bool)
     edges = []
     for i in range(n):
         if covered[i]:
             continue
-        lo, hi = indptr[i], indptr[i + 1]
-        total = data[lo:hi].sum()
+        a, b = lower_ptr[i], lower_ptr[i + 1]
+        lo, hi = upper_ptr[i], upper_ptr[i + 1]
+        data = np.concatenate((lower_weights[a:b], weights[lo:hi]))
+        total = data.sum()
         if total > 0:
-            # rng.choice(indices[lo:hi], p=data[lo:hi] / total) draw for
-            # draw: numpy's own arithmetic, without its per-call validation
-            cdf = np.cumsum(data[lo:hi] / total)
+            # rng.choice(row partners, p=data / total) draw for draw: numpy's
+            # own arithmetic, without its per-call validation
+            data /= total
+            cdf = np.add.accumulate(data, out=data)
             cdf /= cdf[-1]
-            j = int(indices[lo + np.searchsorted(cdf, rng.random(), side="right")])
+            k = a + int(cdf.searchsorted(rng.random(), side="right"))
+            j = int(rows[by_col[k]] if k < b else cols[lo + k - b])
         else:
             log.warning("node %d has an all-zero score row; sampling a uniform partner", i)
             j = int(rng.integers(n - 1))

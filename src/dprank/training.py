@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, generate_walk_batch
+from .graph import Graph, generate_walk_batch, merge_keyed, row_pointers
 from .model import (AdamState, Theta, WeightNormalizer, _loss_and_gradients,
                     adam_step, init_params)
 from .privacy import (PrefetchedNoise, PrivacyLedger, PrivacySpec,
@@ -116,11 +116,11 @@ class ScoreMatrix:
     """Sparse N x N accumulator of synthetic-walk transition counts.
 
     :meth:`add` appends each transition's ``u * N + v`` key to one growing
-    int64 buffer, 8 bytes per transition; :meth:`triplet` folds the buffer
-    into the collapsed keys with one 1-D ``np.unique``, so memory grows with
-    the number of recorded transitions, never with N^2, and a run that
-    reads its scores once collapses them once. The diagonal stays empty
-    (the synthesis target is a simple graph)."""
+    int64 buffer, 8 bytes per transition; :meth:`triplet` sorts the buffer
+    in place and reads each run of equal keys as one pair and its count, so
+    memory grows with the number of recorded transitions, never with N^2,
+    and a run that reads its scores once collapses them once. The diagonal
+    stays empty (the synthesis target is a simple graph)."""
 
     def __init__(self, n: int):
         self.num_nodes = n
@@ -134,14 +134,24 @@ class ScoreMatrix:
         return cls(n)
 
     def add(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        """Record one transition per ``(rows[k], cols[k])`` pair."""
+        """Record one transition per ``(rows[k], cols[k])`` pair; raises
+        ``ValueError`` on arrays of different lengths or an index outside
+        [0, N)."""
+        n = self.num_nodes
+        if len(rows) != len(cols):
+            raise ValueError(f"{len(rows)} rows but {len(cols)} cols")
+        # as unsigned, a negative index is larger than any valid one
+        if len(rows) and np.maximum(rows.astype(np.uint64),
+                                    cols.astype(np.uint64)).max() >= n:
+            raise ValueError(f"transition index outside [0, {n})")
         start, stop = self._num_pending, self._num_pending + len(rows)
         if stop > len(self._pending):
             grown = np.empty(max(2 * len(self._pending), stop, 1024), dtype=np.int64)
             grown[:start] = self._pending[:start]
             self._pending = grown
         keys = self._pending[start:stop]
-        np.multiply(rows, self.num_nodes, out=keys)
+        # in int64 whatever the index dtype: u * n overflows int32 at n > 46340
+        np.multiply(rows, n, out=keys, dtype=np.int64)
         keys += cols
         self._num_pending = stop
 
@@ -149,14 +159,25 @@ class ScoreMatrix:
         """``(rows, cols, counts)``: one int64/int64/float64 entry per
         distinct recorded pair, in row-major order."""
         if self._num_pending:
-            keys = np.concatenate([self._keys, self._pending[:self._num_pending]])
-            counts = np.concatenate([self._counts, np.ones(self._num_pending)])
+            pending = self._pending[:self._num_pending]
             self._pending = np.empty(0, dtype=np.int64)
             self._num_pending = 0
-            self._keys, inverse = np.unique(keys, return_inverse=True)
-            # the counts are integers far below 2**53, so any summation
-            # order gives the same float64 totals
-            self._counts = np.bincount(inverse, weights=counts)
+            pending.sort()
+            first = np.empty(len(pending), dtype=bool)
+            first[0] = True
+            np.not_equal(pending[1:], pending[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            del first
+            keys = pending[starts]
+            # a run's length is its pair's count, an exact integer in float64
+            counts = np.empty(len(starts), dtype=np.float64)
+            np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+            counts[-1] = len(pending) - starts[-1]
+            del pending, starts
+            if len(self._keys):
+                keys, counts = merge_keyed(self._keys, self._counts, keys,
+                                           counts, np.add)
+            self._keys, self._counts = keys, counts
         rows, cols = np.divmod(self._keys, self.num_nodes)
         return rows, cols, self._counts
 
@@ -164,9 +185,7 @@ class ScoreMatrix:
         """``(data, indices, indptr)`` of the counts as a canonical CSR
         matrix with int64 indices."""
         rows, cols, data = self.triplet()
-        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.num_nodes), out=indptr[1:])
-        return data, cols, indptr
+        return data, cols, row_pointers(rows, self.num_nodes)
 
     @property
     def counts(self):

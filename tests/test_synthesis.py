@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,34 @@ def test_phase2_respects_existing_edges(rng):
         sample_edges_without_replacement(s, 2, rng, existing=[(0, 1)])
 
 
+def test_phase2_existing_outside_support_or_reversed():
+    # a support of 40 random pairs; existing holds support pairs given as
+    # (v, u), pairs outside the support (one past the last support key)
+    # and a duplicate; taking every remaining pair must leave exactly the
+    # support minus the existing pairs
+    gen = np.random.default_rng(5)
+    n = 30
+    support = np.zeros((n, n))
+    keys = gen.choice(n * (n - 1) // 2 - 1, size=40, replace=False)
+    iu = np.triu_indices(n, k=1)
+    support[iu[0][keys], iu[1][keys]] = gen.integers(1, 5, size=40)
+    support += support.T
+    s_sym = symmetrize_scores(support)
+    pairs = list(zip(s_sym.rows.tolist(), s_sym.cols.tolist()))
+    assert (n - 2, n - 1) not in pairs
+    taken = pairs[::3]
+    existing = ([(v, u) for u, v in taken] + [(n - 1, n - 2), (0, 0)]
+                + [p for p in zip(*np.nonzero(support == 0)) if p[0] != p[1]][:20]
+                + taken[:2])
+    rest = set(pairs) - set(taken)
+    picked = sample_edges_without_replacement(s_sym, len(rest), gen,
+                                              existing=existing)
+    assert sorted(picked) == sorted(rest)
+    with pytest.raises(RuntimeError, match=f"only {len(rest)} unused pairs"):
+        sample_edges_without_replacement(s_sym, len(rest) + 1, gen,
+                                         existing=existing)
+
+
 def test_synthesis_is_postprocessing_only():
     # the sampler's surface admits no handle on the original graph, and the
     # edge budget must come from the scores or an explicit override
@@ -247,3 +276,43 @@ def test_synthesis_scales_past_dense_memory():
     assert g.num_nodes == n
     assert g.num_edges == 2 * target
     assert (undirected_degrees(g) > 0).all()
+
+
+# ------------------------------------------------------- transient memory
+
+def traced_peak(fn, *args, **kwargs):
+    """``(result, bytes)``: the call's result and the tracemalloc peak of
+    what it allocated."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_post_processing_transient_bytes_per_entry():
+    # about the reference run's 202,800 transitions over 2708 nodes, in
+    # accumulate_scores-sized batches; every stage holds a few entry-length
+    # arrays. Measured: 32 B per entry for the collapse (its own output),
+    # 42 for symmetrize_scores, 17 for coverage and 18 for phase 2
+    n, batch = 2708, 240
+    gen = np.random.default_rng(0)
+    scores = ScoreMatrix.zeros(n)
+    for _ in range(845):
+        current = gen.integers(n, size=batch)
+        scores.add(current, (current + gen.integers(1, n, size=batch)) % n)
+    (_, _, counts), peak = traced_peak(scores.triplet)
+    entries = len(counts)
+    assert entries > 190_000
+    assert peak < 40 * entries
+    s_sym, peak = traced_peak(symmetrize_scores, scores)
+    assert peak < 52 * entries
+    pairs = len(s_sym.weights)
+    rng = np.random.default_rng(1)
+    edges, peak = traced_peak(_coverage_edges, s_sym, rng)
+    assert peak < 24 * pairs
+    target = default_target_edges(s_sym)
+    _, peak = traced_peak(sample_edges_without_replacement, s_sym,
+                          target - len(edges), rng, existing=edges)
+    assert peak < 24 * pairs

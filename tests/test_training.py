@@ -377,8 +377,9 @@ def test_accumulate_never_self_loops_and_counts_every_step(v):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_score_matrix_matches_scipy_duplicate_sum(seed):
-    # collapsed in several rounds, as the per-epoch checkpoints do, against
-    # one scipy COO -> CSR conversion of every appended pair
+    # collapsed in several rounds, so that later rounds merge new keys into
+    # the collapsed ones, against one scipy COO -> CSR conversion of every
+    # appended pair
     import scipy.sparse as sp
     gen = np.random.default_rng(seed)
     n = int(gen.integers(2, 60))
@@ -402,6 +403,28 @@ def test_score_matrix_matches_scipy_duplicate_sum(seed):
     r, c, counts = scores.triplet()
     assert np.array_equal(expected.toarray()[r, c], counts)
     assert (expected.toarray() != 0).sum() == len(counts)
+
+
+def test_score_matrix_keys_are_int64_for_int32_indices():
+    # 99999 * 100000 overflows int32
+    n = 100_000
+    scores = ScoreMatrix.zeros(n)
+    scores.add(np.array([99_999, 3], dtype=np.int32),
+               np.array([5, 99_998], dtype=np.int32))
+    rows, cols, counts = scores.triplet()
+    assert rows.tolist() == [3, 99_999]
+    assert cols.tolist() == [99_998, 5]
+    assert counts.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ([0, 1], [1]), ([1], [0, 2]), ([-1], [0]), ([0], [-1]), ([5], [0]),
+    ([0], [5])])
+def test_score_matrix_rejects_bad_transitions(rows, cols):
+    scores = ScoreMatrix.zeros(5)
+    with pytest.raises(ValueError):
+        scores.add(np.array(rows), np.array(cols))
+    assert len(scores.triplet()[2]) == 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
