@@ -15,13 +15,21 @@ fraction of the parent's median) is flagged ``WORSE``. The script exits 1
 if any metric is flagged, if any run reports ``"correct": false`` or a
 failed operation, or if a run prints no result.
 
+With ``--out FILE`` (a ``BENCH_<pr>.json`` at the root of the change tree,
+by convention) the script also writes, per workload and end-to-end metric,
+each side's median and quartiles, the ratio, the change's wins and the
+flag, and every complete pair's metric values, with the host, the seed and
+the commits of both trees.
+
 Usage:
     python scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W \\
-        [--workload W2 ...] --seed S --pairs N
+        [--workload W2 ...] --seed S --pairs N [--out BENCH_<pr>.json]
 """
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -75,30 +83,53 @@ def pair_runs(trees: dict, workload: str, seed: int, pairs: int,
     return runs, bad_runs
 
 
-def summarize(spec: dict, workload: str, seed: int, runs: list) -> list:
-    """Print the per-metric comparison of one workload; returns the names
-    of the metrics whose change median is worse than the bound allows."""
-    print(f"\n{workload}, seed {seed}, {len(runs)} complete pairs")
-    print(f"{'metric':<16}{'parent':>12}{'parent q1-q3':>22}{'IQR':>10}"
-          f"{'change':>12}{'ratio':>8}{'change wins':>13}")
-    worse = []
+def compare(spec: dict, runs: list) -> dict:
+    """Per end-to-end metric of BENCHMARK.json: each side's median and
+    quartiles, the change/parent median ratio, the change's wins and
+    whether its median is worse than the bound allows."""
+    stats = {}
     for m in spec["end_to_end"] if runs else ():
         name = m["name"]
         par = [r["parent"][name] for r in runs]
         chg = [r["change"][name] for r in runs]
         sign = 1 if m["better"] == "lower" else -1
-        wins = sum(sign * (p - c) > 0 for p, c in zip(par, chg))
-        q1, q3 = quartiles(par)
         par_med, chg_med = statistics.median(par), statistics.median(chg)
-        ratio = chg_med / par_med if par_med else float("nan")
-        flag = sign * (chg_med - par_med) > m["bound"] * abs(par_med)
-        if flag:
-            worse.append(name)
-        print(f"{name + ' (' + m['unit'] + ')':<16}{par_med:>12.6g}"
+        stats[name] = {
+            "unit": m["unit"], "better": m["better"], "bound": m["bound"],
+            "parent": {"median": par_med, "quartiles": quartiles(par)},
+            "change": {"median": chg_med, "quartiles": quartiles(chg)},
+            "ratio": chg_med / par_med if par_med else float("nan"),
+            "change_wins": sum(sign * (p - c) > 0 for p, c in zip(par, chg)),
+            "worse": sign * (chg_med - par_med) > m["bound"] * abs(par_med)}
+    return stats
+
+
+def summarize(workload: str, seed: int, runs: list, stats: dict) -> None:
+    """Print the per-metric comparison of one workload."""
+    print(f"\n{workload}, seed {seed}, {len(runs)} complete pairs")
+    print(f"{'metric':<16}{'parent':>12}{'parent q1-q3':>22}{'IQR':>10}"
+          f"{'change':>12}{'ratio':>8}{'change wins':>13}")
+    for name, st in stats.items():
+        q1, q3 = st["parent"]["quartiles"]
+        print(f"{name + ' (' + st['unit'] + ')':<16}{st['parent']['median']:>12.6g}"
               f"{f'{q1:.6g}-{q3:.6g}':>22}{q3 - q1:>10.4g}"
-              f"{chg_med:>12.6g}{ratio:>8.3f}{f'{wins}/{len(runs)}':>13}"
-              + (f"  WORSE (bound {m['bound']:g})" if flag else ""))
-    return worse
+              f"{st['change']['median']:>12.6g}{st['ratio']:>8.3f}"
+              f"{str(st['change_wins']) + '/' + str(len(runs)):>13}"
+              + (f"  WORSE (bound {st['bound']:g})" if st["worse"] else ""))
+
+
+def commit(tree: Path) -> str | None:
+    """The checked-out commit of ``tree``, or None outside a git checkout."""
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    return proc.stdout.strip() or None
+
+
+def host() -> str:
+    import numpy
+
+    return (f"{platform.machine()}, {os.cpu_count()} CPUs, Python "
+            f"{platform.python_version()}, numpy {numpy.__version__}")
 
 
 def main() -> int:
@@ -109,18 +140,29 @@ def main() -> int:
                         help="workload to compare; repeat for several")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--out", type=Path,
+                        help="also write the medians, quartiles and runs here")
     args = parser.parse_args()
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bad_runs = 0
     worse = []
+    record = {"host": host(), "seed": args.seed, "pairs": args.pairs,
+              "run_seconds": spec["run_seconds"],
+              "commits": {side: commit(tree) for side, tree in trees.items()},
+              "workloads": {}}
     for workload in args.workload:
         runs, bad = pair_runs(trees, workload, args.seed, args.pairs,
                               spec["run_seconds"])
         bad_runs += bad
-        worse += [f"{workload} {name}"
-                  for name in summarize(spec, workload, args.seed, runs)]
+        stats = compare(spec, runs)
+        summarize(workload, args.seed, runs, stats)
+        worse += [f"{workload} {name}" for name, st in stats.items() if st["worse"]]
+        record["workloads"][workload] = {"failed_runs": bad, "metrics": stats,
+                                         "runs": runs}
+        if args.out:  # rewritten after each workload, so a cut run keeps its rows
+            args.out.write_text(json.dumps(record, indent=1) + "\n")
     status = 0
     if worse:
         print(f"worse than the parent beyond the bound: {', '.join(worse)}",

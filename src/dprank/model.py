@@ -3,6 +3,7 @@ forward evaluation, per-edge loss, full objective, analytic gradients, Adam."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,14 +79,14 @@ class WeightNormalizer:
         return theta
 
 
-def _forward_cached(theta: Theta, nodes):
-    """Forward pass for a batch of node indices, keeping every layer's input
-    and the final output: ``post[0]`` is V[nodes], ``post[l]`` the sigmoid
-    output of layer l."""
-    a = theta.v[nodes]
+def _forward_cached(v_rows: np.ndarray, w: list):
+    """Forward pass for the embedding rows ``v_rows``, keeping every layer's
+    input and the final output: ``post[0]`` is ``v_rows``, ``post[l]`` the
+    sigmoid output of layer l."""
+    a = v_rows
     post = [a]
-    for w in theta.w:
-        a = _sigmoid(a @ w)
+    for wl in w:
+        a = _sigmoid(a @ wl)
         post.append(a)
     return a[:, 0], post
 
@@ -95,13 +96,13 @@ def forward(theta: Theta, node: int) -> float:
     n = theta.v.shape[0]
     if not 0 <= node < n:
         raise IndexError(f"node {node} out of range for N={n}")
-    out, _ = _forward_cached(theta, np.asarray([node]))
+    out, _ = _forward_cached(theta.v[[node]], theta.w)
     return float(out[0])
 
 
 def forward_many(theta: Theta, nodes) -> np.ndarray:
     nodes = np.asarray(nodes, dtype=np.int64)
-    out, _ = _forward_cached(theta, nodes)
+    out, _ = _forward_cached(theta.v[nodes], theta.w)
     return out
 
 
@@ -136,26 +137,35 @@ def full_objective(theta: Theta, g: Graph, gamma: float) -> float:
     return float(np.sum((pred - f) ** 2))
 
 
-def _loss_and_gradients(theta: Theta, batch: WalkBatch, g: Graph, gamma: float):
-    """Batch loss plus exact analytic gradients wrt V and every W_l.
+def touched_nodes(batch: WalkBatch):
+    """``(nodes, inverse)``: the sorted distinct nodes U of the batch's pairs
+    and each pair endpoint's index into U, as ``pairs.ravel()`` lists them.
+    The loss touches V only in the rows of U."""
+    return np.unique(batch.pairs.ravel(), return_inverse=True)
 
-    Gradients are taken through the currently stored (already normalized)
-    weights. Work is grouped by unique node: the loss touches node u only
-    through f(v_u), so a single weighted backward pass per unique node gives
-    both the V rows and the summed weight gradients.
+
+def _loss_and_gradients(v_rows: np.ndarray, w: list, batch: WalkBatch,
+                        inverse: np.ndarray, g: Graph, gamma: float):
+    """Batch loss plus exact analytic gradients wrt the rows V[U] and every
+    W_l, from ``v_rows`` = V[U] and ``(U, inverse)`` = :func:`touched_nodes`.
+
+    Returns ``(loss, grad_rows, grad_w)``; row k of ``grad_rows`` is the
+    gradient wrt V[U[k]], and every other row of V has gradient 0. Gradients
+    are taken through the weights ``w`` as given (already normalized). The
+    loss touches node u only through f(v_u), so a single weighted backward
+    pass per unique node gives both the V rows and the summed weight
+    gradients.
     """
-    n, r = theta.v.shape
-    grad_v = np.zeros((n, r))
-    grad_w = [np.zeros_like(w) for w in theta.w]
+    grad_w = [np.zeros_like(wl) for wl in w]
     pairs = batch.pairs
     if len(pairs) == 0:
-        return 0.0, grad_v, grad_w
+        return 0.0, np.zeros_like(v_rows), grad_w
 
+    n = g.num_nodes
     i_idx, j_idx = pairs[:, 0], pairs[:, 1]
-    nodes, inverse = np.unique(pairs.ravel(), return_inverse=True)
     inv_i, inv_j = inverse[0::2], inverse[1::2]
 
-    f, post = _forward_cached(theta, nodes)
+    f, post = _forward_cached(v_rows, w)
     fi, fj = f[inv_i], f[inv_j]
 
     d_out = g.out_degree[i_idx].astype(np.float64)
@@ -167,30 +177,33 @@ def _loss_and_gradients(theta: Theta, batch: WalkBatch, g: Graph, gamma: float):
 
     # dL/df for each edge endpoint, scattered into a per-unique-node weight
     c = 2.0 * d_in * gamma**2 * u + 2.0 * gamma * (1.0 - gamma) / n
-    coef = np.zeros(len(nodes))
+    coef = np.zeros(len(v_rows))
     np.add.at(coef, inv_i, c / d_out)
     np.add.at(coef, inv_j, -c / (d_in * gamma))
 
     # weighted reverse pass shared by all edges; sigmoid'(z) = a (1 - a)
     # with a = sigmoid(z), the layer's cached output
     delta = coef[:, None] * (post[-1] * (1.0 - post[-1]))
-    for layer in range(len(theta.w) - 1, -1, -1):
+    for layer in range(len(w) - 1, -1, -1):
         grad_w[layer] = post[layer].T @ delta
         if layer > 0:
             a = post[layer]
-            delta = (delta @ theta.w[layer].T) * (a * (1.0 - a))
-    grad_rows = delta @ theta.w[0].T
-    grad_v[nodes] = grad_rows
-    return loss, grad_v, grad_w
+            delta = (delta @ w[layer].T) * (a * (1.0 - a))
+    return loss, delta @ w[0].T, grad_w
 
 
 def batch_gradients(theta: Theta, batch: WalkBatch, g: Graph, gamma: float):
     """Exact gradients of the summed per-edge loss over ``batch``.
 
-    Returns (grad_V, [grad_W_1, ..., grad_W_{L+1}]); grad_V is nonzero only on
-    rows of nodes appearing in the batch. An empty batch yields zeros.
+    Returns (grad_V, [grad_W_1, ..., grad_W_{L+1}]); grad_V is dense and
+    nonzero only on rows of nodes appearing in the batch. An empty batch
+    yields zeros.
     """
-    _, grad_v, grad_w = _loss_and_gradients(theta, batch, g, gamma)
+    nodes, inverse = touched_nodes(batch)
+    _, grad_rows, grad_w = _loss_and_gradients(theta.v[nodes], theta.w, batch,
+                                               inverse, g, gamma)
+    grad_v = np.zeros_like(theta.v)
+    grad_v[nodes] = grad_rows
     return grad_v, grad_w
 
 
@@ -198,9 +211,12 @@ def batch_gradients(theta: Theta, batch: WalkBatch, g: Graph, gamma: float):
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# elements of a parameter that adam_step updates per block: 128 KB of float64
-# per scratch block, 128 rows of a 128-wide V
-ADAM_BLOCK = 1 << 14
+# elements of a parameter that adam_update updates per block: 512 KB of
+# float64 per scratch block, 512 rows of a 128-wide V. Each numpy call of
+# the noise worker's update of V takes the GIL from the main thread, and
+# 2^16-element blocks make a quarter of the calls of 2^14-element ones:
+# synth-wide training ran about 4% faster, 2 CPUs, one BLAS thread
+ADAM_BLOCK = 1 << 16
 
 
 @dataclass
@@ -219,42 +235,53 @@ class AdamState:
 
 def adam_step(state: AdamState, params, grads, eta: float):
     """One bias-corrected Adam update. Mutates ``state`` and every parameter
-    in place and returns ``params``.
-
-    Each parameter is updated ``ADAM_BLOCK`` elements at a time (whole rows)
-    through two scratch blocks, so no call allocates an array the size of a
-    parameter and a block's operands stay in cache between operations.
-    """
+    in place and returns ``params`` (see :func:`adam_update`)."""
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ValueError("parameter/gradient count does not match optimizer state")
     for p, g_arr, m in zip(params, grads, state.m):
         if p.shape != g_arr.shape or p.shape != m.shape:
             raise ValueError(f"shape mismatch: param {p.shape}, grad {g_arr.shape}")
     state.step += 1
-    t = state.step
+    for m, v, p, g_arr in zip(state.m, state.v, params, grads):
+        adam_update(m, v, p, g_arr, state.step, eta)
+    return params
+
+
+def adam_update(m: np.ndarray, v: np.ndarray, p: np.ndarray, grad: np.ndarray,
+                t: int, eta: float, divisor: float = 1.0) -> None:
+    """Adam's step ``t`` on one parameter ``p`` and its moments ``m`` and
+    ``v``, in place, on the gradient ``grad / divisor``.
+
+    Element-wise, so any gathered subset of rows gets the bits that it gets
+    in the whole array. The arrays are updated ``ADAM_BLOCK`` elements at a
+    time (whole rows) through two scratch blocks, so no call allocates an
+    array the size of ``p`` and a block's operands stay in cache between
+    operations.
+    """
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for m, v, p, g_arr in zip(state.m, state.v, params, grads):
-        rows = max(1, ADAM_BLOCK // p[0].size)
-        tmp_block = np.empty((min(rows, len(p)),) + p.shape[1:])
-        step_block = np.empty_like(tmp_block)
-        for lo in range(0, len(p), rows):
-            mb, vb, pb, gb = (a[lo:lo + rows] for a in (m, v, p, g_arr))
-            tmp, step = tmp_block[:len(pb)], step_block[:len(pb)]
-            # the operation order of m = b1*m + (1-b1)*g,
-            # v = b2*v + (1-b2)*g**2 and p - eta*m_hat / (sqrt(v_hat) + eps)
-            np.multiply(gb, 1.0 - ADAM_BETA1, out=tmp)
-            mb *= ADAM_BETA1
-            mb += tmp
-            np.square(gb, out=tmp)
-            tmp *= 1.0 - ADAM_BETA2
-            vb *= ADAM_BETA2
-            vb += tmp
-            np.divide(mb, bc1, out=step)
-            step *= eta
-            np.divide(vb, bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += ADAM_EPS
-            step /= tmp
-            pb -= step
-    return params
+    rows = max(1, ADAM_BLOCK // math.prod(p.shape[1:]))
+    tmp_block = np.empty((min(rows, len(p)),) + p.shape[1:])
+    step_block = np.empty_like(tmp_block)
+    for lo in range(0, len(p), rows):
+        mb, vb, pb, gb = (a[lo:lo + rows] for a in (m, v, p, grad))
+        tmp, step = tmp_block[:len(pb)], step_block[:len(pb)]
+        if divisor != 1.0:
+            # held in step, which is not written before g's last read
+            gb = np.divide(gb, divisor, out=step)
+        # the operation order of m = b1*m + (1-b1)*g,
+        # v = b2*v + (1-b2)*g**2 and p - eta*m_hat / (sqrt(v_hat) + eps)
+        np.multiply(gb, 1.0 - ADAM_BETA1, out=tmp)
+        mb *= ADAM_BETA1
+        mb += tmp
+        np.square(gb, out=tmp)
+        tmp *= 1.0 - ADAM_BETA2
+        vb *= ADAM_BETA2
+        vb += tmp
+        np.divide(mb, bc1, out=step)
+        step *= eta
+        np.divide(vb, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        step /= tmp
+        pb -= step

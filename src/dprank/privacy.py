@@ -78,7 +78,22 @@ def noise_sigma(epsilon: float, delta: float, t: int = 1) -> float:
     return math.sqrt(2.0 * math.log(1.25 * t / delta)) / (epsilon / t)
 
 
-def perturb_gradient(sum_grad_v: np.ndarray, s_nabla: float, sigma: float,
+@dataclass(frozen=True)
+class RowGradient:
+    """The gradient of a ``shape`` matrix that is zero outside ``rows``: row
+    ``rows[k]`` is ``values[k]``. ``size`` counts the whole matrix, every
+    entry of which :func:`perturb_gradient` noises."""
+
+    rows: np.ndarray
+    values: np.ndarray
+    shape: tuple
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+
+def perturb_gradient(sum_grad_v, s_nabla: float, sigma: float,
                      batch_size: int, rng) -> np.ndarray:
     """Gaussian mechanism on the summed embedding gradient.
 
@@ -87,17 +102,29 @@ def perturb_gradient(sum_grad_v: np.ndarray, s_nabla: float, sigma: float,
     which rows a batch touches is data-dependent, so sparing them would leak
     participation), then divides by the nominal batch pair count.
 
-    ``rng`` is a ``Generator`` or a :class:`PrefetchedNoise`; the result is
-    the array its ``normal`` returned, perturbed in place (IEEE addition
-    commutes, so it equals ``(sum_grad_v + noise) / batch_size`` bit for bit).
-    A caller drawing from a :class:`PrefetchedNoise` hands the array back
-    with its ``release`` once done with it.
+    ``rng`` is a ``Generator`` or a :class:`PrefetchedNoise`. For a dense
+    ``sum_grad_v`` the result is the array ``rng.normal`` returned, perturbed
+    in place (IEEE addition commutes, so it equals ``(sum_grad_v + noise) /
+    batch_size`` bit for bit). For a :class:`RowGradient` it is the new array
+    ``(noise[rows] + values) / batch_size``; ``rng`` must then be a
+    :class:`PrefetchedNoise` whose draw an update has read (see
+    :meth:`PrefetchedNoise.apply`), and noising the other rows, whose
+    gradient is 0, with ``noise / batch_size`` is that update's job. A
+    caller drawing from a :class:`PrefetchedNoise` hands the draw back with
+    its ``release`` once done with it.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if batch_size < 1:
         raise ValueError("batch size must be >= 1")
+    sparse = isinstance(sum_grad_v, RowGradient)
+    if sparse and not (isinstance(rng, PrefetchedNoise) and rng.applied):
+        raise ValueError("a row gradient needs a noise draw whose update "
+                         "noised every other row")
     noise = rng.normal(0.0, s_nabla * sigma, size=sum_grad_v.shape)
+    if sparse:
+        noise = noise[sum_grad_v.rows]
+        sum_grad_v = sum_grad_v.values
     noise += sum_grad_v
     noise /= batch_size
     return noise
@@ -105,20 +132,23 @@ def perturb_gradient(sum_grad_v: np.ndarray, s_nabla: float, sigma: float,
 
 class PrefetchedNoise:
     """Zero-mean Gaussian draws of one shape, each filled ahead on a worker
-    thread into the one buffer the source owns.
+    thread into the one buffer the source owns, where the worker can also
+    run an update that reads the draw.
 
     Serves exactly ``count`` calls of ``normal(0.0, scale, size=shape)`` with
     the values that as many serial ``rng.normal`` calls return: filling with
     ``standard_normal`` and scaling in place consumes the stream as
     ``normal`` does (a zero may differ in sign, since ``normal`` adds the
-    mean). ``normal`` waits for the pending fill and returns the buffer; the
-    caller calls :meth:`release` once done with it, which lets ``executor``
-    fill the next draw into the same buffer while the caller goes on. Nothing
-    else may draw from ``rng`` meanwhile. Other arguments raise
-    ``ValueError``; a call past ``count``, a ``normal`` before the previous
-    draw was released, or a ``release`` with no draw out raises
-    ``RuntimeError``. The first fill is submitted on construction and no
-    fill after the last draw.
+    mean). :meth:`apply` has the worker call a function on the pending draw
+    once it is filled. ``normal`` waits for the pending fill and update and
+    returns the buffer; the caller calls :meth:`release` once done with it,
+    which lets ``executor`` (one worker) fill the next draw into the same
+    buffer while the caller goes on. Nothing else may draw from ``rng``
+    meanwhile. Other arguments raise ``ValueError``; a call past ``count``, a
+    ``normal`` or ``apply`` before the previous draw was released, a second
+    ``apply`` to one draw, or a ``release`` with no draw out raises
+    ``RuntimeError``. The first fill is submitted on construction and no fill
+    after the last draw.
     """
 
     def __init__(self, rng: np.random.Generator, scale: float, shape: tuple,
@@ -133,6 +163,8 @@ class PrefetchedNoise:
         self._executor = executor
         self._submitted = 0
         self._lent = False
+        # whether apply was called for the pending or lent draw
+        self.applied = False
         self._pending = self._submit()
 
     def _submit(self):
@@ -144,15 +176,35 @@ class PrefetchedNoise:
         self._buffer *= self._scale
         return self._buffer
 
+    def _check_pending(self) -> None:
+        if self._lent:
+            raise RuntimeError("the previous noise draw was not released")
+        if self._pending is None:
+            raise RuntimeError(f"all {self._count} noise draws were taken")
+
+    def apply(self, update) -> None:
+        """Have the worker call ``update(draw)`` once the pending draw is
+        filled; ``normal`` returns the draw only after ``update`` is done.
+        ``update`` must not change the draw."""
+        self._check_pending()
+        if self.applied:
+            raise RuntimeError("an update was already applied to this draw")
+        fill = self._pending
+
+        def run():
+            draw = fill.result()
+            update(draw)
+            return draw
+
+        self._pending = self._executor.submit(run)
+        self.applied = True
+
     def normal(self, loc: float, scale: float, size: tuple) -> np.ndarray:
         if (loc, scale, tuple(size)) != (0.0, self._scale, self._shape):
             raise ValueError(
                 f"noise source serves normal(0.0, {self._scale}, {self._shape}), "
                 f"not normal({loc}, {scale}, {tuple(size)})")
-        if self._lent:
-            raise RuntimeError("the previous noise draw was not released")
-        if self._pending is None:
-            raise RuntimeError(f"all {self._count} noise draws were taken")
+        self._check_pending()
         draw = self._pending.result()
         self._pending = None
         self._lent = True
@@ -164,6 +216,7 @@ class PrefetchedNoise:
         if not self._lent:
             raise RuntimeError("no noise draw is out to release")
         self._lent = False
+        self.applied = False
         if self._submitted < self._count:
             self._pending = self._submit()
 

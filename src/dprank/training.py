@@ -17,14 +17,15 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .graph import Graph, generate_walk_batch, merge_keyed, row_pointers
 from .model import (AdamState, Theta, WeightNormalizer, _loss_and_gradients,
-                    adam_step, init_params)
-from .privacy import (PrefetchedNoise, PrivacyLedger, PrivacySpec,
+                    adam_step, adam_update, init_params, touched_nodes)
+from .privacy import (PrefetchedNoise, PrivacyLedger, PrivacySpec, RowGradient,
                       perturb_gradient)
 
 CHECKPOINT_VERSION = 6
@@ -128,10 +129,6 @@ class ScoreMatrix:
         self._counts = np.empty(0, dtype=np.float64)
         self._pending = np.empty(0, dtype=np.int64)   # keys not yet folded in
         self._num_pending = 0
-
-    @classmethod
-    def zeros(cls, n: int) -> "ScoreMatrix":
-        return cls(n)
 
     def add(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Record one transition per ``(rows[k], cols[k])`` pair; raises
@@ -277,11 +274,21 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
     normalize every weight to spectral norm 1/s, Adam-update the weights on
     the exact batch gradients, perturb the summed embedding gradient with
     calibrated Gaussian noise and Adam-update the embeddings, record the
-    budget split, and accumulate synthetic-walk transitions. Each step's
-    noise is drawn on one helper thread from the moment Adam on V is done
-    with the previous draw (see :class:`PrefetchedNoise`); the helper is
-    joined before ``train`` returns or raises, and the draws and the result
-    are those of a serial run.
+    budget split, and accumulate synthetic-walk transitions.
+
+    The embedding gradient is nonzero only in the rows of the batch's nodes
+    U, so its update splits in two. One helper thread (see
+    :class:`PrefetchedNoise`) draws each step's N x r noise and then runs
+    Adam on every row of V on the noise alone, ``noise / B``; meanwhile this
+    thread takes the gradient from the rows of V, m and v saved before the
+    step and updates W. It then waits for the helper, releases the draw for
+    the next fill once it has ``(noise[U] + grad_rows) / B``, runs Adam on
+    the saved rows and writes them back over the helper's. Adam is
+    element-wise and ``(x + 0.0) / B == x / B``, so V is bitwise that of a
+    serial run on the dense gradient; the draws are those of a serial run
+    too. The helper is joined before ``train`` returns or raises. At the
+    peak four N x r arrays are live: V, its two Adam moments and the noise
+    buffer.
 
     ``run_dir`` enables an end-of-epoch checkpoint of the weights,
     ``checkpoint.npz``, overwritten each epoch (see :func:`save_checkpoint`).
@@ -303,15 +310,15 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
 
     rng_init, rng_walk, rng_noise, rng_score, rng_shuffle = _purpose_rngs(cfg.master_seed)
     theta = init_params(n, cfg.r, cfg.d, pspec.min_depth, INIT_SCALE, rng_init)
-    scores = ScoreMatrix.zeros(n)
+    scores = ScoreMatrix(n)
     ledger = PrivacyLedger(cfg.epsilon, cfg.delta, pspec.t)
     adam_w = AdamState.for_params(theta.w)
-    adam_v = AdamState.for_params([theta.v])
+    # V's Adam moments and step count; both threads write the moments
+    m_v, s_v, step_v = np.zeros_like(theta.v), np.zeros_like(theta.v), 0
 
     # the noise reads neither the data nor the model, so each step's draw is
-    # made on a worker thread between the end of Adam on V in the step
-    # before it and its own perturbation; leaving the block joins the
-    # worker, also when a step raises
+    # made on a worker thread from the release of the draw before it; leaving
+    # the block joins the worker, also when a step raises
     with ThreadPoolExecutor(max_workers=1) as pool:
         noise = PrefetchedNoise(rng_noise, cfg.s_nabla * pspec.sigma,
                                 theta.v.shape, pspec.t, pool)
@@ -320,27 +327,43 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
             for it in range(per_epoch):
                 starts = order[it * cfg.batch_nodes:(it + 1) * cfg.batch_nodes]
                 batch = generate_walk_batch(g, starts, cfg.r_wn, cfg.r_wl, rng_walk)
+                nodes, inverse = touched_nodes(batch)
+                v_rows, m_rows, s_rows = theta.v[nodes], m_v[nodes], s_v[nodes]
+                # from here until the wait in perturb_gradient the worker
+                # updates every row of V, m and v on the noise alone
+                noise.apply(partial(adam_update, m_v, s_v, theta.v,
+                                    t=step_v + 1, eta=cfg.eta,
+                                    divisor=b_nominal))
                 normalizer.normalize_(theta)
                 emit("weights_normalized")
-                loss, grad_v_sum, grad_w = _loss_and_gradients(theta, batch, g, cfg.gamma)
+                loss, grad_rows, grad_w = _loss_and_gradients(
+                    v_rows, theta.w, batch, inverse, g, cfg.gamma)
                 emit("gradients_computed")
                 if not (np.isfinite(loss)
-                        and np.isfinite(grad_v_sum).all()
+                        and np.isfinite(grad_rows).all()
                         and all(np.isfinite(gw).all() for gw in grad_w)):
                     raise TrainingDivergedError(epoch, it, loss)
 
                 theta.w = adam_step(adam_w, theta.w,
                                     [gw / b_nominal for gw in grad_w], cfg.eta)
                 emit("w_updated")
-                noisy_grad_v = perturb_gradient(grad_v_sum, cfg.s_nabla, pspec.sigma,
-                                                b_nominal, noise)
-                # freed here rather than when the next step's gradient
-                # replaces it, so two dense gradients are never live at once
-                del grad_v_sum
+                noisy_rows = perturb_gradient(
+                    RowGradient(nodes, grad_rows, theta.v.shape), cfg.s_nabla,
+                    pspec.sigma, b_nominal, noise)
+                # the worker is done with this draw and nothing reads it
+                # again: the next step's draw fills the same buffer from here
+                noise.release()
                 emit("v_grad_perturbed")
-                # only the perturbed gradient ever reaches the embedding optimizer
-                (theta.v,) = adam_step(adam_v, [theta.v], [noisy_grad_v], cfg.eta)
-                noise.release()  # the next step's draw fills the same buffer
+                # only perturbed rows ever reach the embedding optimizer; its
+                # rows are recomputed from their pre-step state and written
+                # over the worker's noise-only values
+                row_state = AdamState(m=[m_rows], v=[s_rows], step=step_v)
+                adam_step(row_state, [v_rows], [noisy_rows], cfg.eta)
+                theta.v[nodes], m_v[nodes], s_v[nodes] = v_rows, m_rows, s_rows
+                step_v = row_state.step
+                # the row buffers die with the step, so two steps' rows are
+                # never live at once
+                del v_rows, m_rows, s_rows, grad_rows, noisy_rows
                 emit("v_updated")
                 ledger.record(eps_t, delta_t)
                 accumulate_scores(theta.v, starts, scores, rng_score,

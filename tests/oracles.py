@@ -358,3 +358,48 @@ def rejection_acceptance(v):
         bound = norms[u] * norms.max()
         rates.append(np.mean([np.exp(np.dot(v[u], v[w]) - bound) for w in others]))
     return np.array(rates)
+
+
+# ------------------------------------------------------ serial training step
+# The training loop as it ran before the embedding update was split between
+# the noise worker and the touched rows: one thread, a dense N x r gradient,
+# a dense perturbation from the noise Generator and Adam on the whole of V.
+# It reuses the package's stages and random streams, so the split loop must
+# reproduce its results bit for bit.
+
+def train_serial(g, cfg):
+    """``(theta, scores, ledger)`` of the serial dense training loop."""
+    from dprank.graph import generate_walk_batch
+    from dprank.model import (AdamState, WeightNormalizer, adam_step,
+                              batch_gradients, init_params)
+    from dprank.privacy import PrivacyLedger, perturb_gradient
+    from dprank.training import (INIT_SCALE, ScoreMatrix, _purpose_rngs,
+                                 accumulate_scores)
+
+    n = g.num_nodes
+    pspec = cfg.privacy_spec(n)
+    b_nominal = cfg.nominal_batch_pairs()
+    normalizer = WeightNormalizer(cfg.s)
+    rng_init, rng_walk, rng_noise, rng_score, rng_shuffle = _purpose_rngs(cfg.master_seed)
+    theta = init_params(n, cfg.r, cfg.d, pspec.min_depth, INIT_SCALE, rng_init)
+    scores = ScoreMatrix(n)
+    ledger = PrivacyLedger(cfg.epsilon, cfg.delta, pspec.t)
+    adam_w = AdamState.for_params(theta.w)
+    adam_v = AdamState.for_params([theta.v])
+    for _ in range(cfg.n_epochs):
+        order = rng_shuffle.permutation(n)
+        for it in range(n // cfg.batch_nodes):
+            starts = order[it * cfg.batch_nodes:(it + 1) * cfg.batch_nodes]
+            batch = generate_walk_batch(g, starts, cfg.r_wn, cfg.r_wl, rng_walk)
+            normalizer.normalize_(theta)
+            # dense: np.zeros outside the batch's rows
+            grad_v, grad_w = batch_gradients(theta, batch, g, cfg.gamma)
+            theta.w = adam_step(adam_w, theta.w,
+                                [gw / b_nominal for gw in grad_w], cfg.eta)
+            noisy = perturb_gradient(grad_v, cfg.s_nabla, pspec.sigma,
+                                     b_nominal, rng_noise)
+            (theta.v,) = adam_step(adam_v, [theta.v], [noisy], cfg.eta)
+            ledger.record(cfg.epsilon / pspec.t, cfg.delta / pspec.t)
+            accumulate_scores(theta.v, starts, scores, rng_score,
+                              walk_length=cfg.r_wl)
+    return theta, scores, ledger

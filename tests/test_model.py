@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from dprank.graph import WalkBatch, from_edges
 from dprank.model import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS,
-                          AdamState, WeightNormalizer, adam_step,
+                          AdamState, WeightNormalizer, adam_step, adam_update,
                           batch_gradients, edge_loss, forward, full_objective,
                           init_params, spectral_norm, weight_normalize)
 from dprank.privacy import compute_m
@@ -404,6 +404,35 @@ def test_adam_matches_reference_across_blocks(rng):
         adam_step(state, params, grads, eta=1e-3)
     for got, want in zip(params, expected):
         assert np.array_equal(got, want)
+
+
+def test_adam_update_on_gathered_rows_matches_whole_array(rng):
+    # Adam is element-wise: the rows redone from their saved state, on the
+    # gradient divided inside the update, get the bits of a whole-array step
+    shape = (2 * ADAM_BLOCK // 16 + 3, 16)
+    p, m, v = (rng.standard_normal(shape) for _ in range(3))
+    v = np.abs(v)
+    grad = rng.standard_normal(shape) * 1e3
+    rows = np.array([0, 5, shape[0] - 1])
+    whole = AdamState(m=[m.copy()], v=[v.copy()], step=6)
+    expected = adam_step(whole, [p.copy()], [grad / 240], eta=1e-3)[0]
+    split = [p.copy(), m.copy(), v.copy()]
+    saved = [a[rows] for a in split]
+    adam_update(split[1], split[2], split[0], grad, 7, 1e-3, divisor=240)
+    row_state = AdamState(m=[saved[1]], v=[saved[2]], step=6)
+    adam_step(row_state, [saved[0]], [grad[rows] / 240], eta=1e-3)
+    for full, part in zip(split, saved):
+        full[rows] = part
+    assert np.array_equal(split[0], expected)
+    assert np.array_equal(split[1], whole.m[0])
+    assert np.array_equal(split[2], whole.v[0])
+
+
+def test_adam_step_on_no_rows():
+    # an empty batch touches no row of V; its row update is a no-op step
+    state = AdamState(m=[np.zeros((0, 4))], v=[np.zeros((0, 4))], step=2)
+    (out,) = adam_step(state, [np.zeros((0, 4))], [np.zeros((0, 4))], eta=0.1)
+    assert out.shape == (0, 4) and state.step == 3
 
 
 def test_adam_shape_mismatch():

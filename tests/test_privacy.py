@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dprank.privacy import (PrefetchedNoise, PrivacyLedger,
-                            PrivacyOverdraftError, PrivacySpec, compute_m,
-                            min_layers, noise_sigma, perturb_gradient)
+                            PrivacyOverdraftError, PrivacySpec, RowGradient,
+                            compute_m, min_layers, noise_sigma,
+                            perturb_gradient)
 
 
 # ------------------------------------------------------------- constant M
@@ -173,6 +174,54 @@ def test_prefetched_noise_serves_exactly_count_serial_draws():
         assert np.array_equal(draw, replay.normal(0.0, 2.0, (4, 3)))
     # three fills and no fourth: the stream stopped where three draws end
     assert rng.bit_generator.state == replay.bit_generator.state
+
+
+def test_prefetched_noise_applies_one_update_after_each_fill():
+    rng = np.random.default_rng(6)
+    seen = []
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        noise = PrefetchedNoise(rng, 2.0, (4, 3), 2, pool)
+        assert not noise.applied
+        noise.apply(lambda draw: seen.append(draw.copy()))
+        with pytest.raises(RuntimeError, match="already applied"):
+            noise.apply(lambda draw: None)
+        first = noise.normal(0.0, 2.0, size=(4, 3)).copy()
+        with pytest.raises(RuntimeError, match="was not released"):
+            noise.apply(lambda draw: None)
+        noise.release()
+        assert not noise.applied
+        # a draw with no update is served as before
+        second = noise.normal(0.0, 2.0, size=(4, 3)).copy()
+        noise.release()
+        with pytest.raises(RuntimeError, match="all 2 noise draws"):
+            noise.apply(lambda draw: None)
+    # the update saw the filled draw, and normal waited for it
+    assert len(seen) == 1 and np.array_equal(seen[0], first)
+    replay = np.random.default_rng(6)
+    assert np.array_equal(first, replay.normal(0.0, 2.0, (4, 3)))
+    assert np.array_equal(second, replay.normal(0.0, 2.0, (4, 3)))
+
+
+def test_perturb_row_gradient_reads_the_draw_rows():
+    values = np.arange(6.0).reshape(2, 3)
+    grad = RowGradient(np.array([1, 3]), values, (5, 3))
+    assert grad.size == 15
+    # the other rows' noise comes only from an update applied to the draw
+    with pytest.raises(ValueError, match="every other row"):
+        perturb_gradient(grad, 1.0, 1.0, 2, np.random.default_rng(7))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        noise = PrefetchedNoise(np.random.default_rng(7), 1.0, (5, 3), 2, pool)
+        with pytest.raises(ValueError, match="every other row"):
+            perturb_gradient(grad, 1.0, 1.0, 2, noise)
+        noise.apply(lambda draw: None)
+        out = perturb_gradient(grad, 1.0, 1.0, 2, noise)
+        noise.release()
+    draw = np.random.default_rng(7).normal(0.0, 1.0, (5, 3))
+    assert np.array_equal(out, (draw[[1, 3]] + values) / 2)
+    dense = np.zeros((5, 3))
+    dense[[1, 3]] = values
+    assert np.array_equal(
+        out, perturb_gradient(dense, 1.0, 1.0, 2, np.random.default_rng(7))[[1, 3]])
 
 
 # ----------------------------------------------------------------- ledger

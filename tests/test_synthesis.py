@@ -248,7 +248,7 @@ def test_sparse_synthesis_matches_dense_oracle_on_score_matrix(seed):
     # appended as (current, next) index arrays; short hops repeat pairs
     gen = np.random.default_rng(100 + seed)
     n = int(gen.integers(20, 120))
-    scores = ScoreMatrix.zeros(n)
+    scores = ScoreMatrix(n)
     for _ in range(int(gen.integers(40, 80))):
         current = gen.integers(n, size=8)
         scores.add(current, (current + gen.integers(1, 6, size=8)) % n)
@@ -266,7 +266,7 @@ def test_synthesis_scales_past_dense_memory():
     # pipeline touches only the 4N recorded transitions
     n = 100_000
     gen = np.random.default_rng(2024)
-    scores = ScoreMatrix.zeros(n)
+    scores = ScoreMatrix(n)
     for _ in range(4):
         current = gen.permutation(n)          # every node starts a transition
         scores.add(current, (current + gen.integers(1, n, size=n)) % n)
@@ -298,7 +298,7 @@ def test_post_processing_transient_bytes_per_entry():
     # 42 for symmetrize_scores, 17 for coverage and 18 for phase 2
     n, batch = 2708, 240
     gen = np.random.default_rng(0)
-    scores = ScoreMatrix.zeros(n)
+    scores = ScoreMatrix(n)
     for _ in range(845):
         current = gen.integers(n, size=batch)
         scores.add(current, (current + gen.integers(1, n, size=batch)) % n)

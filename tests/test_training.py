@@ -1,20 +1,22 @@
 import json
 import math
 import threading
+import time
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import dprank.model as model
 import dprank.training as training
 from dprank.graph import from_edges
-from dprank.model import adam_step
-from dprank.privacy import perturb_gradient
+from dprank.model import adam_step, adam_update
+from dprank.privacy import PrefetchedNoise, RowGradient, perturb_gradient
 from dprank.training import (ScoreMatrix, TrainConfig, TrainingDivergedError,
                              accumulate_scores, train)
 from oracles import (inverse_cdf_step, masked_softmax_probs,
-                     rejection_acceptance)
+                     rejection_acceptance, train_serial)
 
 
 def tiny_config(**overrides):
@@ -89,6 +91,9 @@ def test_optimizer_only_sees_perturbed_v_gradient(monkeypatch):
     cfg = tiny_config(n_epochs=1, epsilon=2.0)  # epsilon/T = 2/3
     perturbed_ids = []
     consumed_ids = []
+    draw_ids = []
+    worker_grad_ids = []
+    normal = PrefetchedNoise.normal
 
     def spy_perturb(grad, s_nabla, sigma, batch_size, rng):
         out = perturb_gradient(grad, s_nabla, sigma, batch_size, rng)
@@ -96,45 +101,72 @@ def test_optimizer_only_sees_perturbed_v_gradient(monkeypatch):
         return out
 
     def spy_adam(state, params, grads, eta):
-        # V updates pass exactly one gradient matrix shaped like V
-        if len(grads) == 1 and grads[0].shape == (12, cfg.r):
+        # the V update is the one whose parameter list is a block of V alone
+        if len(params) == 1:
+            assert params[0].shape[1:] == (cfg.r,)
             consumed_ids.append(id(grads[0]))
         return adam_step(state, params, grads, eta)
 
+    def spy_normal(self, *args, **kwargs):
+        draw = normal(self, *args, **kwargs)
+        draw_ids.append(id(draw))
+        return draw
+
+    def spy_update(m, v, p, grad, t, eta, divisor):
+        # the worker's update reads nothing but the noise draw
+        worker_grad_ids.append(id(grad))
+        return adam_update(m, v, p, grad, t, eta, divisor)
+
     monkeypatch.setattr(training, "perturb_gradient", spy_perturb)
     monkeypatch.setattr(training, "adam_step", spy_adam)
+    monkeypatch.setattr(training, "adam_update", spy_update)
+    monkeypatch.setattr(training.PrefetchedNoise, "normal", spy_normal)
     train(g, cfg)
+    assert len(perturbed_ids) == 3
     assert consumed_ids == perturbed_ids
+    assert worker_grad_ids == draw_ids
 
 
 def test_train_aborts_on_nonfinite(monkeypatch):
     g = ring_graph(12)
     cfg = tiny_config(n_epochs=1, epsilon=2.0)  # epsilon/T = 2/3
+    update_started = threading.Event()
+    update_done = []
 
-    def bad_loss(theta, batch, graph, gamma):
-        gv = np.zeros_like(theta.v)
-        gw = [np.zeros_like(w) for w in theta.w]
-        return float("nan"), gv, gw
+    def slow_update(*args, **kwargs):
+        update_started.set()
+        time.sleep(0.2)
+        adam_update(*args, **kwargs)
+        update_done.append(True)
 
+    def bad_loss(v_rows, w, batch, inverse, graph, gamma):
+        # the abort comes while the worker's noise-only update is running
+        assert update_started.wait(5.0)
+        gw = [np.zeros_like(wl) for wl in w]
+        return float("nan"), np.zeros_like(v_rows), gw
+
+    monkeypatch.setattr(training, "adam_update", slow_update)
     monkeypatch.setattr(training, "_loss_and_gradients", bad_loss)
     before = set(threading.enumerate())
     with pytest.raises(TrainingDivergedError) as err:
         train(g, cfg)
     assert err.value.epoch == 0 and err.value.iteration == 0
-    # the noise worker was busy with the first draw and is joined all the same
+    # the noise worker was busy with the first update and is joined all the same
+    assert update_done == [True]
     assert set(threading.enumerate()) <= before
 
 
 def test_noise_stream_is_consumed_in_order(monkeypatch):
     # each step's noise is the next serial draw of the noise stream, however
-    # far ahead the worker filled it
+    # far ahead the worker filled it, and each step's perturbed rows are the
+    # gradient rows plus that draw's rows, over B
     g = ring_graph(20)
     cfg = tiny_config()
     steps = []
 
     def spy_perturb(grad, s_nabla, sigma, batch_size, rng):
         out = perturb_gradient(grad, s_nabla, sigma, batch_size, rng)
-        steps.append((grad, out.copy()))  # the noise buffers are reused
+        steps.append((grad, out))
         return out
 
     monkeypatch.setattr(training, "perturb_gradient", spy_perturb)
@@ -144,8 +176,11 @@ def test_noise_stream_is_consumed_in_order(monkeypatch):
     scale = cfg.s_nabla * result.privacy.sigma
     assert len(steps) == result.privacy.t
     for grad, out in steps:
+        assert isinstance(grad, RowGradient) and grad.shape == (20, cfg.r)
+        assert len(grad.rows) > 0
         noise = replay.normal(0.0, scale, (20, cfg.r))
-        assert np.array_equal(out, (grad + noise) / cfg.nominal_batch_pairs())
+        assert np.array_equal(out, (grad.values + noise[grad.rows])
+                              / cfg.nominal_batch_pairs())
 
 
 def test_train_joins_its_noise_worker(monkeypatch):
@@ -160,6 +195,118 @@ def test_train_joins_its_noise_worker(monkeypatch):
     train(ring_graph(20), tiny_config())
     assert all(during)
     assert set(threading.enumerate()) <= before
+
+
+def edgeless_graph(n):
+    return from_edges(n, [])
+
+
+def cycle_graph(n):
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@pytest.mark.parametrize("master_seed", [11, 12])
+@pytest.mark.parametrize("case", ["ring", "every_row", "edgeless"])
+def test_train_matches_serial_dense_step(monkeypatch, case, master_seed):
+    # the split step (noise-only update of every row on the worker, the
+    # touched rows redone from their saved state) against the serial step on
+    # a dense gradient, over two epochs
+    graph, cfg = {
+        "ring": (ring_graph(20), tiny_config(master_seed=master_seed)),
+        # one batch per epoch starts a walk at every node, and every node has
+        # an out-edge: U is every row of V
+        "every_row": (cycle_graph(8), tiny_config(
+            batch_nodes=8, epsilon=1.0, master_seed=master_seed)),
+        # every walk stops at once: U is empty and V moves on noise alone
+        "edgeless": (edgeless_graph(20), tiny_config(master_seed=master_seed)),
+    }[case]
+    touched = []
+
+    def spy_perturb(grad, *args):
+        touched.append(len(grad.rows))
+        return perturb_gradient(grad, *args)
+
+    monkeypatch.setattr(training, "perturb_gradient", spy_perturb)
+    result = train(graph, cfg)
+    theta, scores, ledger = train_serial(graph, cfg)
+    assert np.array_equal(result.theta.v, theta.v)
+    assert all(np.array_equal(a, b) for a, b in zip(result.theta.w, theta.w))
+    assert all(np.array_equal(a, b)
+               for a, b in zip(result.scores.triplet(), scores.triplet()))
+    assert result.ledger.entries == ledger.entries
+    assert len(touched) == result.privacy.t == 2 * (graph.num_nodes // cfg.batch_nodes)
+    if case == "every_row":
+        assert touched == [graph.num_nodes] * len(touched)
+    elif case == "edgeless":
+        assert touched == [0] * len(touched)
+    else:
+        assert 0 < min(touched) and max(touched) < graph.num_nodes
+
+
+def test_train_matches_serial_dense_step_under_fast_thread_switching(monkeypatch):
+    # the worker and this thread both write V, m and v. With threads switched
+    # every microsecond and a worker that starts each update late, a row
+    # update that the worker overwrites, or one it reads half-written,
+    # breaks bitwise equality
+    import sys
+
+    def late_update(*args, **kwargs):
+        time.sleep(0.01)
+        adam_update(*args, **kwargs)
+
+    monkeypatch.setattr(training, "adam_update", late_update)
+    g, cfg = ring_graph(40), tiny_config(batch_nodes=5, r=16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = train(g, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    theta, _, _ = train_serial(g, cfg)
+    assert np.array_equal(result.theta.v, theta.v)
+
+
+def test_traced_calls_stay_on_the_calling_thread(monkeypatch, tmp_path):
+    # every call a tracer wraps runs on the thread that called train, and the
+    # worker's noise-only update is the one call made elsewhere: it covers
+    # every row of V once per step, so every row is noised on every step
+    g, cfg = ring_graph(20), tiny_config()
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.get_ident(), args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("generate_walk_batch", "_loss_and_gradients", "adam_step",
+                 "perturb_gradient", "accumulate_scores", "save_checkpoint",
+                 "adam_update"):
+        monkeypatch.setattr(training, name, spy(name, getattr(training, name)))
+    monkeypatch.setattr(model.WeightNormalizer, "normalize_",
+                        spy("normalize_", model.WeightNormalizer.normalize_))
+    result = train(g, cfg, run_dir=tmp_path)
+    t, n = result.privacy.t, g.num_nodes
+    main = threading.get_ident()
+    by_name = {}
+    for name, ident, args in calls:
+        by_name.setdefault(name, []).append((ident, args))
+    assert {name for name, _, _ in calls} == {
+        "generate_walk_batch", "_loss_and_gradients", "adam_step",
+        "perturb_gradient", "accumulate_scores", "save_checkpoint",
+        "adam_update", "normalize_"}
+    for name, seen in by_name.items():
+        if name != "adam_update":
+            assert {ident for ident, _ in seen} == {main}, name
+    perturbs = by_name["perturb_gradient"]
+    assert len(perturbs) == t
+    assert all(args[0].size == n * cfg.r for _, args in perturbs)
+    updates = by_name["adam_update"]
+    assert len(updates) == t
+    assert all(ident != main for ident, _ in updates)
+    # adam_update(m, v, p, grad, ...): p is the whole of V, grad the draw
+    assert all(args[2] is result.theta.v and args[3].shape == (n, cfg.r)
+               for _, args in updates)
 
 
 class InlineExecutor:
@@ -193,20 +340,24 @@ def test_train_with_inline_fills_matches_threaded(monkeypatch):
                for a, b in zip(threaded.scores.triplet(), inline.scores.triplet()))
 
 
-def test_train_peak_memory_holds_five_embedding_sized_arrays():
-    # V, its two Adam moments, the one noise buffer and the dense summed
-    # gradient; N * r * 8 bytes dwarfs every batch-sized array here (the
-    # score walks gather batch_nodes * 16 rows of V)
+def test_train_peak_memory_holds_four_embedding_sized_arrays():
+    # V, its two Adam moments and the one noise buffer; no N x r gradient.
+    # The growth of the tracemalloc peak from N to 2N counts the N x r
+    # arrays live at the peak: the Adam scratch blocks are of fixed size, and
+    # the other N-length arrays (the shuffle order, the score keys) add
+    # about 0.2 of one, so a fifth N x r array would read above 5
     import tracemalloc
-    n, cfg = 8000, tiny_config(n_epochs=1, batch_nodes=50, r=32, s=8.0)
-    g = ring_graph(n)
-    tracemalloc.start()
-    try:
-        train(g, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5.5 * n * cfg.r * 8
+    cfg = tiny_config(n_epochs=1, batch_nodes=50, r=32, s=8.0)
+    peaks = []
+    for n in (6000, 12000):
+        g = ring_graph(n)
+        tracemalloc.start()
+        try:
+            train(g, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (6000 * cfg.r * 8) < 4.5
 
 
 def test_train_refuses_per_step_budget_of_one():
@@ -249,7 +400,7 @@ def test_train_handles_dangling_nodes():
 
 def test_accumulate_two_nodes_off_diagonal(rng):
     v = rng.standard_normal((2, 3))
-    scores = ScoreMatrix.zeros(2)
+    scores = ScoreMatrix(2)
     accumulate_scores(v, [0, 1], scores, rng, walk_length=6)
     assert not scores.counts.diagonal().any()
     assert scores.counts.sum() == 2 * 5  # two walks, five transitions each
@@ -258,7 +409,7 @@ def test_accumulate_two_nodes_off_diagonal(rng):
 def test_accumulate_zero_embeddings_uniform(rng):
     # softmax of zeros is uniform over the two non-masked targets
     v = np.zeros((3, 4))
-    scores = ScoreMatrix.zeros(3)
+    scores = ScoreMatrix(3)
     trials = 4000
     for _ in range(trials):
         accumulate_scores(v, [0], scores, rng, walk_length=2)
@@ -277,7 +428,7 @@ def test_accumulate_dominant_pair_chisquare(rng):
     logits[0] = -np.inf
     probs = np.exp(logits - logits.max())
     probs /= probs.sum()
-    scores = ScoreMatrix.zeros(4)
+    scores = ScoreMatrix(4)
     trials = 10_000
     for _ in range(trials):
         accumulate_scores(v, [0], scores, rng, walk_length=2)
@@ -305,7 +456,7 @@ def rare_acceptance_embeddings():
 
 def accumulate_counts(v, starts, rng):
     """counts[u, w] of one accumulate_scores step from each start."""
-    scores = ScoreMatrix.zeros(len(v))
+    scores = ScoreMatrix(len(v))
     accumulate_scores(v, starts, scores, rng, walk_length=2)
     return scores.counts.toarray()
 
@@ -368,7 +519,7 @@ def test_accumulate_matches_masked_softmax_through_fallback(monkeypatch):
 def test_accumulate_never_self_loops_and_counts_every_step(v):
     rng = np.random.default_rng(23)
     starts = rng.integers(len(v), size=40)
-    scores = ScoreMatrix.zeros(len(v))
+    scores = ScoreMatrix(len(v))
     accumulate_scores(v, starts, scores, rng, walk_length=9)
     counts = scores.counts
     assert not counts.diagonal().any()
@@ -383,7 +534,7 @@ def test_score_matrix_matches_scipy_duplicate_sum(seed):
     import scipy.sparse as sp
     gen = np.random.default_rng(seed)
     n = int(gen.integers(2, 60))
-    scores = ScoreMatrix.zeros(n)
+    scores = ScoreMatrix(n)
     rows, cols = [], []
     for step in range(int(gen.integers(1, 30))):
         r = gen.integers(n, size=int(gen.integers(0, 12)))
@@ -408,7 +559,7 @@ def test_score_matrix_matches_scipy_duplicate_sum(seed):
 def test_score_matrix_keys_are_int64_for_int32_indices():
     # 99999 * 100000 overflows int32
     n = 100_000
-    scores = ScoreMatrix.zeros(n)
+    scores = ScoreMatrix(n)
     scores.add(np.array([99_999, 3], dtype=np.int32),
                np.array([5, 99_998], dtype=np.int32))
     rows, cols, counts = scores.triplet()
@@ -421,7 +572,7 @@ def test_score_matrix_keys_are_int64_for_int32_indices():
     ([0, 1], [1]), ([1], [0, 2]), ([-1], [0]), ([0], [-1]), ([5], [0]),
     ([0], [5])])
 def test_score_matrix_rejects_bad_transitions(rows, cols):
-    scores = ScoreMatrix.zeros(5)
+    scores = ScoreMatrix(5)
     with pytest.raises(ValueError):
         scores.add(np.array(rows), np.array(cols))
     assert len(scores.triplet()[2]) == 0
@@ -431,7 +582,7 @@ def test_score_matrix_rejects_bad_transitions(rows, cols):
 def test_accumulate_rejects_non_finite_embeddings(rng, bad):
     v = rng.standard_normal((5, 3))
     v[2, 1] = bad
-    scores = ScoreMatrix.zeros(5)
+    scores = ScoreMatrix(5)
     with pytest.raises(ValueError, match="finite"):
         accumulate_scores(v, np.arange(5), scores, rng,
                           walk_length=2)
