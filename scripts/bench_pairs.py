@@ -119,10 +119,16 @@ def summarize(workload: str, seed: int, runs: list, stats: dict) -> None:
 
 
 def commit(tree: Path) -> str | None:
-    """The checked-out commit of ``tree``, or None outside a git checkout."""
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, text=True,
-                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    return proc.stdout.strip() or None
+    """The checked-out commit of ``tree``, or None unless ``tree`` is the
+    root of a git checkout (a tree unpacked inside another checkout is
+    not)."""
+    proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"],
+                          cwd=tree, text=True, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL)
+    lines = proc.stdout.split()
+    if proc.returncode != 0 or Path(lines[0]).resolve() != tree:
+        return None
+    return lines[1]
 
 
 def host() -> str:
