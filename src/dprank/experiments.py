@@ -25,6 +25,7 @@ from . import __version__
 from .graph import Graph, load_edge_list, write_edge_list, write_id_map
 from .metrics import (EvalReport, build_report, compute_stats, degree_ks,
                       link_prediction_auc, node_classification_f1)
+from .privacy import gdp_epsilon
 from .synthesis import default_target_edges, sample_graph, symmetrize_scores
 from .training import TrainConfig, train
 
@@ -452,6 +453,14 @@ def summarize(directory) -> str:
         if report.get("micro_f1"):
             lines.append(f"  Micro-F1: {report['micro_f1']['mean']:.4f} "
                          f"(std {report['micro_f1']['std']:.4f})")
+        spec = report.get("privacy_spec")
+        if spec:
+            gdp = gdp_epsilon(spec["t"], spec["sigma"], spec["delta"])
+            lines.append(
+                f"  privacy: declared epsilon {spec['epsilon']:g}; the added "
+                f"noise gives epsilon {gdp:.4f} at delta {spec['delta']:g} "
+                f"under Gaussian DP (mu = sqrt(T)/sigma, T={spec['t']}), if "
+                f"S_nabla={spec['s_nabla']:g} is a valid sensitivity")
         if report["warnings"]:
             lines.append("  warnings: " + "; ".join(report["warnings"]))
     return "\n".join(lines)

@@ -12,8 +12,14 @@ from .graph import Graph, WalkBatch
 
 
 def _sigmoid(x):
-    # tanh form: no branch, and no overflow for any finite x
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    """The logistic function of ``x``, in place; returns ``x``."""
+    # tanh form: no branch, and no overflow for any finite x. The operations
+    # of 0.5 * (1.0 + tanh(0.5 * x)), in that order
+    x *= 0.5
+    np.tanh(x, out=x)
+    x += 1.0
+    x *= 0.5
+    return x
 
 
 @dataclass
@@ -79,14 +85,47 @@ class WeightNormalizer:
         return theta
 
 
-def _forward_cached(v_rows: np.ndarray, w: list):
+class Workspace:
+    """Row buffers for the forward and backward pass over at most ``rows``
+    embedding rows, for reuse from one batch to the next.
+
+    One ``rows x d`` activation per hidden layer, the ``rows x 1`` output,
+    and a scratch block of ``rows * max(r, 2d)`` floats. The scratch block
+    ends as the ``U x r`` gradient rows; before that it holds the backward
+    pass's ``U x d`` temporaries (two at the top layer). All are made with
+    ``np.empty``, so only rows that a batch touches become resident.
+    """
+
+    def __init__(self, rows: int, r: int, d: int, depth: int):
+        self.rows = rows
+        self._layers = [np.empty((rows, d)) for _ in range(depth)]
+        self._layers.append(np.empty((rows, 1)))
+        self._scratch = np.empty(rows * max(r, 2 * d))
+
+    def layers(self, u: int) -> list:
+        """The first ``u`` rows of every layer's activation buffer."""
+        if u > self.rows:
+            raise ValueError(f"{u} rows exceed the workspace's {self.rows}")
+        return [buf[:u] for buf in self._layers]
+
+    def scratch(self, u: int, cols: int, block: int = 0) -> np.ndarray:
+        """A C-contiguous ``u x cols`` view of the scratch block, the
+        ``block``-th of that size; reshape raises if it does not fit."""
+        lo = block * u * cols
+        return self._scratch[lo:lo + u * cols].reshape(u, cols)
+
+
+def _forward_cached(v_rows: np.ndarray, w: list, workspace=None):
     """Forward pass for the embedding rows ``v_rows``, keeping every layer's
     input and the final output: ``post[0]`` is ``v_rows``, ``post[l]`` the
-    sigmoid output of layer l."""
+    sigmoid output of layer l, written into the workspace's buffers when
+    one is given and into new arrays otherwise."""
+    outs = (workspace.layers(len(v_rows)) if workspace is not None
+            else [None] * len(w))
     a = v_rows
     post = [a]
-    for wl in w:
-        a = _sigmoid(a @ wl)
+    for wl, out in zip(w, outs):
+        a = _sigmoid(np.matmul(a, wl, out=out))
         post.append(a)
     return a[:, 0], post
 
@@ -145,7 +184,8 @@ def touched_nodes(batch: WalkBatch):
 
 
 def _loss_and_gradients(v_rows: np.ndarray, w: list, batch: WalkBatch,
-                        inverse: np.ndarray, g: Graph, gamma: float):
+                        inverse: np.ndarray, g: Graph, gamma: float,
+                        workspace: Workspace | None = None):
     """Batch loss plus exact analytic gradients wrt the rows V[U] and every
     W_l, from ``v_rows`` = V[U] and ``(U, inverse)`` = :func:`touched_nodes`.
 
@@ -155,6 +195,10 @@ def _loss_and_gradients(v_rows: np.ndarray, w: list, batch: WalkBatch,
     loss touches node u only through f(v_u), so a single weighted backward
     pass per unique node gives both the V rows and the summed weight
     gradients.
+
+    The U-row arrays of both passes live in ``workspace`` (a new one sized
+    to U when none is given), and ``grad_rows`` is a view of it that the
+    next call with the same workspace overwrites.
     """
     grad_w = [np.zeros_like(wl) for wl in w]
     pairs = batch.pairs
@@ -162,10 +206,13 @@ def _loss_and_gradients(v_rows: np.ndarray, w: list, batch: WalkBatch,
         return 0.0, np.zeros_like(v_rows), grad_w
 
     n = g.num_nodes
+    u_rows, (r, d) = len(v_rows), w[0].shape
+    if workspace is None:
+        workspace = Workspace(u_rows, r, d, len(w) - 1)
     i_idx, j_idx = pairs[:, 0], pairs[:, 1]
     inv_i, inv_j = inverse[0::2], inverse[1::2]
 
-    f, post = _forward_cached(v_rows, w)
+    f, post = _forward_cached(v_rows, w, workspace)
     fi, fj = f[inv_i], f[inv_j]
 
     d_out = g.out_degree[i_idx].astype(np.float64)
@@ -177,19 +224,28 @@ def _loss_and_gradients(v_rows: np.ndarray, w: list, batch: WalkBatch,
 
     # dL/df for each edge endpoint, scattered into a per-unique-node weight
     c = 2.0 * d_in * gamma**2 * u + 2.0 * gamma * (1.0 - gamma) / n
-    coef = np.zeros(len(v_rows))
+    coef = np.zeros(u_rows)
     np.add.at(coef, inv_i, c / d_out)
     np.add.at(coef, inv_j, -c / (d_in * gamma))
 
     # weighted reverse pass shared by all edges; sigmoid'(z) = a (1 - a)
-    # with a = sigmoid(z), the layer's cached output
+    # with a = sigmoid(z), the layer's cached output. Below the top, layer
+    # l's delta is written over its activation a once a (1 - a) is taken,
+    # and a (1 - a) over the old delta once delta @ W_l^T is; the top
+    # layer's delta is U x 1, so its a (1 - a) goes to the scratch block
     delta = coef[:, None] * (post[-1] * (1.0 - post[-1]))
     for layer in range(len(w) - 1, -1, -1):
         grad_w[layer] = post[layer].T @ delta
         if layer > 0:
             a = post[layer]
-            delta = (delta @ w[layer].T) * (a * (1.0 - a))
-    return loss, delta @ w[0].T, grad_w
+            back = np.matmul(delta, w[layer].T, out=workspace.scratch(u_rows, d))
+            slope = (delta if delta.shape == a.shape
+                     else workspace.scratch(u_rows, d, block=1))
+            np.subtract(1.0, a, out=slope)
+            slope *= a
+            delta = np.multiply(back, slope, out=a)
+    grad_rows = np.matmul(delta, w[0].T, out=workspace.scratch(u_rows, r))
+    return loss, grad_rows, grad_w
 
 
 def batch_gradients(theta: Theta, batch: WalkBatch, g: Graph, gamma: float):

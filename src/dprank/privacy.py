@@ -78,6 +78,42 @@ def noise_sigma(epsilon: float, delta: float, t: int = 1) -> float:
     return math.sqrt(2.0 * math.log(1.25 * t / delta)) / (epsilon / t)
 
 
+def gdp_epsilon(t: int, sigma: float, delta: float) -> float:
+    """The epsilon at ``delta`` of ``t`` Gaussian steps of noise multiplier
+    ``sigma`` composed under Gaussian DP (Dong, Roth & Su 2019,
+    arXiv:1905.02383): the steps compose to mu = sqrt(t) / sigma, and mu-GDP
+    is (epsilon, delta)-DP for
+
+        delta(epsilon) = Phi(mu/2 - epsilon/mu) - e^epsilon Phi(-mu/2 - epsilon/mu),
+
+    which falls as epsilon grows; epsilon is found by bisection, to about
+    1e-12 relative, and is 0 when delta(0) <= delta already. The figure
+    holds only if each step's noise scale over the sensitivity is ``sigma``.
+    """
+    if t < 1 or not sigma > 0 or not 0.0 < delta < 1.0:
+        raise ValueError("need t >= 1, sigma > 0 and delta in (0, 1)")
+    mu = math.sqrt(t) / sigma
+
+    def phi(x):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    def delta_at(eps):
+        # e^eps * Phi(...) in logs, so that a large mu overflows nothing
+        tail = phi(-mu / 2 - eps / mu)
+        scaled = math.exp(eps + math.log(tail)) if tail > 0.0 else 0.0
+        return phi(mu / 2 - eps / mu) - scaled
+
+    lo, hi = 0.0, 1.0
+    if delta_at(lo) <= delta:
+        return 0.0
+    while delta_at(hi) > delta:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if delta_at(mid) > delta else (lo, mid)
+    return hi
+
+
 @dataclass(frozen=True)
 class RowGradient:
     """The gradient of a ``shape`` matrix that is zero outside ``rows``: row

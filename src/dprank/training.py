@@ -23,8 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .graph import Graph, generate_walk_batch, merge_keyed, row_pointers
-from .model import (AdamState, Theta, WeightNormalizer, _loss_and_gradients,
-                    adam_step, adam_update, init_params, touched_nodes)
+from .model import (AdamState, Theta, WeightNormalizer, Workspace,
+                    _loss_and_gradients, adam_step, adam_update, init_params,
+                    touched_nodes)
 from .privacy import (PrefetchedNoise, PrivacyLedger, PrivacySpec, RowGradient,
                       perturb_gradient)
 
@@ -32,6 +33,7 @@ CHECKPOINT_VERSION = 6
 CHECKPOINT_NAME = "checkpoint.npz"
 INIT_SCALE = 0.1
 PROPOSALS = 16      # rejection-sampler candidates per walker step
+FIRST_PROPOSALS = 4  # of them, scored for every walker before the rest
 
 
 class TrainingDivergedError(RuntimeError):
@@ -123,11 +125,13 @@ class ScoreMatrix:
     and a run that reads its scores once collapses them once. The diagonal
     stays empty (the synthesis target is a simple graph)."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, capacity: int = 0):
         self.num_nodes = n
         self._keys = np.empty(0, dtype=np.int64)      # sorted u * n + v
         self._counts = np.empty(0, dtype=np.float64)
-        self._pending = np.empty(0, dtype=np.int64)   # keys not yet folded in
+        # keys not yet folded in; room for ``capacity`` of them before the
+        # buffer first grows by doubling
+        self._pending = np.empty(capacity, dtype=np.int64)
         self._num_pending = 0
 
     def add(self, rows: np.ndarray, cols: np.ndarray) -> None:
@@ -202,17 +206,21 @@ def accumulate_scores(v: np.ndarray, starts: np.ndarray, scores: ScoreMatrix,
     start nodes are taken, never a data walk, so no pair of the graph can
     reach ``scores`` except through the noised embeddings. From
     node u the step distribution is the softmax of row u of V V^T (diagonal
-    masked out). Every sampled transition (u, w) is appended to ``scores``.
-    Walkers advance in lockstep.
+    masked out). Walkers advance in lockstep, and every sampled transition
+    (u, w) is appended to ``scores`` in one call, step by step.
 
     Each step is an exact rejection sampler (von Neumann 1951): by
     Cauchy-Schwarz, v_u . v_w <= bound_u = |v_u| max_w |v_w|, so a uniform
     candidate w != u accepted with probability exp(v_u . v_w - bound_u) is
-    distributed as the masked softmax. A walker tries ``PROPOSALS``
-    candidates and takes the first accepted one; one that rejects them all
-    draws from its exact softmax row instead, so the transition law is
-    exact at any acceptance rate while a step usually costs O(PROPOSALS * r)
-    rather than O(N * r). Raises ``ValueError`` on non-finite embeddings.
+    distributed as the masked softmax. A walker draws ``PROPOSALS``
+    candidates and their uniforms and takes the first accepted candidate;
+    one that rejects them all draws from its exact softmax row instead, so
+    the transition law is exact at any acceptance rate while a step usually
+    costs O(PROPOSALS * r) rather than O(N * r). Candidates are scored
+    ``FIRST_PROPOSALS`` at a time for every walker, and the rest only for the
+    walkers that rejected those: the first accepted candidate and the draws
+    are those of scoring all of them. Raises ``ValueError`` on non-finite
+    embeddings.
     """
     n = v.shape[0]
     if scores.num_nodes != n:
@@ -223,21 +231,31 @@ def accumulate_scores(v: np.ndarray, starts: np.ndarray, scores: ScoreMatrix,
     if n < 2 or walk_length < 2:
         return scores
     bound = norms * norms.max()
-    current = np.array(starts, dtype=np.int64)
-    for _ in range(walk_length - 1):
+    # path[k] holds every walker's k-th node
+    path = np.empty((walk_length, len(starts)), dtype=np.int64)
+    path[0] = starts
+    walkers = np.arange(len(starts))
+    for step in range(walk_length - 1):
+        current, nxt = path[step], path[step + 1]
         # uniform candidates over the n - 1 nodes other than the walker's own
         cand = rng.integers(n - 1, size=(len(current), PROPOSALS))
         cand += cand >= current[:, None]
-        logits = np.einsum("bkr,br->bk", v[cand], v[current])
-        logits -= bound[current][:, None]
-        accept = rng.random(cand.shape) < np.exp(logits, out=logits)
-        first = accept.argmax(axis=1)
-        nxt = cand[np.arange(len(current)), first]
-        rejected = np.flatnonzero(~accept.any(axis=1))
-        if len(rejected):
-            nxt[rejected] = _softmax_step(v, current[rejected], rng)
-        scores.add(current, nxt)
-        current = nxt
+        uniform = rng.random(cand.shape)
+        # walkers with no accepted candidate yet, in ascending order
+        pending = walkers
+        for lo, hi in ((0, FIRST_PROPOSALS), (FIRST_PROPOSALS, PROPOSALS)):
+            if not len(pending):
+                break
+            tried, at = cand[pending, lo:hi], current[pending]
+            logits = np.einsum("bkr,br->bk", v[tried], v[at])
+            logits -= bound[at][:, None]
+            accept = uniform[pending, lo:hi] < np.exp(logits, out=logits)
+            took = accept.any(axis=1)
+            nxt[pending[took]] = tried[took, accept[took].argmax(axis=1)]
+            pending = pending[~took]
+        if len(pending):
+            nxt[pending] = _softmax_step(v, current[pending], rng)
+    scores.add(path[:-1].ravel(), path[1:].ravel())
     return scores
 
 
@@ -290,6 +308,11 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
     peak four N x r arrays are live: V, its two Adam moments and the noise
     buffer.
 
+    The saved rows and the gradient pass's U-row arrays (a
+    :class:`~dprank.model.Workspace`) are allocated once, for the most rows
+    a batch can touch, and reused on every step; the score matrix reserves
+    the run's exact transition count up front.
+
     ``run_dir`` enables an end-of-epoch checkpoint of the weights,
     ``checkpoint.npz``, overwritten each epoch (see :func:`save_checkpoint`).
     ``trace`` is an optional callable receiving event names, used by audits
@@ -310,11 +333,18 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
 
     rng_init, rng_walk, rng_noise, rng_score, rng_shuffle = _purpose_rngs(cfg.master_seed)
     theta = init_params(n, cfg.r, cfg.d, pspec.min_depth, INIT_SCALE, rng_init)
-    scores = ScoreMatrix(n)
+    # every step appends batch_nodes walks of r_wl - 1 transitions each
+    scores = ScoreMatrix(n, capacity=pspec.t * cfg.batch_nodes * (cfg.r_wl - 1))
     ledger = PrivacyLedger(cfg.epsilon, cfg.delta, pspec.t)
     adam_w = AdamState.for_params(theta.w)
     # V's Adam moments and step count; both threads write the moments
     m_v, s_v, step_v = np.zeros_like(theta.v), np.zeros_like(theta.v), 0
+    # a batch touches at most its starts and r_wl - 1 further nodes per walk.
+    # The step's row buffers are made once for that many rows; np.empty
+    # leaves the rows no batch reaches unbacked
+    max_rows = min(n, cfg.batch_nodes * (1 + cfg.r_wn * (cfg.r_wl - 1)))
+    saved = np.empty((3, max_rows, cfg.r))     # pre-step V, m and v rows
+    workspace = Workspace(max_rows, cfg.r, cfg.d, pspec.min_depth)
 
     # the noise reads neither the data nor the model, so each step's draw is
     # made on a worker thread from the release of the draw before it; leaving
@@ -328,7 +358,10 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
                 starts = order[it * cfg.batch_nodes:(it + 1) * cfg.batch_nodes]
                 batch = generate_walk_batch(g, starts, cfg.r_wn, cfg.r_wl, rng_walk)
                 nodes, inverse = touched_nodes(batch)
-                v_rows, m_rows, s_rows = theta.v[nodes], m_v[nodes], s_v[nodes]
+                v_rows, m_rows, s_rows = saved[:, :len(nodes)]
+                # mode="clip" writes straight into out; the default buffers
+                for full, rows in ((theta.v, v_rows), (m_v, m_rows), (s_v, s_rows)):
+                    np.take(full, nodes, axis=0, out=rows, mode="clip")
                 # from here until the wait in perturb_gradient the worker
                 # updates every row of V, m and v on the noise alone
                 noise.apply(partial(adam_update, m_v, s_v, theta.v,
@@ -337,7 +370,7 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
                 normalizer.normalize_(theta)
                 emit("weights_normalized")
                 loss, grad_rows, grad_w = _loss_and_gradients(
-                    v_rows, theta.w, batch, inverse, g, cfg.gamma)
+                    v_rows, theta.w, batch, inverse, g, cfg.gamma, workspace)
                 emit("gradients_computed")
                 if not (np.isfinite(loss)
                         and np.isfinite(grad_rows).all()
@@ -361,9 +394,8 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
                 adam_step(row_state, [v_rows], [noisy_rows], cfg.eta)
                 theta.v[nodes], m_v[nodes], s_v[nodes] = v_rows, m_rows, s_rows
                 step_v = row_state.step
-                # the row buffers die with the step, so two steps' rows are
-                # never live at once
-                del v_rows, m_rows, s_rows, grad_rows, noisy_rows
+                # the step's one new U x r array; the rest are reused
+                del noisy_rows
                 emit("v_updated")
                 ledger.record(eps_t, delta_t)
                 accumulate_scores(theta.v, starts, scores, rng_score,

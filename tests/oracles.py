@@ -403,3 +403,75 @@ def train_serial(g, cfg):
             accumulate_scores(theta.v, starts, scores, rng_score,
                               walk_length=cfg.r_wl)
     return theta, scores, ledger
+
+
+# ------------------------------------------------- single-stage walk sampler
+# accumulate_scores as it was before it scored its proposals in two stages:
+# every walker's PROPOSALS candidates scored at once, one ScoreMatrix.add per
+# walk step. The two-stage sampler must reproduce its scores and leave the
+# generator where it leaves it.
+
+def accumulate_scores_single_stage(v, starts, scores, rng, walk_length,
+                                   proposals, first):
+    """Fill ``scores`` as the single-stage sampler does and return how many
+    walker steps accepted a candidate among the ``first`` of ``proposals``,
+    among the rest, and in none (the exact-row fallback)."""
+    n = v.shape[0]
+    norms = np.sqrt(np.einsum("ij,ij->i", v, v))
+    bound = norms * norms.max()
+    current = np.array(starts, dtype=np.int64)
+    stages = {"first": 0, "rest": 0, "fallback": 0}
+    for _ in range(walk_length - 1):
+        cand = rng.integers(n - 1, size=(len(current), proposals))
+        cand += cand >= current[:, None]
+        logits = np.einsum("bkr,br->bk", v[cand], v[current])
+        logits -= bound[current][:, None]
+        accept = rng.random(cand.shape) < np.exp(logits, out=logits)
+        pick = accept.argmax(axis=1)
+        nxt = cand[np.arange(len(current)), pick]
+        rejected = np.flatnonzero(~accept.any(axis=1))
+        if len(rejected):
+            nxt[rejected] = inverse_cdf_step(v, current[rejected], rng)
+        stages["fallback"] += len(rejected)
+        stages["first"] += int(np.sum(accept[:, :first].any(axis=1)))
+        stages["rest"] += int(np.sum(pick >= first))
+        scores.add(current, nxt)
+        current = nxt
+    return stages
+
+
+# ------------------------------------------------------- allocating gradient
+# The forward and backward pass as they ran before they wrote into a reused
+# workspace: a new array for every layer and every temporary. The workspace
+# pass runs the same operations in the same order, so it must give the same
+# bits.
+
+def loss_and_gradients_allocating(v_rows, w, pairs, inverse, g, gamma):
+    """``(loss, grad_rows, grad_w)`` as ``model._loss_and_gradients``."""
+    def sigmoid(x):
+        return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+    post = [v_rows]
+    for wl in w:
+        post.append(sigmoid(post[-1] @ wl))
+    f = post[-1][:, 0]
+    n = g.num_nodes
+    inv_i, inv_j = inverse[0::2], inverse[1::2]
+    d_out = g.out_degree[pairs[:, 0]].astype(np.float64)
+    d_in = g.in_degree[pairs[:, 1]].astype(np.float64)
+    u = f[inv_i] / d_out - f[inv_j] / (d_in * gamma)
+    loss = float(np.sum(d_in * gamma**2 * u**2
+                        + u * 2.0 * gamma * (1.0 - gamma) / n
+                        + (1.0 - gamma)**2 / (d_in * n**2)))
+    c = 2.0 * d_in * gamma**2 * u + 2.0 * gamma * (1.0 - gamma) / n
+    coef = np.zeros(len(v_rows))
+    np.add.at(coef, inv_i, c / d_out)
+    np.add.at(coef, inv_j, -c / (d_in * gamma))
+    grad_w = [None] * len(w)
+    delta = coef[:, None] * (post[-1] * (1.0 - post[-1]))
+    for layer in range(len(w) - 1, -1, -1):
+        grad_w[layer] = post[layer].T @ delta
+        if layer > 0:
+            a = post[layer]
+            delta = (delta @ w[layer].T) * (a * (1.0 - a))
+    return loss, delta @ w[0].T, grad_w

@@ -16,6 +16,7 @@ from dprank.experiments import (ConfigError, ExperimentConfig, SWEEP_COLUMNS,
                                 derive_seed, load_labels, run_eval, run_sweep,
                                 run_synth)
 from dprank.graph import from_edges, write_edge_list
+from dprank.privacy import gdp_epsilon
 
 
 @pytest.fixture
@@ -276,6 +277,16 @@ def test_cli_synth_and_eval_and_report(small_dataset, tmp_path, capsys):
     assert main(["report", "--dir", str(out_dir)]) == 0
     printed = capsys.readouterr().out
     assert "triangle_count" in printed
+    # the epsilon that the added noise buys, beside the declared one
+    report = json.loads((out_dir / "eval_report.json").read_text())
+    (entry,) = report["per_epsilon"].values()
+    spec = entry["privacy_spec"]
+    gdp = gdp_epsilon(spec["t"], spec["sigma"], spec["delta"])
+    assert 0 < gdp < spec["epsilon"]
+    assert (f"declared epsilon {spec['epsilon']:g}; the added noise gives "
+            f"epsilon {gdp:.4f} at delta {spec['delta']:g} under Gaussian DP"
+            in printed)
+    assert f"if S_nabla={spec['s_nabla']:g} is a valid sensitivity" in printed
 
 
 def test_cli_eval_without_downstream_ignores_the_manifest(small_dataset,

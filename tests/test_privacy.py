@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from dprank.privacy import (PrefetchedNoise, PrivacyLedger,
                             PrivacyOverdraftError, PrivacySpec, RowGradient,
-                            compute_m, min_layers, noise_sigma,
-                            perturb_gradient)
+                            compute_m, gdp_epsilon, min_layers,
+                            noise_sigma, perturb_gradient)
 
 
 # ------------------------------------------------------------- constant M
@@ -97,6 +97,40 @@ def test_sigma_warns_on_large_per_iteration_budget():
 def test_sigma_silent_in_small_budget_regime(recwarn):
     noise_sigma(3.2, 1e-5, 845)
     assert not any(isinstance(w.message, RuntimeWarning) for w in recwarn.list)
+
+
+def hockey_stick_delta(mu, eps, points=400_001):
+    """delta(eps) of N(0, 1) against N(mu, 1) by quadrature of
+    max(0, p_mu(x) - e^eps p_0(x)) on a grid, nothing in closed form."""
+    x = np.linspace(-12.0, 12.0 + mu, points)
+    p0 = np.exp(-x**2 / 2) / math.sqrt(2 * math.pi)
+    p_mu = np.exp(-(x - mu)**2 / 2) / math.sqrt(2 * math.pi)
+    return float(np.trapezoid(np.maximum(p_mu - math.exp(eps) * p0, 0.0), x))
+
+
+def test_gdp_epsilon_at_the_reference_matches_brute_force_delta():
+    # the reference run: T = 845 steps at sigma = 1605, delta = 1e-5
+    spec = PrivacySpec.derive(epsilon=3.2, delta=1e-5, s=8.0, s_nabla=5.0,
+                              t=845, num_nodes=2708, gamma=0.85,
+                              batch_pairs=480)
+    eps = gdp_epsilon(spec.t, spec.sigma, spec.delta)
+    assert eps == pytest.approx(0.053, abs=1e-3)
+    mu = math.sqrt(spec.t) / spec.sigma
+    assert hockey_stick_delta(mu, eps) == pytest.approx(1e-5, rel=1e-4)
+    # delta(eps) falls through 1e-5 at eps, and not before
+    assert hockey_stick_delta(mu, eps - 1e-3) > 1.1e-5
+    assert hockey_stick_delta(mu, eps + 1e-3) < 0.9e-5
+
+
+def test_gdp_epsilon_edges():
+    # delta(0) = 2 Phi(mu/2) - 1 is below delta: no epsilon is needed
+    assert gdp_epsilon(1, 1e6, 1e-3) == 0.0
+    # a large mu needs a large epsilon, and nothing overflows on the way
+    assert gdp_epsilon(10_000, 1.0, 1e-5) > 1000
+    assert gdp_epsilon(4, 2.0, 1e-5) < gdp_epsilon(9, 2.0, 1e-5)
+    for bad in [(0, 1.0, 1e-5), (1, 0.0, 1e-5), (1, 1.0, 0.0), (1, 1.0, 1.0)]:
+        with pytest.raises(ValueError):
+            gdp_epsilon(*bad)
 
 
 def test_sigma_rejects_bad_inputs():

@@ -15,8 +15,8 @@ from dprank.model import adam_step, adam_update
 from dprank.privacy import PrefetchedNoise, RowGradient, perturb_gradient
 from dprank.training import (ScoreMatrix, TrainConfig, TrainingDivergedError,
                              accumulate_scores, train)
-from oracles import (inverse_cdf_step, masked_softmax_probs,
-                     rejection_acceptance, train_serial)
+from oracles import (accumulate_scores_single_stage, inverse_cdf_step,
+                     masked_softmax_probs, rejection_acceptance, train_serial)
 
 
 def tiny_config(**overrides):
@@ -139,7 +139,7 @@ def test_train_aborts_on_nonfinite(monkeypatch):
         adam_update(*args, **kwargs)
         update_done.append(True)
 
-    def bad_loss(v_rows, w, batch, inverse, graph, gamma):
+    def bad_loss(v_rows, w, batch, inverse, graph, gamma, workspace):
         # the abort comes while the worker's noise-only update is running
         assert update_started.wait(5.0)
         gw = [np.zeros_like(wl) for wl in w]
@@ -166,7 +166,8 @@ def test_noise_stream_is_consumed_in_order(monkeypatch):
 
     def spy_perturb(grad, s_nabla, sigma, batch_size, rng):
         out = perturb_gradient(grad, s_nabla, sigma, batch_size, rng)
-        steps.append((grad, out))
+        # the gradient rows live in a buffer that the next step overwrites
+        steps.append((grad, grad.values.copy(), out))
         return out
 
     monkeypatch.setattr(training, "perturb_gradient", spy_perturb)
@@ -175,11 +176,11 @@ def test_noise_stream_is_consumed_in_order(monkeypatch):
     replay = np.random.default_rng(noise_seed)
     scale = cfg.s_nabla * result.privacy.sigma
     assert len(steps) == result.privacy.t
-    for grad, out in steps:
+    for grad, values, out in steps:
         assert isinstance(grad, RowGradient) and grad.shape == (20, cfg.r)
         assert len(grad.rows) > 0
         noise = replay.normal(0.0, scale, (20, cfg.r))
-        assert np.array_equal(out, (grad.values + noise[grad.rows])
+        assert np.array_equal(out, (values + noise[grad.rows])
                               / cfg.nominal_batch_pairs())
 
 
@@ -360,6 +361,44 @@ def test_train_peak_memory_holds_four_embedding_sized_arrays():
     assert (peaks[1] - peaks[0]) / (6000 * cfg.r * 8) < 4.5
 
 
+def test_train_step_peak_stays_near_the_step_boundary(monkeypatch):
+    # the step's row buffers are made before the first step and reused, so
+    # from the second step on a step allocates only the perturbed rows, Adam's
+    # scratch blocks and the sampler's candidates: a few U x r arrays above
+    # what is live between steps, where a step that allocated its rows, its
+    # 23 layers' activations and their temporaries anew went above ten
+    import tracemalloc
+    from dprank.datasets import citation_benchmark_graph
+    g = citation_benchmark_graph(1000, 2100, seed=4)
+    cfg = TrainConfig(n_epochs=1, batch_nodes=32, r_wn=2, r_wl=8, r=128,
+                      d=32, s=2.0, master_seed=3)
+    assert cfg.privacy_spec(1000).min_depth == 23
+    touched, marks = [], []
+
+    def spy_perturb(grad, *args):
+        touched.append(len(grad.rows))
+        return perturb_gradient(grad, *args)
+
+    def mark(event):
+        # between a step's V update and the next step's, the traced current
+        # and peak memory
+        if event == "v_updated":
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+
+    monkeypatch.setattr(training, "perturb_gradient", spy_perturb)
+    tracemalloc.start()
+    try:
+        train(g, cfg, trace=mark)
+    finally:
+        tracemalloc.stop()
+    assert len(marks) == len(touched) == 31
+    row_bytes = cfg.r * 8
+    for k in range(1, len(marks)):
+        above = marks[k][1] - marks[k - 1][0]
+        assert above < 4 * touched[k] * row_bytes, (k, above / (touched[k] * row_bytes))
+
+
 def test_train_refuses_per_step_budget_of_one():
     # ring 12, batch 4, one epoch: T = 3
     g = ring_graph(12)
@@ -524,6 +563,31 @@ def test_accumulate_never_self_loops_and_counts_every_step(v):
     counts = scores.counts
     assert not counts.diagonal().any()
     assert counts.sum() == len(starts) * (9 - 1)
+
+
+@pytest.mark.parametrize("batch", [1, 16, 64])
+@pytest.mark.parametrize("scale, stage", [(1, "first"), (3, "rest"),
+                                          (10, "fallback")])
+def test_accumulate_matches_single_stage_sampler(scale, stage, batch):
+    # scoring 4 proposals for every walker and the other 12 only for walkers
+    # that rejected those gives the scores and leaves the generator as
+    # scoring all 16 at once does. Scale 1 is accepted among the first 4,
+    # scale 3 often only among the rest, scale 10 falls back to the exact row
+    n, r = 60, 128
+    v = scale * 0.15 * np.sqrt(6 / r) * np.random.default_rng(5).standard_normal((n, r))
+    starts = np.random.default_rng(batch).integers(n, size=batch)
+    two_stage, single_stage = ScoreMatrix(n), ScoreMatrix(n)
+    rng_a = np.random.default_rng(100 * scale + batch)
+    rng_b = np.random.default_rng(100 * scale + batch)
+    accumulate_scores(v, starts, two_stage, rng_a, walk_length=8)
+    stages = accumulate_scores_single_stage(v, starts, single_stage, rng_b, 8,
+                                            training.PROPOSALS,
+                                            training.FIRST_PROPOSALS)
+    assert sum(stages.values()) == batch * 7
+    assert stages[stage] > 0
+    assert all(np.array_equal(a, b)
+               for a, b in zip(two_stage.triplet(), single_stage.triplet()))
+    assert np.array_equal(rng_a.random(4), rng_b.random(4))
 
 
 @pytest.mark.parametrize("seed", range(5))
