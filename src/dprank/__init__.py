@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .graph import (Graph, WalkBatch, from_edges, generate_walk_batch,
-                    load_edge_list, pagerank_exact, write_edge_list)
+                    load_edge_list, write_edge_list)
 from .model import (AdamState, Theta, adam_step, batch_gradients, edge_loss,
                     forward, full_objective, init_params, spectral_norm,
                     weight_normalize)
@@ -19,7 +19,7 @@ from .training import (ScoreMatrix, TrainConfig, TrainResult, accumulate_scores,
 __all__ = [
     "__version__",
     "Graph", "WalkBatch", "from_edges", "generate_walk_batch",
-    "load_edge_list", "pagerank_exact", "write_edge_list",
+    "load_edge_list", "write_edge_list",
     "AdamState", "Theta", "adam_step", "batch_gradients", "edge_loss",
     "forward", "full_objective", "init_params", "spectral_norm",
     "weight_normalize",

@@ -1,4 +1,4 @@
-"""Directed simple graphs: ingestion, degrees, random walks, exact PageRank."""
+"""Directed simple graphs: ingestion, degrees and random walks."""
 
 from __future__ import annotations
 
@@ -253,24 +253,3 @@ def generate_walk_batch(g: Graph, node_list, r_wn: int, r_wl: int,
                      batch_size=len(starts) * r_wn * (r_wl - 1),
                      starts=starts)
 
-
-def pagerank_exact(g: Graph, gamma: float = 0.85) -> np.ndarray:
-    """Exact PageRank by one sparse linear solve.
-
-    PR_j = gamma * (sum_{i in P_j} PR_i / d_i^out + D / N) + (1 - gamma) / N,
-    where D is the rank mass on dangling nodes (out-degree 0), spread
-    uniformly. Every term but gamma * P^T PR is the same constant for all j,
-    so PR is proportional to x = (I - gamma P^T)^{-1} 1/N, and normalizing x
-    to sum 1 supplies the dangling mass.
-    """
-    # imported here so that the CLI, which never calls this, loads no scipy
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import spsolve
-
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("damping factor must lie in (0, 1)")
-    n = g.num_nodes
-    src, dst = g.edges[:, 0], g.edges[:, 1]
-    p_t = sp.csc_array((1.0 / g.out_degree[src], (dst, src)), shape=(n, n))
-    x = spsolve(sp.identity(n, format="csc") - gamma * p_t, np.full(n, 1.0 / n))
-    return x / x.sum()

@@ -338,15 +338,12 @@ class PrivacyLedger:
     epsilon: float
     delta: float
     t: int
-    entries: list = field(default_factory=list)
+    entries: list = field(default_factory=list, init=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and math.isfinite(self.delta)):
             raise ValueError("declared budget must be finite")
         self._eps_partials, self._delta_partials = [], []
-        for eps_t, delta_t in self.entries:
-            _add_exact(self._eps_partials, eps_t)
-            _add_exact(self._delta_partials, delta_t)
 
     def record(self, eps_t: float, delta_t: float) -> None:
         if not (math.isfinite(eps_t) and math.isfinite(delta_t)):

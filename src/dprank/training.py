@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, generate_walk_batch, merge_keyed, row_pointers
+from .graph import Graph, generate_walk_batch, merge_keyed
 from .model import (AdamState, Theta, WeightNormalizer, Workspace,
                     _loss_and_gradients, adam_step, adam_update, init_params,
                     touched_nodes)
@@ -182,20 +182,11 @@ class ScoreMatrix:
         rows, cols = np.divmod(self._keys, self.num_nodes)
         return rows, cols, self._counts
 
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(data, indices, indptr)`` of the counts as a canonical CSR
-        matrix with int64 indices."""
-        rows, cols, data = self.triplet()
-        return data, cols, row_pointers(rows, self.num_nodes)
-
     @property
-    def counts(self):
-        """The transition counts as a ``scipy.sparse`` CSR array, for
-        callers outside the pipeline; scipy is imported on first use."""
-        import scipy.sparse as sp
-
-        n = self.num_nodes
-        return sp.csr_array(self.csr(), shape=(n, n))
+    def counts(self) -> np.ndarray:
+        """The count of every distinct recorded pair, the counts column of
+        :meth:`triplet`."""
+        return self.triplet()[2]
 
 
 def accumulate_scores(v: np.ndarray, starts: np.ndarray, scores: ScoreMatrix,
@@ -285,7 +276,7 @@ def _purpose_rngs(master_seed: int):
             np.random.default_rng(shuffle))
 
 
-def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
+def train(g: Graph, cfg: TrainConfig, run_dir=None) -> TrainResult:
     """Run the full private training loop on ``g``.
 
     Per inner iteration: build the node list, generate the walk batch,
@@ -315,13 +306,7 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
 
     ``run_dir`` enables an end-of-epoch checkpoint of the weights,
     ``checkpoint.npz``, overwritten each epoch (see :func:`save_checkpoint`).
-    ``trace`` is an optional callable receiving event names, used by audits
-    of the iteration order.
     """
-    def emit(event):
-        if trace is not None:
-            trace(event)
-
     cfg.validate()
     n = g.num_nodes
     pspec = cfg.privacy_spec(n)
@@ -368,10 +353,8 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
                                     t=step_v + 1, eta=cfg.eta,
                                     divisor=b_nominal))
                 normalizer.normalize_(theta)
-                emit("weights_normalized")
                 loss, grad_rows, grad_w = _loss_and_gradients(
                     v_rows, theta.w, batch, inverse, g, cfg.gamma, workspace)
-                emit("gradients_computed")
                 if not (np.isfinite(loss)
                         and np.isfinite(grad_rows).all()
                         and all(np.isfinite(gw).all() for gw in grad_w)):
@@ -379,14 +362,12 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
 
                 theta.w = adam_step(adam_w, theta.w,
                                     [gw / b_nominal for gw in grad_w], cfg.eta)
-                emit("w_updated")
                 noisy_rows = perturb_gradient(
                     RowGradient(nodes, grad_rows, theta.v.shape), cfg.s_nabla,
                     pspec.sigma, b_nominal, noise)
                 # the worker is done with this draw and nothing reads it
                 # again: the next step's draw fills the same buffer from here
                 noise.release()
-                emit("v_grad_perturbed")
                 # only perturbed rows ever reach the embedding optimizer; its
                 # rows are recomputed from their pre-step state and written
                 # over the worker's noise-only values
@@ -396,7 +377,6 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None, trace=None) -> TrainResult:
                 step_v = row_state.step
                 # the step's one new U x r array; the rest are reused
                 del noisy_rows
-                emit("v_updated")
                 ledger.record(eps_t, delta_t)
                 accumulate_scores(theta.v, starts, scores, rng_score,
                                   walk_length=cfg.r_wl)

@@ -9,25 +9,7 @@ import itertools
 from collections import deque
 
 import numpy as np
-
-
-def pagerank_dense(num_nodes, edges, gamma, iters=200):
-    """Dense power iteration on the explicit Google-style matrix with uniform
-    redistribution of dangling mass."""
-    n = num_nodes
-    p = np.zeros((n, n))
-    out_deg = np.zeros(n)
-    for u, _ in edges:
-        out_deg[u] += 1
-    for u, v in edges:
-        p[v, u] += 1.0 / out_deg[u]
-    for u in range(n):
-        if out_deg[u] == 0:
-            p[:, u] = 1.0 / n
-    pr = np.full(n, 1.0 / n)
-    for _ in range(iters):
-        pr = gamma * (p @ pr) + (1.0 - gamma) / n
-    return pr
+import scipy.sparse as sp
 
 
 def undirected_simplify(edges):
@@ -254,6 +236,14 @@ def walk_pair_budget(num_starts, r_wn, r_wl):
         for _ in range(r_wn):
             total += r_wl - 1
     return total
+
+
+def score_csr(scores):
+    """The transition counts of a ``ScoreMatrix`` as a canonical scipy CSR
+    array, by one COO -> CSR conversion of its triplet."""
+    rows, cols, counts = scores.triplet()
+    n = scores.num_nodes
+    return sp.coo_array((counts, (rows, cols)), shape=(n, n)).tocsr()
 
 
 # ----------------------------------------------------------- dense synthesis

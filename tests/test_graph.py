@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dprank.graph import (EdgeListParseError, from_edges, generate_walk_batch,
-                          load_edge_list, pagerank_exact, unique_pairs,
-                          write_edge_list)
+                          load_edge_list, unique_pairs, write_edge_list)
 from dprank.metrics import undirected_edges
 
 import oracles
@@ -202,44 +201,3 @@ def test_walk_rejects_bad_arguments(two_cycle, rng):
         generate_walk_batch(two_cycle, [0], 1, 1, rng)
     with pytest.raises(IndexError):
         generate_walk_batch(two_cycle, [5], 1, 3, rng)
-
-
-# --------------------------------------------------------------- pagerank
-
-def test_pagerank_two_cycle(two_cycle):
-    assert np.allclose(pagerank_exact(two_cycle, 0.85), [0.5, 0.5], atol=1e-12)
-
-
-def test_pagerank_three_cycle(three_cycle):
-    pr = pagerank_exact(three_cycle, 0.85)
-    assert np.allclose(pr, [1 / 3] * 3, atol=1e-12)
-
-
-def test_pagerank_dangling_matches_dense_oracle():
-    g = from_edges(2, [(0, 1)])
-    expected = oracles.pagerank_dense(2, [(0, 1)], gamma=0.85, iters=200)
-    pr = pagerank_exact(g, 0.85)
-    assert np.allclose(pr, expected, atol=1e-10)
-
-
-def test_pagerank_random_graphs_match_oracle(rng):
-    from conftest import random_graph
-    for _ in range(15):
-        g = random_graph(rng, max_nodes=20)
-        expected = oracles.pagerank_dense(g.num_nodes,
-                                          [tuple(e) for e in g.edges],
-                                          gamma=0.85, iters=400)
-        pr = pagerank_exact(g, 0.85)
-        assert np.allclose(pr, expected, atol=1e-9)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.floats(0.05, 0.95))
-def test_pagerank_sums_to_one_and_positive(seed, gamma):
-    gen = np.random.default_rng(seed)
-    from conftest import random_graph
-    g = random_graph(gen, max_nodes=25, allow_empty=True)
-    pr = pagerank_exact(g, gamma)
-    assert abs(pr.sum() - 1.0) < 1e-9
-    assert (pr > 0).all()
-

@@ -389,7 +389,8 @@ def test_ledger_exact_sum_survives_cancellation_and_overflow():
     for eps_t in (1e308, 1.0, -1e308, 1e-300):
         ledger.record(eps_t, 0.0)
     assert ledger.spent()[0] == math.fsum([1e308, 1.0, -1e308, 1e-300]) == 1.0
-    ledger = PrivacyLedger(epsilon=1.0, delta=0.5, t=3, entries=[(-1e308, 0.0)])
+    ledger = PrivacyLedger(epsilon=1.0, delta=0.5, t=3)
+    ledger.record(-1e308, 0.0)
     ledger.record(-1e308, 0.0)
     with pytest.raises(OverflowError):
         ledger.spent()

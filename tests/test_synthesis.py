@@ -11,7 +11,7 @@ from dprank.synthesis import (_coverage_edges, default_target_edges,
                               symmetrize_scores)
 from dprank.training import ScoreMatrix
 from oracles import (default_target_edges_dense, sample_graph_dense,
-                     symmetrize_scores_dense)
+                     score_csr, symmetrize_scores_dense)
 
 
 def as_dense(s_sym):
@@ -252,7 +252,7 @@ def test_sparse_synthesis_matches_dense_oracle_on_score_matrix(seed):
     for _ in range(int(gen.integers(40, 80))):
         current = gen.integers(n, size=8)
         scores.add(current, (current + gen.integers(1, 6, size=8)) % n)
-    dense = scores.counts.toarray()
+    dense = score_csr(scores).toarray()
     target = default_target_edges(scores)
     assert target == default_target_edges_dense(dense)
     expected = sample_graph_dense(dense, target, np.random.default_rng(seed))

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +16,13 @@ import dprank.model as model
 import dprank.training as training
 from dprank.graph import from_edges
 from dprank.model import adam_step, adam_update
-from dprank.privacy import PrefetchedNoise, RowGradient, perturb_gradient
+from dprank.privacy import (PrefetchedNoise, PrivacyLedger, RowGradient,
+                            perturb_gradient)
 from dprank.training import (ScoreMatrix, TrainConfig, TrainingDivergedError,
                              accumulate_scores, train)
 from oracles import (accumulate_scores_single_stage, inverse_cdf_step,
-                     masked_softmax_probs, rejection_acceptance, train_serial)
+                     masked_softmax_probs, rejection_acceptance, score_csr,
+                     train_serial)
 
 
 def tiny_config(**overrides):
@@ -30,6 +36,27 @@ def ring_graph(n):
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)], symmetrize=True)
 
 
+def record_events(monkeypatch, on_event):
+    """Call ``on_event`` as each stage of a training step returns, with its
+    name: weights_normalized, gradients_computed, w_updated,
+    v_grad_perturbed and v_updated."""
+    def after(owner, name, event):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            on_event(event(args) if callable(event) else event)
+            return out
+        monkeypatch.setattr(owner, name, wrapper)
+
+    after(model.WeightNormalizer, "normalize_", "weights_normalized")
+    after(training, "_loss_and_gradients", "gradients_computed")
+    # the embedding update is the call whose parameter list is V's rows alone
+    after(training, "adam_step",
+          lambda args: "v_updated" if len(args[1]) == 1 else "w_updated")
+    after(training, "perturb_gradient", "v_grad_perturbed")
+
+
 # ----------------------------------------------------------- end to end
 
 def test_train_deterministic(tmp_path):
@@ -40,16 +67,17 @@ def test_train_deterministic(tmp_path):
     for b in (train(g, cfg), train(g, cfg, run_dir=tmp_path)):
         assert np.array_equal(a.theta.v, b.theta.v)
         assert all(np.array_equal(x, y) for x, y in zip(a.theta.w, b.theta.w))
-        assert np.array_equal(a.scores.counts.toarray(),
-                              b.scores.counts.toarray())
+        assert np.array_equal(score_csr(a.scores).toarray(),
+                              score_csr(b.scores).toarray())
         assert a.ledger.entries == b.ledger.entries
 
 
-def test_train_runs_exactly_t_iterations():
+def test_train_runs_exactly_t_iterations(monkeypatch):
     g = ring_graph(20)
     cfg = tiny_config()
     events = []
-    result = train(g, cfg, trace=events.append)
+    record_events(monkeypatch, events.append)
+    result = train(g, cfg)
     t = cfg.iterations(20)
     assert t == 2 * (20 // 4)
     assert len(result.ledger.entries) == t
@@ -65,11 +93,12 @@ def test_train_drops_leftover_nodes():
     assert len(result.ledger.entries) == 6
 
 
-def test_train_iteration_event_order():
+def test_train_iteration_event_order(monkeypatch):
     g = ring_graph(12)
     cfg = tiny_config(n_epochs=1, epsilon=2.0)  # epsilon/T = 2/3
     events = []
-    train(g, cfg, trace=events.append)
+    record_events(monkeypatch, events.append)
+    train(g, cfg)
     per_iter = ["weights_normalized", "gradients_computed", "w_updated",
                 "v_grad_perturbed", "v_updated"]
     assert events == per_iter * (12 // 4)
@@ -379,17 +408,21 @@ def test_train_step_peak_stays_near_the_step_boundary(monkeypatch):
         touched.append(len(grad.rows))
         return perturb_gradient(grad, *args)
 
-    def mark(event):
-        # between a step's V update and the next step's, the traced current
-        # and peak memory
-        if event == "v_updated":
-            marks.append(tracemalloc.get_traced_memory())
-            tracemalloc.reset_peak()
+    record = PrivacyLedger.record
+
+    def mark(ledger, *args):
+        # a step records its budget once its V rows are written back and its
+        # perturbed rows freed: between a step's V update and the next
+        # step's, the traced current and peak memory
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return record(ledger, *args)
 
     monkeypatch.setattr(training, "perturb_gradient", spy_perturb)
+    monkeypatch.setattr(PrivacyLedger, "record", mark)
     tracemalloc.start()
     try:
-        train(g, cfg, trace=mark)
+        train(g, cfg)
     finally:
         tracemalloc.stop()
     assert len(marks) == len(touched) == 31
@@ -417,7 +450,7 @@ def test_train_rejects_oversized_batch():
 def test_score_matrix_stays_clean():
     g = ring_graph(16)
     result = train(g, tiny_config())
-    counts = result.scores.counts.toarray()
+    counts = score_csr(result.scores).toarray()
     assert (counts >= 0).all()
     assert not np.diag(counts).any()
     assert counts.sum() > 0
@@ -435,13 +468,55 @@ def test_train_handles_dangling_nodes():
     assert result.scores.counts.sum() > 0
 
 
+# trains a ring in a fresh interpreter with every scipy import failing and
+# prints the scores' counts, their triplet's counts column and whether a
+# scipy module got loaded
+SCORES_CHILD = """
+import json, sys
+sys.modules["scipy"] = None
+from dprank.graph import from_edges
+from dprank.training import TrainConfig, train
+n = 20
+g = from_edges(n, [(i, (i + 1) % n) for i in range(n)], symmetrize=True)
+result = train(g, TrainConfig(**json.loads(sys.argv[1])))
+counts = result.scores.counts
+print(json.dumps({"counts": counts.tolist(), "dtype": str(counts.dtype),
+                  "triplet": result.scores.triplet()[2].tolist(),
+                  "t": result.privacy.t,
+                  "scipy": any(m.split(".")[0] == "scipy"
+                               and sys.modules[m] is not None
+                               for m in sys.modules)}))
+"""
+
+
+def test_score_counts_need_no_scipy():
+    # the two figures bench/traced.py reads from the scores, their sum and
+    # their nonzero count, come from numpy alone
+    cfg = tiny_config()
+    src = str(Path(training.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", SCORES_CHILD, json.dumps(cfg.to_dict())],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    counts = np.array(out["counts"])
+    assert not out["scipy"]
+    assert out["dtype"] == "float64"
+    assert np.array_equal(counts, out["triplet"])
+    assert out["t"] == cfg.iterations(20)
+    assert counts.sum() == out["t"] * cfg.batch_nodes * (cfg.r_wl - 1)
+    assert (counts != 0).sum() == len(out["triplet"])
+
+
 # ------------------------------------------------------ score accumulation
 
 def test_accumulate_two_nodes_off_diagonal(rng):
     v = rng.standard_normal((2, 3))
     scores = ScoreMatrix(2)
     accumulate_scores(v, [0, 1], scores, rng, walk_length=6)
-    assert not scores.counts.diagonal().any()
+    assert not score_csr(scores).diagonal().any()
     assert scores.counts.sum() == 2 * 5  # two walks, five transitions each
 
 
@@ -452,7 +527,7 @@ def test_accumulate_zero_embeddings_uniform(rng):
     trials = 4000
     for _ in range(trials):
         accumulate_scores(v, [0], scores, rng, walk_length=2)
-    counts = scores.counts.toarray()[0]
+    counts = score_csr(scores).toarray()[0]
     assert counts.sum() == trials
     # 3-sigma binomial band around p = 1/2
     sigma = np.sqrt(trials * 0.25)
@@ -471,7 +546,7 @@ def test_accumulate_dominant_pair_chisquare(rng):
     trials = 10_000
     for _ in range(trials):
         accumulate_scores(v, [0], scores, rng, walk_length=2)
-    observed = scores.counts.toarray()[0]
+    observed = score_csr(scores).toarray()[0]
     expected = probs * trials
     chi2 = np.sum((observed[1:] - expected[1:]) ** 2 / expected[1:])
     # chi-square with 2 dof, 1% critical value
@@ -497,7 +572,7 @@ def accumulate_counts(v, starts, rng):
     """counts[u, w] of one accumulate_scores step from each start."""
     scores = ScoreMatrix(len(v))
     accumulate_scores(v, starts, scores, rng, walk_length=2)
-    return scores.counts.toarray()
+    return score_csr(scores).toarray()
 
 
 def oracle_counts(v, starts, rng):
@@ -560,7 +635,7 @@ def test_accumulate_never_self_loops_and_counts_every_step(v):
     starts = rng.integers(len(v), size=40)
     scores = ScoreMatrix(len(v))
     accumulate_scores(v, starts, scores, rng, walk_length=9)
-    counts = scores.counts
+    counts = score_csr(scores)
     assert not counts.diagonal().any()
     assert counts.sum() == len(starts) * (9 - 1)
 
@@ -611,10 +686,10 @@ def test_score_matrix_matches_scipy_duplicate_sum(seed):
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     expected = sp.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     expected.sum_duplicates()
-    data, indices, indptr = scores.csr()
-    assert np.array_equal(data, expected.data)
-    assert np.array_equal(indices, expected.indices)
-    assert np.array_equal(indptr, expected.indptr)
+    csr = score_csr(scores)
+    assert np.array_equal(csr.data, expected.data)
+    assert np.array_equal(csr.indices, expected.indices)
+    assert np.array_equal(csr.indptr, expected.indptr)
     r, c, counts = scores.triplet()
     assert np.array_equal(expected.toarray()[r, c], counts)
     assert (expected.toarray() != 0).sum() == len(counts)
@@ -650,7 +725,7 @@ def test_accumulate_rejects_non_finite_embeddings(rng, bad):
     with pytest.raises(ValueError, match="finite"):
         accumulate_scores(v, np.arange(5), scores, rng,
                           walk_length=2)
-    assert scores.counts.nnz == 0
+    assert score_csr(scores).nnz == 0
 
 
 # ------------------------------------------------------------ checkpoints
@@ -665,7 +740,7 @@ def checkpoint_contents(run_dir):
     return json.loads(bytes(arrays.pop("__meta__")).decode()), arrays
 
 
-def test_checkpoint_holds_only_weights(tmp_path):
+def test_checkpoint_holds_only_weights(tmp_path, monkeypatch):
     g = ring_graph(20)
     cfg = tiny_config(n_epochs=3)
     full = train(g, cfg, run_dir=tmp_path / "full")
@@ -688,8 +763,9 @@ def test_checkpoint_holds_only_weights(tmp_path):
                 raise Interrupted
 
     partial_dir = tmp_path / "partial"
+    record_events(monkeypatch, stop_in_epoch_2)
     with pytest.raises(Interrupted):
-        train(g, cfg, run_dir=partial_dir, trace=stop_in_epoch_2)
+        train(g, cfg, run_dir=partial_dir)
     assert [p.name for p in partial_dir.iterdir()] == ["checkpoint.npz"]
     assert checkpoint_contents(partial_dir)[0]["epochs_done"] == 1
 
