@@ -7,6 +7,7 @@ independent of the code paths under test.
 
 import itertools
 from collections import deque
+from concurrent.futures import Future
 
 import numpy as np
 import scipy.sparse as sp
@@ -465,3 +466,23 @@ def loss_and_gradients_allocating(v_rows, w, pairs, inverse, g, gamma):
             a = post[layer]
             delta = (delta @ w[layer].T) * (a * (1.0 - a))
     return loss, delta @ w[0].T, grad_w
+
+
+class InlineExecutor:
+    """Stands in for ``concurrent.futures.ProcessPoolExecutor``: runs each
+    task in the calling process when it is submitted, so code that hands
+    work to a pool can be compared with its serial run."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass

@@ -1,15 +1,20 @@
 import csv
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+from oracles import InlineExecutor
 
 import dprank
+from dprank import experiments
 from dprank.cli import main
 from dprank.datasets import benchmark_labels, citation_benchmark_graph
 from dprank.experiments import (ConfigError, ExperimentConfig, SWEEP_COLUMNS,
@@ -193,6 +198,88 @@ def test_eval_downstream_scores(small_dataset, tmp_path):
     assert report.micro_f1_score is not None
     assert 0.0 <= report.micro_f1_score[0] <= 1.0
 
+
+
+def eval_outputs(out):
+    return [(out / name).read_bytes()
+            for name in ("eval_report.json", "eval_report.csv")]
+
+
+def test_eval_statistics_run_in_a_worker_with_serial_outputs(
+        small_dataset, tmp_path, monkeypatch):
+    # 2 epsilons x 2 runs, one run's graph deleted: the reports, CSV and
+    # warnings equal those of an inline (serial) run, and every synthetic
+    # graph's statistics ran in one other process
+    dataset, labels_path = small_dataset
+    out = run_synth(small_config(dataset, tmp_path / "out",
+                                 epsilons=[1.6, 3.2],
+                                 labels=str(labels_path), downstream=True))
+    (out / "eps_3.2" / "run_0" / "synthetic_edges.tsv").unlink()
+    pids = tmp_path / "pids.txt"
+    real_stats = experiments.compute_stats
+
+    def spy(g):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_stats(g)
+
+    monkeypatch.setattr(experiments, "compute_stats", spy)
+    pooled = run_eval(dataset, out, out_dir=tmp_path / "pooled",
+                      downstream=True)
+    calls = Counter(int(line) for line in pids.read_text().split())
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlineExecutor)
+    inline = run_eval(dataset, out, out_dir=tmp_path / "inline",
+                      downstream=True)
+
+    assert eval_outputs(tmp_path / "pooled") == eval_outputs(tmp_path / "inline")
+    assert {e: r.warnings for e, r in pooled.items()} \
+        == {e: r.warnings for e, r in inline.items()}
+    assert "missing run output: eps_3.2/run_0" in pooled[1.6].warnings
+    assert calls.pop(os.getpid()) == 1      # the original graph
+    assert list(calls.values()) == [3], calls
+    assert not multiprocessing.active_children()
+
+
+def test_eval_worker_error_is_the_serial_error(small_dataset, tmp_path,
+                                               monkeypatch):
+    dataset, _ = small_dataset
+    out = run_synth(small_config(dataset, tmp_path / "out"))
+    with open(out / "eps_3.2" / "run_1" / "synthetic_edges.tsv", "a") as fh:
+        fh.write("3\t60\n")
+    errors = []
+    for executor in (None, InlineExecutor):
+        if executor is not None:
+            monkeypatch.setattr(experiments, "ProcessPoolExecutor", executor)
+        with pytest.raises(Exception) as err:
+            run_eval(dataset, out, out_dir=tmp_path / "eval")
+        errors.append((type(err.value), str(err.value)))
+        assert not multiprocessing.active_children()
+    assert errors[0] == errors[1]
+    assert errors[0][0] is IndexError
+
+
+def test_eval_parent_error_leaves_no_process(small_dataset, tmp_path):
+    dataset, labels_path = small_dataset
+    out = run_synth(small_config(dataset, tmp_path / "out"))
+    short = tmp_path / "short_labels.csv"
+    short.write_text("".join(labels_path.read_text().splitlines(True)[:-2]))
+    with pytest.raises(ValueError, match="have no label"):
+        run_eval(dataset, out, downstream=True, labels_path=short)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("rows", [59, 61])
+def test_eval_refuses_embeddings_without_one_row_per_node(small_dataset,
+                                                          tmp_path, rows):
+    # no labels: a long file would otherwise be scored without complaint
+    dataset, _ = small_dataset
+    out = run_synth(small_config(dataset, tmp_path / "out", run_count=1))
+    emb_path = out / "eps_3.2" / "run_0" / "embeddings.npy"
+    emb = np.load(emb_path)
+    np.save(emb_path, np.resize(emb, (rows, emb.shape[1])))
+    with pytest.raises(ValueError, match="embeddings.npy"):
+        run_eval(dataset, out, downstream=True)
+    assert not multiprocessing.active_children()
 
 def test_load_labels_header_and_comments(tmp_path):
     g = from_edges(3, [(0, 1), (1, 2)])
