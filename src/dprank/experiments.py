@@ -322,16 +322,16 @@ def run_eval(original_path, synthetic_dir, out_dir=None,
     original = load_graph(original_path, cfg.symmetrize)
     n = original.num_nodes
     # the synthetic graphs' statistics run in one worker process while this
-    # one does the rest, including every call that bench/traced.py times;
-    # the results are collected in manifest order, so no output changes
+    # one does the rest, including every call whose span bench/traced.py
+    # needs; the results are collected in manifest order, so no output changes
     pool = ProcessPoolExecutor(max_workers=1)
     try:
         pending = {}
         for rec in manifest["runs"]:
             edges_path = synthetic_dir / rec["dir"] / "synthetic_edges.tsv"
             if edges_path.exists():
-                pending[rec["dir"]] = pool.submit(_synthetic_stats,
-                                                  edges_path, n)
+                pending[rec["dir"]] = rec, pool.submit(_synthetic_stats,
+                                                       edges_path, n)
         original_stats = compute_stats(original)
         labels = (load_labels(labels_path, original)
                   if downstream and labels_path else None)
@@ -340,7 +340,6 @@ def run_eval(original_path, synthetic_dir, out_dir=None,
         gaps = []
         per_eps = {}
         privacy_specs = {}
-        collected = []
         for rec in manifest["runs"]:
             run_dir = synthetic_dir / rec["dir"]
             if rec["dir"] not in pending:
@@ -357,7 +356,6 @@ def run_eval(original_path, synthetic_dir, out_dir=None,
                                        {"stats": [], "ks": [], "auc": [], "f1": []})
             entry["ks"].append(ks)
             rows.append((rec["epsilon"], rec["run"], "degree_ks", 0.0, ks))
-            collected.append((rec, entry))
             if downstream:
                 emb_path = run_dir / "embeddings.npy"
                 if emb_path.exists():
@@ -377,9 +375,9 @@ def run_eval(original_path, synthetic_dir, out_dir=None,
                 else:
                     gaps.append(f"missing embeddings for downstream: {rec['dir']}")
 
-        for rec, entry in collected:
-            stats = pending[rec["dir"]].result()
-            entry["stats"].append(stats)
+        for rec, future in pending.values():
+            stats = future.result()
+            per_eps[rec["epsilon"]]["stats"].append(stats)
             for name, value in stats.as_dict().items():
                 rows.append((rec["epsilon"], rec["run"], name,
                              original_stats.as_dict()[name], value))
