@@ -109,6 +109,9 @@ class ExperimentConfig:
             "out_dir": ("a path", path(self.out_dir)),
             "epsilons": ("a list of numbers", numbers),
             "run_count": ("an integer", integer(self.run_count)),
+            "master_seed": ("an integer", integer(self.master_seed)),
+            "symmetrize": ("a boolean", isinstance(self.symmetrize, bool)),
+            "downstream": ("a boolean", isinstance(self.downstream, bool)),
             "threads": ("an integer", integer(self.threads)),
             "target_edges": ("an integer or null",
                              self.target_edges is None or integer(self.target_edges)),
@@ -181,7 +184,7 @@ def synth_one_run(cfg: ExperimentConfig, g: Graph, epsilon: float,
 
     result = train(g, tcfg, run_dir=ckpt_dir)
     s_sym = symmetrize_scores(result.scores)
-    result.scores = None    # the collapsed counts are not read again
+    result.scores = None    # the transition buffer is not read again
     target = cfg.target_edges
     if target is None:
         target = default_target_edges(s_sym)

@@ -69,33 +69,12 @@ def row_pointers(index: np.ndarray, n: int) -> np.ndarray:
     return ptr
 
 
-def merge_keyed(keys: np.ndarray, values: np.ndarray, new_keys: np.ndarray,
-                new_values: np.ndarray, combine) -> tuple[np.ndarray, np.ndarray]:
-    """Merge sorted unique ``new_keys`` into sorted unique ``keys``, one value
-    per key: a key in both takes ``combine(value, new_value)`` (a ufunc such
-    as ``np.add``). Returns new ``(keys, values)`` arrays, sorted and unique;
-    the inputs are left as they are."""
-    pos = np.searchsorted(keys, new_keys)
-    hit = pos < len(keys)
-    hit[hit] = keys[pos[hit]] == new_keys[hit]
-    miss = ~hit
-    # new key k lands before old entry pos[k], after the new keys before it;
-    # an old entry moves right by the new keys that land before it
-    slot = pos[miss]
-    at = pos[hit]
-    del pos
-    at += np.searchsorted(slot, at, side="right")
-    slot += np.arange(len(slot))
-    old = np.ones(len(keys) + len(slot), dtype=bool)
-    old[slot] = False
-    merged_keys = np.empty(len(old), dtype=keys.dtype)
-    merged_keys[old] = keys
-    merged_keys[slot] = new_keys[miss]
-    merged_values = np.empty(len(old), dtype=values.dtype)
-    merged_values[old] = values
-    merged_values[slot] = new_values[miss]
-    merged_values[at] = combine(merged_values[at], new_values[hit])
-    return merged_keys, merged_values
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """The index of the first element of every run of equal values in
+    sorted ``keys``; a run's length is the gap to the next start."""
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return np.flatnonzero(first)
 
 
 def from_edges(num_nodes: int, edges, symmetrize: bool = False,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, from_edges, merge_keyed, row_pointers
+from .graph import Graph, from_edges, row_pointers, run_starts
 
 log = logging.getLogger(__name__)
 
@@ -54,25 +54,23 @@ def symmetrize_scores(scores) -> SymmetricScores:
     if isinstance(scores, SymmetricScores):
         return scores
     n, rows, cols, values = _score_triplet(scores)
-    # the triplet is row-major, so its upper entries come with sorted keys
-    # u * n + v; each lower entry (v, u) is sorted by its transposed key and
-    # merged in, the larger value winning where both exist; each array is
-    # dropped once read, so a few entry-length arrays are live at a time
-    lower, upper = rows > cols, rows < cols
-    low_keys = cols[lower]
-    low_keys *= n
-    low_keys += rows[lower]
-    keys = rows[upper]
+    # (u, v) and (v, u) share the key of their upper cell, min * n + max;
+    # sorted, each cell is one run, whose max in any order is its weight.
+    # Arrays are dropped once read: a few entry-length ones live at a time
+    off = rows != cols
+    keys = np.minimum(rows, cols)
     keys *= n
-    keys += cols[upper]
+    keys += np.maximum(rows, cols, out=cols)
     del rows, cols
-    low_values, values = values[lower], values[upper]
-    del lower, upper
-    order = np.argsort(low_keys)
-    low_keys, low_values = low_keys[order], low_values[order]
+    keys, values = keys[off], values[off]
+    del off
+    order = np.argsort(keys)
+    keys, values = keys[order], values[order]
     del order
-    keys, values = merge_keyed(keys, values, low_keys, low_values, np.maximum)
-    del low_keys, low_values
+    starts = run_starts(keys)
+    values = np.maximum.reduceat(values, starts)
+    keys = keys[starts]
+    del starts
     cols = keys % n
     keys //= n
     return SymmetricScores(n, keys, cols, values)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, generate_walk_batch, merge_keyed
+from .graph import Graph, generate_walk_batch, run_starts
 from .model import (AdamState, Theta, WeightNormalizer, Workspace,
                     _loss_and_gradients, adam_step, adam_update, init_params,
                     touched_nodes)
@@ -121,18 +121,14 @@ class ScoreMatrix:
     :meth:`add` appends each transition's ``u * N + v`` key to one growing
     int64 buffer, 8 bytes per transition; :meth:`triplet` sorts the buffer
     in place and reads each run of equal keys as one pair and its count, so
-    memory grows with the number of recorded transitions, never with N^2,
-    and a run that reads its scores once collapses them once. The diagonal
-    stays empty (the synthesis target is a simple graph)."""
+    memory grows with the number of recorded transitions, never with N^2.
+    The diagonal stays empty (the synthesis target is a simple graph)."""
 
     def __init__(self, n: int, capacity: int = 0):
         self.num_nodes = n
-        self._keys = np.empty(0, dtype=np.int64)      # sorted u * n + v
-        self._counts = np.empty(0, dtype=np.float64)
-        # keys not yet folded in; room for ``capacity`` of them before the
-        # buffer first grows by doubling
-        self._pending = np.empty(capacity, dtype=np.int64)
-        self._num_pending = 0
+        # room for ``capacity`` keys before the buffer first grows by doubling
+        self._keys = np.empty(capacity, dtype=np.int64)
+        self._size = 0
 
     def add(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Record one transition per ``(rows[k], cols[k])`` pair; raises
@@ -145,42 +141,31 @@ class ScoreMatrix:
         if len(rows) and np.maximum(rows.astype(np.uint64),
                                     cols.astype(np.uint64)).max() >= n:
             raise ValueError(f"transition index outside [0, {n})")
-        start, stop = self._num_pending, self._num_pending + len(rows)
-        if stop > len(self._pending):
-            grown = np.empty(max(2 * len(self._pending), stop, 1024), dtype=np.int64)
-            grown[:start] = self._pending[:start]
-            self._pending = grown
-        keys = self._pending[start:stop]
+        start, stop = self._size, self._size + len(rows)
+        if stop > len(self._keys):
+            grown = np.empty(max(2 * len(self._keys), stop, 1024), dtype=np.int64)
+            grown[:start] = self._keys[:start]
+            self._keys = grown
+        keys = self._keys[start:stop]
         # in int64 whatever the index dtype: u * n overflows int32 at n > 46340
         np.multiply(rows, n, out=keys, dtype=np.int64)
         keys += cols
-        self._num_pending = stop
+        self._size = stop
 
     def triplet(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rows, cols, counts)``: one int64/int64/float64 entry per
         distinct recorded pair, in row-major order."""
-        if self._num_pending:
-            pending = self._pending[:self._num_pending]
-            self._pending = np.empty(0, dtype=np.int64)
-            self._num_pending = 0
-            pending.sort()
-            first = np.empty(len(pending), dtype=bool)
-            first[0] = True
-            np.not_equal(pending[1:], pending[:-1], out=first[1:])
-            starts = np.flatnonzero(first)
-            del first
-            keys = pending[starts]
-            # a run's length is its pair's count, an exact integer in float64
-            counts = np.empty(len(starts), dtype=np.float64)
-            np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-            counts[-1] = len(pending) - starts[-1]
-            del pending, starts
-            if len(self._keys):
-                keys, counts = merge_keyed(self._keys, self._counts, keys,
-                                           counts, np.add)
-            self._keys, self._counts = keys, counts
-        rows, cols = np.divmod(self._keys, self.num_nodes)
-        return rows, cols, self._counts
+        keys = self._keys[:self._size]
+        keys.sort()
+        starts = run_starts(keys)
+        # a run's length is its pair's count, an exact integer in float64
+        counts = np.diff(starts, append=len(keys)).astype(np.float64)
+        rows = keys[starts]
+        del starts
+        # divided in place: np.divmod would hold a third entry-length array
+        cols = rows % self.num_nodes
+        rows //= self.num_nodes
+        return rows, cols, counts
 
     @property
     def counts(self) -> np.ndarray:

@@ -574,7 +574,8 @@ def test_cli_wrong_typed_config_values_are_config_errors(small_dataset,
     payload = small_config(dataset, out_dir).to_dict()
     good = dict(payload)
     payload.update(dataset=3, labels=[], out_dir=None, epsilons=3.2,
-                   run_count="2", threads=True, target_edges=1.5, train=[])
+                   run_count="2", threads=True, target_edges=1.5, train=[],
+                   master_seed="3", symmetrize="false", downstream="no")
     cfg_path.write_text(json.dumps(payload))
     assert main(["synth", "--config", str(cfg_path)]) == 1
     assert not out_dir.exists()
@@ -586,12 +587,20 @@ def test_cli_wrong_typed_config_values_are_config_errors(small_dataset,
                     "run_count must be an integer, got '2'",
                     "threads must be an integer, got True",
                     "target_edges must be an integer or null, got 1.5",
-                    "train must be an object, got []"):
+                    "train must be an object, got []",
+                    "master_seed must be an integer, got '3'",
+                    "symmetrize must be a boolean, got 'false'",
+                    "downstream must be a boolean, got 'no'"):
         assert problem in err
     cfg_path.write_text(json.dumps({**good, "epsilons": [1.0, "2"]}))
     assert main(["synth", "--config", str(cfg_path)]) == 1
     assert "epsilons must be a list of numbers, got [1.0, '2']" in \
         capsys.readouterr().err
+    for seed in (1.5, True):
+        cfg_path.write_text(json.dumps({**good, "master_seed": seed}))
+        assert main(["synth", "--config", str(cfg_path)]) == 1
+        assert f"master_seed must be an integer, got {seed!r}" in \
+            capsys.readouterr().err
     cfg_path.write_text(json.dumps([good]))
     assert main(["synth", "--config", str(cfg_path)]) == 1
     assert "config must be a JSON object" in capsys.readouterr().err

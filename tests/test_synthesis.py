@@ -261,6 +261,61 @@ def test_sparse_synthesis_matches_dense_oracle_on_score_matrix(seed):
     assert g == from_edges(n, expected, symmetrize=True)
 
 
+def add_pairs_both_ways(scores, gen, steps):
+    """Record ``steps`` batches of 6 random off-diagonal transitions and the
+    reverse of the first 3 of each, so many pairs carry unequal counts in
+    both directions."""
+    n = scores.num_nodes
+    for _ in range(steps):
+        u = gen.integers(n, size=6)
+        v = (u + gen.integers(1, n, size=6)) % n
+        scores.add(u, v)
+        scores.add(v[:3], u[:3])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_symmetrize_score_matrix_with_reverse_pairs(seed):
+    # the symmetric weight of a pair recorded both ways is the larger of its
+    # two counts, whichever direction holds it; a read sorts the buffer, so
+    # adds after a read must count as much as those before
+    gen = np.random.default_rng(200 + seed)
+    n = int(gen.integers(5, 30))
+    scores = ScoreMatrix(n)
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    for _ in range(3):
+        add_pairs_both_ways(scores, gen, int(gen.integers(10, 40)))
+        dense = score_csr(scores).toarray()
+        both = upper & (dense > 0) & (dense.T > 0)
+        assert (both & (dense > dense.T)).any()
+        assert (both & (dense < dense.T)).any()
+        expected = symmetrize_scores_dense(dense)
+        rows, cols = np.nonzero(upper & (expected > 0))
+        s_sym = symmetrize_scores(scores)
+        assert np.array_equal(s_sym.rows, rows)
+        assert np.array_equal(s_sym.cols, cols)
+        assert np.array_equal(s_sym.weights, expected[rows, cols])
+
+
+def test_score_matrix_reads_repeat():
+    # bench/traced.py reads .counts before synthesis reads the scores: every
+    # read returns what a single read of the same transitions returns
+    def filled():
+        scores = ScoreMatrix(40)
+        add_pairs_both_ways(scores, np.random.default_rng(9), 50)
+        return scores
+
+    scores = filled()
+    counts = scores.counts
+    triplet = scores.triplet()
+    s_sym = symmetrize_scores(scores)
+    once = filled().triplet()
+    assert np.array_equal(counts, once[2])
+    assert all(np.array_equal(a, b) for a, b in zip(triplet, once))
+    s_once = symmetrize_scores(filled())
+    for name in ("rows", "cols", "weights"):
+        assert np.array_equal(getattr(s_sym, name), getattr(s_once, name))
+
+
 def test_synthesis_scales_past_dense_memory():
     # N = 10^5: a dense float64 score matrix would need 80 GB; the sparse
     # pipeline touches only the 4N recorded transitions
@@ -294,8 +349,8 @@ def traced_peak(fn, *args, **kwargs):
 def test_post_processing_transient_bytes_per_entry():
     # about the reference run's 202,800 transitions over 2708 nodes, in
     # accumulate_scores-sized batches; every stage holds a few entry-length
-    # arrays. Measured: 32 B per entry for the collapse (its own output),
-    # 42 for symmetrize_scores, 17 for coverage and 18 for phase 2
+    # arrays. Measured: 24 B per entry for the collapse (its own output),
+    # 40 for symmetrize_scores, 17 for coverage and 18 for phase 2
     n, batch = 2708, 240
     gen = np.random.default_rng(0)
     scores = ScoreMatrix(n)

@@ -667,9 +667,9 @@ def test_accumulate_matches_single_stage_sampler(scale, stage, batch):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_score_matrix_matches_scipy_duplicate_sum(seed):
-    # collapsed in several rounds, so that later rounds merge new keys into
-    # the collapsed ones, against one scipy COO -> CSR conversion of every
-    # appended pair
+    # read in several rounds, so that later reads sort keys added after a
+    # read in with those before it, against one scipy COO -> CSR conversion
+    # of every appended pair
     import scipy.sparse as sp
     gen = np.random.default_rng(seed)
     n = int(gen.integers(2, 60))
