@@ -299,9 +299,10 @@ def load_labels(path, g: Graph) -> np.ndarray:
     return labels
 
 
-def _synthetic_stats(edges_path: Path, num_nodes: int) -> GraphStats:
-    """Structural statistics of one run's synthetic graph."""
-    return compute_stats(load_edge_list(edges_path, num_nodes=num_nodes))
+def _synthetic_stats(g: Graph) -> GraphStats:
+    """Structural statistics of one run's synthetic graph, in the worker; it
+    pickles by name, which ``compute_stats`` under a wrapper would not."""
+    return compute_stats(g)
 
 
 def run_eval(original_path, synthetic_dir, out_dir=None,
@@ -324,79 +325,68 @@ def run_eval(original_path, synthetic_dir, out_dir=None,
 
     original = load_graph(original_path, cfg.symmetrize)
     n = original.num_nodes
-    # the synthetic graphs' statistics run in one worker process while this
-    # one does the rest, including every call whose span bench/traced.py
-    # needs; the results are collected in manifest order, so no output changes
+    labels = (load_labels(labels_path, original)
+              if downstream and labels_path else None)
+    gaps = []
+    privacy_specs = {}
+    records = {}    # epsilon -> [(run, stats future, KS, AUC, F1)] per run
+    # each synthetic graph is parsed once, here. Its statistics run in one
+    # worker process while this one does the rest, including every call whose
+    # span bench/traced.py needs, so the outputs are those of a serial run
     pool = ProcessPoolExecutor(max_workers=1)
     try:
-        pending = {}
-        for rec in manifest["runs"]:
-            edges_path = synthetic_dir / rec["dir"] / "synthetic_edges.tsv"
-            if edges_path.exists():
-                pending[rec["dir"]] = rec, pool.submit(_synthetic_stats,
-                                                       edges_path, n)
-        original_stats = compute_stats(original)
-        labels = (load_labels(labels_path, original)
-                  if downstream and labels_path else None)
-
-        rows = []
-        gaps = []
-        per_eps = {}
-        privacy_specs = {}
         for rec in manifest["runs"]:
             run_dir = synthetic_dir / rec["dir"]
-            if rec["dir"] not in pending:
+            edges_path = run_dir / "synthetic_edges.tsv"
+            if not edges_path.exists():
                 gaps.append(f"missing run output: {rec['dir']}")
                 continue
             sidecar_path = run_dir / "sidecar.json"
             if rec["epsilon"] not in privacy_specs and sidecar_path.exists():
                 privacy_specs[rec["epsilon"]] = json.loads(
                     sidecar_path.read_text())["privacy_spec"]
-            synthetic = load_edge_list(run_dir / "synthetic_edges.tsv",
-                                       num_nodes=n)
+            synthetic = load_edge_list(edges_path, num_nodes=n)
+            stats = pool.submit(_synthetic_stats, synthetic)
             ks = degree_ks(original, synthetic)
-            entry = per_eps.setdefault(rec["epsilon"],
-                                       {"stats": [], "ks": [], "auc": [], "f1": []})
-            entry["ks"].append(ks)
-            rows.append((rec["epsilon"], rec["run"], "degree_ks", 0.0, ks))
-            if downstream:
-                emb_path = run_dir / "embeddings.npy"
-                if emb_path.exists():
-                    emb = np.load(emb_path)
-                    if emb.shape[:1] != (n,):
-                        raise ValueError(
-                            f"{emb_path} has shape {emb.shape}, but the "
-                            f"original graph has {n} nodes, one row each")
-                    eval_seed = derive_seed(cfg.master_seed, rec["run"],
-                                            "evaluation")
-                    rng = np.random.default_rng(eval_seed)
-                    entry["auc"].append(
-                        link_prediction_auc(original, emb, rng=rng))
-                    if labels is not None:
-                        entry["f1"].append(
-                            node_classification_f1(emb, labels, rng=rng))
-                else:
-                    gaps.append(f"missing embeddings for downstream: {rec['dir']}")
-
-        for rec, future in pending.values():
-            stats = future.result()
-            per_eps[rec["epsilon"]]["stats"].append(stats)
-            for name, value in stats.as_dict().items():
-                rows.append((rec["epsilon"], rec["run"], name,
-                             original_stats.as_dict()[name], value))
+            auc = f1 = None
+            emb_path = run_dir / "embeddings.npy"
+            if downstream and not emb_path.exists():
+                gaps.append(f"missing embeddings for downstream: {rec['dir']}")
+            elif downstream:
+                emb = np.load(emb_path)
+                if emb.shape[:1] != (n,):
+                    raise ValueError(
+                        f"{emb_path} has shape {emb.shape}, but the "
+                        f"original graph has {n} nodes, one row each")
+                rng = np.random.default_rng(
+                    derive_seed(cfg.master_seed, rec["run"], "evaluation"))
+                auc = link_prediction_auc(original, emb, rng=rng)
+                if labels is not None:
+                    f1 = node_classification_f1(emb, labels, rng=rng)
+            records.setdefault(rec["epsilon"], []).append(
+                (rec["run"], stats, ks, auc, f1))
+        if not records:
+            raise FileNotFoundError(
+                f"no synthetic runs found under {synthetic_dir}")
+        original_stats = compute_stats(original)
+        original_values = original_stats.as_dict()
+        rows = []
+        reports = {}
+        for epsilon, runs in sorted(records.items()):
+            run_ids, futures, ks, auc, f1 = zip(*runs)
+            stats = [future.result() for future in futures]
+            for run, run_stats, run_ks in zip(run_ids, stats, ks):
+                rows.append((epsilon, run, "degree_ks", 0.0, run_ks))
+                rows += [(epsilon, run, name, original_values[name], value)
+                         for name, value in run_stats.as_dict().items()]
+            report = build_report(
+                original_stats, stats, list(ks),
+                auc_values=[a for a in auc if a is not None] or None,
+                f1_values=[f for f in f1 if f is not None] or None)
+            report.warnings += gaps
+            reports[epsilon] = report
     finally:
         pool.shutdown(cancel_futures=True)
-
-    if not per_eps:
-        raise FileNotFoundError(f"no synthetic runs found under {synthetic_dir}")
-
-    reports = {}
-    for epsilon, entry in sorted(per_eps.items()):
-        report = build_report(original_stats, entry["stats"], entry["ks"],
-                              auc_values=entry["auc"] or None,
-                              f1_values=entry["f1"] or None)
-        report.warnings = (report.warnings or []) + gaps
-        reports[epsilon] = report
 
     out_dir = Path(out_dir if out_dir is not None else synthetic_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -48,7 +48,6 @@ class GraphStats:
     cpl: float | None
     diameter: int | None
     lcc_size: int
-    degree_sequence: np.ndarray
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in STAT_NAMES}
@@ -192,7 +191,7 @@ def compute_stats(g: Graph) -> GraphStats:
 
     return GraphStats(triangle_count=triangles, wedge_count=wedges,
                       claw_count=claws, rede=rede, cpl=cpl, diameter=diameter,
-                      lcc_size=lcc_size, degree_sequence=np.sort(deg))
+                      lcc_size=lcc_size)
 
 
 def mre(true_value: float, estimates) -> float:

@@ -35,23 +35,17 @@ def min_layers(s_nabla: float, batch_pairs: float, m: float, s: float,
                t: int = 1) -> int:
     """Smallest hidden-layer count L with B * M * T * (1/s)^(L+1) <= S_nabla.
 
-    Equivalently ceil(log_{1/s}(S_nabla / (B M T)) - 1), floored at 1. When the
-    ratio already exceeds 1 the bound holds at any depth and 1 is returned.
+    Equivalently ceil(log_{1/s}(S_nabla / (B M T)) - 1), floored at 1; the
+    search evaluates the predicate itself, so L is exact in floating point.
     """
     if min(s_nabla, batch_pairs, m) <= 0 or t < 1:
         raise ValueError("all inputs must be positive")
     if s <= 1.0:
         raise ValueError("normalization scale s must exceed 1")
     bmt = batch_pairs * m * t
-    ratio = s_nabla / bmt
-    if ratio >= 1.0:
-        return 1
-    depth = max(1, math.ceil(math.log(ratio) / math.log(1.0 / s) - 1.0))
-    # guard the ceil against floating-point edges: enforce tight minimality
+    depth = 1
     while bmt * (1.0 / s) ** (depth + 1) > s_nabla:
         depth += 1
-    while depth > 1 and bmt * (1.0 / s) ** depth <= s_nabla:
-        depth -= 1
     return depth
 
 

@@ -132,8 +132,8 @@ class ScoreMatrix:
 
     def add(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Record one transition per ``(rows[k], cols[k])`` pair; raises
-        ``ValueError`` on arrays of different lengths or an index outside
-        [0, N)."""
+        ``ValueError`` on arrays of different lengths, an index outside
+        [0, N) or a diagonal pair."""
         n = self.num_nodes
         if len(rows) != len(cols):
             raise ValueError(f"{len(rows)} rows but {len(cols)} cols")
@@ -141,6 +141,8 @@ class ScoreMatrix:
         if len(rows) and np.maximum(rows.astype(np.uint64),
                                     cols.astype(np.uint64)).max() >= n:
             raise ValueError(f"transition index outside [0, {n})")
+        if np.any(rows == cols):
+            raise ValueError("a transition from a node to itself")
         start, stop = self._size, self._size + len(rows)
         if stop > len(self._keys):
             grown = np.empty(max(2 * len(self._keys), stop, 1024), dtype=np.int64)

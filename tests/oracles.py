@@ -469,12 +469,20 @@ def loss_and_gradients_allocating(v_rows, w, pairs, inverse, g, gamma):
 
 
 class InlineExecutor:
-    """Stands in for ``concurrent.futures.ProcessPoolExecutor``: runs each
-    task in the calling process when it is submitted, so code that hands
-    work to a pool can be compared with its serial run."""
+    """Stands in for ``concurrent.futures.ProcessPoolExecutor`` or
+    ``ThreadPoolExecutor``: runs each task in the calling thread when it is
+    submitted, so code that hands work to a pool can be compared with its
+    serial run."""
 
     def __init__(self, max_workers=None):
         pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+        return False
 
     def submit(self, fn, *args, **kwargs):
         future = Future()

@@ -208,27 +208,34 @@ def eval_outputs(out):
 def test_eval_statistics_run_in_a_worker_with_serial_outputs(
         small_dataset, tmp_path, monkeypatch):
     # 2 epsilons x 2 runs, one run's graph deleted: the reports, CSV and
-    # warnings equal those of an inline (serial) run, and every synthetic
-    # graph's statistics ran in one other process
+    # warnings equal those of an inline (serial) run, every synthetic graph's
+    # statistics ran in one other process, and every edge list was parsed
+    # once, in this one
     dataset, labels_path = small_dataset
     out = run_synth(small_config(dataset, tmp_path / "out",
                                  epsilons=[1.6, 3.2],
                                  labels=str(labels_path), downstream=True))
     (out / "eps_3.2" / "run_0" / "synthetic_edges.tsv").unlink()
-    pids = tmp_path / "pids.txt"
-    real_stats = experiments.compute_stats
+    stats_pids = tmp_path / "stats_pids.txt"
+    load_pids = tmp_path / "load_pids.txt"
 
-    def spy(g):
-        with open(pids, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return real_stats(g)
+    def spy(fn, pids):
+        def logged(*args, **kwargs):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return fn(*args, **kwargs)
+        return logged
 
     # the worker is forked (the default start method on Linux), so it calls
-    # the spy too
-    monkeypatch.setattr(experiments, "compute_stats", spy)
+    # the spies too
+    monkeypatch.setattr(experiments, "compute_stats",
+                        spy(experiments.compute_stats, stats_pids))
+    monkeypatch.setattr(experiments, "load_edge_list",
+                        spy(experiments.load_edge_list, load_pids))
     pooled = run_eval(dataset, out, out_dir=tmp_path / "pooled",
                       downstream=True)
-    calls = Counter(int(line) for line in pids.read_text().split())
+    stats_calls = Counter(int(line) for line in stats_pids.read_text().split())
+    load_calls = Counter(int(line) for line in load_pids.read_text().split())
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlineExecutor)
     inline = run_eval(dataset, out, out_dir=tmp_path / "inline",
                       downstream=True)
@@ -237,8 +244,10 @@ def test_eval_statistics_run_in_a_worker_with_serial_outputs(
     assert {e: r.warnings for e, r in pooled.items()} \
         == {e: r.warnings for e, r in inline.items()}
     assert "missing run output: eps_3.2/run_0" in pooled[1.6].warnings
-    assert calls.pop(os.getpid()) == 1      # the original graph
-    assert list(calls.values()) == [3], calls
+    assert stats_calls.pop(os.getpid()) == 1      # the original graph
+    assert list(stats_calls.values()) == [3], stats_calls
+    # the original and the three present runs, none in the worker
+    assert load_calls == {os.getpid(): 4}, load_calls
     assert not multiprocessing.active_children()
 
 

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +19,9 @@ from dprank.privacy import (PrefetchedNoise, PrivacyLedger, RowGradient,
                             perturb_gradient)
 from dprank.training import (ScoreMatrix, TrainConfig, TrainingDivergedError,
                              accumulate_scores, train)
-from oracles import (accumulate_scores_single_stage, inverse_cdf_step,
-                     masked_softmax_probs, rejection_acceptance, score_csr,
-                     train_serial)
+from oracles import (InlineExecutor, accumulate_scores_single_stage,
+                     inverse_cdf_step, masked_softmax_probs,
+                     rejection_acceptance, score_csr, train_serial)
 
 
 def tiny_config(**overrides):
@@ -337,24 +336,6 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch, tmp_path):
     # adam_update(m, v, p, grad, ...): p is the whole of V, grad the draw
     assert all(args[2] is result.theta.v and args[3].shape == (n, cfg.r)
                for _, args in updates)
-
-
-class InlineExecutor:
-    """Runs each submitted fill at once, in the caller's thread."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
 
 
 def test_train_with_inline_fills_matches_threaded(monkeypatch):
@@ -709,7 +690,7 @@ def test_score_matrix_keys_are_int64_for_int32_indices():
 
 @pytest.mark.parametrize("rows, cols", [
     ([0, 1], [1]), ([1], [0, 2]), ([-1], [0]), ([0], [-1]), ([5], [0]),
-    ([0], [5])])
+    ([0], [5]), ([1, 0], [1, 2])])
 def test_score_matrix_rejects_bad_transitions(rows, cols):
     scores = ScoreMatrix(5)
     with pytest.raises(ValueError):
