@@ -11,14 +11,17 @@ script prints both medians, the quartiles of the parent's runs and their
 distance, the ratio of the change's median to the parent's, and in how many
 pairs the change was better (ties count for neither side). A metric whose
 change median is worse than the parent's by more than its ``bound`` (a
-fraction of the parent's median) is flagged ``WORSE``. The script exits 1
-if any metric is flagged, if any run reports ``"correct": false`` or a
-failed operation, or if a run prints no result.
+fraction of the parent's median) is flagged ``WORSE``. One where the change
+is better in at least 9 of every 10 pairs and its median beats the parent's
+by more than the distance between the parent's quartiles is flagged
+``GAIN``. The script exits 1 if any metric is flagged ``WORSE``, if any run
+reports ``"correct": false`` or a failed operation, or if a run prints no
+result.
 
 With ``--out FILE`` (a ``BENCH_<pr>.json`` at the root of the change tree,
 by convention) the script also writes, per workload and end-to-end metric,
-each side's median and quartiles, the ratio, the change's wins and the
-flag, and every complete pair's metric values, with the host, the seed and
+each side's median and quartiles, the ratio, the change's wins and both
+flags, and every complete pair's metric values, with the host, the seed and
 the commits of both trees.
 
 Usage:
@@ -85,8 +88,10 @@ def pair_runs(trees: dict, workload: str, seed: int, pairs: int,
 
 def compare(spec: dict, runs: list) -> dict:
     """Per end-to-end metric of BENCHMARK.json: each side's median and
-    quartiles, the change/parent median ratio, the change's wins and
-    whether its median is worse than the bound allows."""
+    quartiles, the change/parent median ratio, the change's wins, whether
+    its median is worse than the bound allows, and whether it is a gain: at
+    least 9 wins in 10 pairs and a median better by more than the parent's
+    quartile distance."""
     stats = {}
     for m in spec["end_to_end"] if runs else ():
         name = m["name"]
@@ -94,13 +99,17 @@ def compare(spec: dict, runs: list) -> dict:
         chg = [r["change"][name] for r in runs]
         sign = 1 if m["better"] == "lower" else -1
         par_med, chg_med = statistics.median(par), statistics.median(chg)
+        q1, q3 = quartiles(par)
+        wins = sum(sign * (p - c) > 0 for p, c in zip(par, chg))
         stats[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
-            "parent": {"median": par_med, "quartiles": quartiles(par)},
+            "parent": {"median": par_med, "quartiles": (q1, q3)},
             "change": {"median": chg_med, "quartiles": quartiles(chg)},
             "ratio": chg_med / par_med if par_med else float("nan"),
-            "change_wins": sum(sign * (p - c) > 0 for p, c in zip(par, chg)),
-            "worse": sign * (chg_med - par_med) > m["bound"] * abs(par_med)}
+            "change_wins": wins,
+            "worse": sign * (chg_med - par_med) > m["bound"] * abs(par_med),
+            "gain": (10 * wins >= 9 * len(runs)
+                     and sign * (par_med - chg_med) > q3 - q1)}
     return stats
 
 
@@ -115,7 +124,8 @@ def summarize(workload: str, seed: int, runs: list, stats: dict) -> None:
               f"{f'{q1:.6g}-{q3:.6g}':>22}{q3 - q1:>10.4g}"
               f"{st['change']['median']:>12.6g}{st['ratio']:>8.3f}"
               f"{str(st['change_wins']) + '/' + str(len(runs)):>13}"
-              + (f"  WORSE (bound {st['bound']:g})" if st["worse"] else ""))
+              + (f"  WORSE (bound {st['bound']:g})" if st["worse"] else "")
+              + ("  GAIN" if st["gain"] else ""))
 
 
 def commit(tree: Path) -> str | None:

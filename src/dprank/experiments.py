@@ -25,7 +25,7 @@ from . import __version__
 from .graph import Graph, load_edge_list, write_edge_list, write_id_map
 from .metrics import (EvalReport, GraphStats, build_report, compute_stats,
                       degree_ks, link_prediction_auc, node_classification_f1)
-from .privacy import gdp_epsilon
+from .privacy import PrivacySpec, gdp_epsilon
 from .synthesis import default_target_edges, sample_graph, symmetrize_scores
 from .training import TrainConfig, train
 
@@ -481,6 +481,15 @@ def summarize(directory) -> str:
                 f"noise gives epsilon {gdp:.4f} at delta {spec['delta']:g} "
                 f"under Gaussian DP (mu = sqrt(T)/sigma, T={spec['t']}), if "
                 f"S_nabla={spec['s_nabla']:g} is a valid sensitivity")
+            bound = PrivacySpec(**spec).step_bound
+            per_step = gdp_epsilon(spec["t"],
+                                   spec["s_nabla"] * spec["sigma"] / (2 * bound),
+                                   spec["delta"])
+            lines.append(
+                f"  per-step bound: the same noise gives epsilon {per_step:.3g} "
+                f"at per-step sensitivity 2 x {bound:.3g} = 2 B M (1/s)^(L+1), "
+                f"if each edge's gradient is within M (1/s)^(L+1) at this N "
+                f"(acceptance criterion 2 checks it at N <= 500 only)")
         if report["warnings"]:
             lines.append("  warnings: " + "; ".join(report["warnings"]))
     return "\n".join(lines)

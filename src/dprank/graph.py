@@ -167,21 +167,16 @@ def load_edge_list(source, format: str = "tsv", symmetrize: bool = False,
 
 def write_edge_list(g: Graph, path) -> None:
     """Write the graph's edges (dense ids) one ``src<TAB>dst`` pair per line."""
-    with open(path, "w") as fh:
-        fh.write(f"# nodes: {g.num_nodes}\n")
-        for u, v in g.edges:
-            fh.write(f"{u}\t{v}\n")
+    np.savetxt(path, g.edges, fmt="%d", delimiter="\t",
+               header=f"nodes: {g.num_nodes}", comments="# ")
 
 
 def write_id_map(g: Graph, path) -> None:
     """Persist the dense-id to original-id mapping as two-column CSV."""
-    with open(path, "w") as fh:
-        fh.write("node_id,original_id\n")
-        ids = g.original_ids
-        if ids is None:
-            ids = np.arange(g.num_nodes)
-        for new, old in enumerate(ids):
-            fh.write(f"{new},{old}\n")
+    dense = np.arange(g.num_nodes)
+    ids = dense if g.original_ids is None else g.original_ids
+    np.savetxt(path, np.column_stack([dense, ids]), fmt="%d", delimiter=",",
+               header="node_id,original_id", comments="")
 
 
 @dataclass(frozen=True)

@@ -275,19 +275,14 @@ def link_prediction_auc(g: Graph, embeddings: np.ndarray,
 
 
 def micro_f1(y_true, y_pred) -> float:
-    """Micro-averaged F1 over classes; equals accuracy for single-label data."""
+    """Micro-averaged F1 over classes; equals accuracy for single-label data,
+    where one label and one prediction per row make tp + fp = tp + fn = n."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
-    classes = np.union1d(y_true, y_pred)
-    tp = fp = fn = 0
-    for c in classes:
-        tp += int(np.sum((y_pred == c) & (y_true == c)))
-        fp += int(np.sum((y_pred == c) & (y_true != c)))
-        fn += int(np.sum((y_pred != c) & (y_true == c)))
+    tp = int(np.count_nonzero(y_pred == y_true))
     if tp == 0:
         return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
+    precision = recall = tp / len(y_true)
     return 2 * precision * recall / (precision + recall)
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, asdict
+from fractions import Fraction
 
 import numpy as np
 
@@ -297,26 +298,14 @@ class PrivacySpec:
                    min_depth=min_layers(s_nabla, batch_pairs, m, s, t),
                    batch_pairs=batch_pairs)
 
+    @property
+    def step_bound(self) -> float:
+        """Bound B * M * (1/s)^(L+1) on the norm of one step's summed embedding
+        gradient: B per-edge bounds. The depth rule keeps it <= S_nabla / T."""
+        return self.batch_pairs * self.m_const * (1.0 / self.s) ** (self.min_depth + 1)
+
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _add_exact(partials: list, value: float) -> None:
-    """Add ``value`` to the exact sum held as the float list ``partials``
-    (Shewchuk's grow-expansion, the loop of ``math.fsum``), so that
-    ``math.fsum(partials)`` stays the correctly rounded sum of every value
-    added. Each step is an exact two-sum; if one would overflow, ``value``
-    is appended unmerged instead, which keeps the sum exact."""
-    out, x = [], value
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            out.append(lo)
-        x = hi
-    partials[:] = out + [x] if math.isfinite(x) else partials + [value]
 
 
 @dataclass
@@ -325,8 +314,9 @@ class PrivacyLedger:
 
     Exactly ``t`` entries may be recorded; totals may never exceed the declared
     (epsilon, delta). Overdrafts raise and are meant to abort the run. The
-    totals are kept as exact partial sums, so a record costs O(1) however
-    many entries precede it and rounds as ``math.fsum`` over all of them.
+    totals are kept as exact ``Fraction`` sums, so a record costs O(1)
+    however many entries precede it, and :meth:`spent` rounds them once, as
+    ``math.fsum`` over all the entries would.
     """
 
     epsilon: float
@@ -337,7 +327,7 @@ class PrivacyLedger:
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and math.isfinite(self.delta)):
             raise ValueError("declared budget must be finite")
-        self._eps_partials, self._delta_partials = [], []
+        self._eps_total, self._delta_total = Fraction(0), Fraction(0)
 
     def record(self, eps_t: float, delta_t: float) -> None:
         if not (math.isfinite(eps_t) and math.isfinite(delta_t)):
@@ -355,11 +345,11 @@ class PrivacyLedger:
             raise PrivacyOverdraftError(
                 f"delta overdraft: {delta_after} > {self.delta}")
         self.entries.append((eps_t, delta_t))
-        _add_exact(self._eps_partials, eps_t)
-        _add_exact(self._delta_partials, delta_t)
+        self._eps_total += Fraction(eps_t)
+        self._delta_total += Fraction(delta_t)
 
     def spent(self) -> tuple:
-        return (math.fsum(self._eps_partials), math.fsum(self._delta_partials))
+        return float(self._eps_total), float(self._delta_total)
 
     def verify(self) -> tuple:
         """Check T entries recorded and totals equal to the declared budget

@@ -26,8 +26,8 @@ from .graph import Graph, generate_walk_batch, run_starts
 from .model import (AdamState, Theta, WeightNormalizer, Workspace,
                     _loss_and_gradients, adam_step, adam_update, init_params,
                     touched_nodes)
-from .privacy import (PrefetchedNoise, PrivacyLedger, PrivacySpec, RowGradient,
-                      perturb_gradient)
+from .privacy import (PrefetchedNoise, PrivacyLedger, PrivacyOverdraftError,
+                      PrivacySpec, RowGradient, perturb_gradient)
 
 CHECKPOINT_VERSION = 6
 CHECKPOINT_NAME = "checkpoint.npz"
@@ -270,7 +270,9 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None) -> TrainResult:
     normalize every weight to spectral norm 1/s, Adam-update the weights on
     the exact batch gradients, perturb the summed embedding gradient with
     calibrated Gaussian noise and Adam-update the embeddings, record the
-    budget split, and accumulate synthetic-walk transitions.
+    budget split, and accumulate synthetic-walk transitions. A summed
+    embedding gradient whose norm exceeds the spec's ``step_bound`` raises
+    :class:`~dprank.privacy.PrivacyOverdraftError` before it is noised.
 
     The embedding gradient is nonzero only in the rows of the batch's nodes
     U, so its update splits in two. One helper thread (see
@@ -346,6 +348,13 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None) -> TrainResult:
                         and np.isfinite(grad_rows).all()
                         and all(np.isfinite(gw).all() for gw in grad_w)):
                     raise TrainingDivergedError(epoch, it, loss)
+                # the noise's calibration rests on step_bound <= S_nabla / T
+                grad_norm = np.linalg.norm(grad_rows)
+                if grad_norm > pspec.step_bound:
+                    raise PrivacyOverdraftError(
+                        f"summed embedding gradient norm {grad_norm} exceeds "
+                        f"the per-step bound {pspec.step_bound} at epoch "
+                        f"{epoch}, iteration {it}")
 
                 theta.w = adam_step(adam_w, theta.w,
                                     [gw / b_nominal for gw in grad_w], cfg.eta)

@@ -14,7 +14,7 @@ import pytest
 from oracles import InlineExecutor
 
 import dprank
-from dprank import experiments
+from dprank import experiments, training
 from dprank.cli import main
 from dprank.datasets import benchmark_labels, citation_benchmark_graph
 from dprank.experiments import (ConfigError, ExperimentConfig, SWEEP_COLUMNS,
@@ -22,6 +22,7 @@ from dprank.experiments import (ConfigError, ExperimentConfig, SWEEP_COLUMNS,
                                 run_synth)
 from dprank.graph import from_edges, write_edge_list
 from dprank.privacy import gdp_epsilon
+from dprank.training import TrainConfig
 
 
 @pytest.fixture
@@ -491,6 +492,38 @@ def test_cli_exit_codes(small_dataset, tmp_path):
     assert main(["synth", "--config", str(bad_cfg)]) == 1
     assert main(["eval", "--original", str(dataset),
                  "--synthetic-dir", str(tmp_path / "missing")]) == 2
+
+
+def test_cli_exit_code_of_a_gradient_above_the_step_bound(
+        small_dataset, tmp_path, monkeypatch, capsys):
+    dataset, _ = small_dataset
+    real = training._loss_and_gradients
+
+    def loud_gradients(*args):
+        loss, grad_rows, grad_w = real(*args)
+        return loss, np.full_like(grad_rows, 1e6), grad_w
+
+    monkeypatch.setattr(training, "_loss_and_gradients", loud_gradients)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, small_config(dataset, tmp_path / "out", run_count=1))
+    assert main(["synth", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert "privacy overdraft: summed embedding gradient norm" in err
+    assert "at epoch 0, iteration 0" in err
+
+
+def test_report_prints_the_epsilon_at_the_per_step_bound(tmp_path, capsys):
+    # the reference spec: 2.07e-6 at twice B M (1/s)^(L+1) = 2 x 0.00381
+    spec = TrainConfig().privacy_spec(2708)
+    report = {"mre": {}, "original": {}, "ks_mean": 0.0, "warnings": [],
+              "privacy_spec": spec.to_dict()}
+    (tmp_path / "eval_report.json").write_text(json.dumps(
+        {"original_dataset": "graph.tsv", "per_epsilon": {"3.2": report}}))
+    assert main(["report", "--dir", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out
+    assert ("per-step bound: the same noise gives epsilon 2.07e-06 at "
+            "per-step sensitivity 2 x 0.00381 = 2 B M (1/s)^(L+1)" in printed)
+    assert "if each edge's gradient is within M (1/s)^(L+1) at this N" in printed
 
 
 def test_cli_eval_refuses_labels_without_downstream(small_dataset, tmp_path,

@@ -9,6 +9,7 @@ from dprank.privacy import (PrefetchedNoise, PrivacyLedger,
                             PrivacyOverdraftError, PrivacySpec, RowGradient,
                             compute_m, gdp_epsilon, min_layers,
                             noise_sigma, perturb_gradient)
+from dprank.training import TrainConfig
 
 
 # ------------------------------------------------------------- constant M
@@ -120,6 +121,40 @@ def test_gdp_epsilon_at_the_reference_matches_brute_force_delta():
     # delta(eps) falls through 1e-5 at eps, and not before
     assert hockey_stick_delta(mu, eps - 1e-3) > 1.1e-5
     assert hockey_stick_delta(mu, eps + 1e-3) < 0.9e-5
+
+
+def test_gdp_epsilon_at_twice_the_step_bound_matches_brute_force_delta():
+    # the reference run's noise at per-step sensitivity twice the depth
+    # rule's bound B M (1/s)^(L+1), the third figure dprank report prints
+    spec = PrivacySpec.derive(epsilon=3.2, delta=1e-5, s=8.0, s_nabla=5.0,
+                              t=845, num_nodes=2708, gamma=0.85,
+                              batch_pairs=480)
+    assert spec.step_bound == 480 * spec.m_const * (1 / 8.0) ** (spec.min_depth + 1)
+    sigma = spec.s_nabla * spec.sigma / (2 * spec.step_bound)
+    eps = gdp_epsilon(spec.t, sigma, spec.delta)
+    assert f"{eps:.3g}" == "2.07e-06"
+    # delta(eps) falls through 1e-5 within 1e-3 relative of eps
+    mu = math.sqrt(spec.t) / sigma
+    assert hockey_stick_delta(mu, eps * (1 - 1e-3)) > 1e-5
+    assert hockey_stick_delta(mu, eps * (1 + 1e-3)) < 1e-5
+
+
+def test_step_bound_is_within_the_per_step_share_of_s_nabla():
+    # the depth rule's guarantee, recomputed as the product the report and
+    # train use, for every spec privacy_spec derives on a grid
+    derived = 0
+    for num_nodes in (8, 20, 60, 100, 500, 2708, 6000, 10**4, 10**5):
+        for batch_nodes in (1, 4, 16, 64, 256):
+            for n_epochs in (1, 5):
+                cfg = TrainConfig(batch_nodes=batch_nodes, n_epochs=n_epochs)
+                try:
+                    spec = cfg.privacy_spec(num_nodes)
+                except ValueError:  # no iteration fits, or epsilon/T >= 1
+                    continue
+                derived += 1
+                assert spec.step_bound <= spec.s_nabla / spec.t, (
+                    num_nodes, batch_nodes, n_epochs)
+    assert derived >= 60
 
 
 def test_gdp_epsilon_edges():

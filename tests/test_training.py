@@ -15,7 +15,8 @@ import dprank.model as model
 import dprank.training as training
 from dprank.graph import from_edges
 from dprank.model import adam_step, adam_update
-from dprank.privacy import (PrefetchedNoise, PrivacyLedger, RowGradient,
+from dprank.privacy import (PrefetchedNoise, PrivacyLedger,
+                            PrivacyOverdraftError, RowGradient,
                             perturb_gradient)
 from dprank.training import (ScoreMatrix, TrainConfig, TrainingDivergedError,
                              accumulate_scores, train)
@@ -182,6 +183,46 @@ def test_train_aborts_on_nonfinite(monkeypatch):
     # the noise worker was busy with the first update and is joined all the same
     assert update_done == [True]
     assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.5])
+def test_train_refuses_a_summed_gradient_above_the_step_bound(monkeypatch,
+                                                              scale):
+    # from the seventh step on (epoch 1, iteration 1) the gradient rows are
+    # replaced by rows of norm scale * step_bound: below the bound the run
+    # completes, above it train raises before that step's noise is added
+    g = ring_graph(20)
+    cfg = tiny_config()
+    bound = cfg.privacy_spec(20).step_bound
+    real = training._loss_and_gradients
+    steps, perturbed = [], []
+
+    def loud_gradients(*args):
+        loss, grad_rows, grad_w = real(*args)
+        steps.append(None)
+        if len(steps) >= 7:
+            grad_rows = np.ones_like(grad_rows)
+            grad_rows *= scale * bound / np.linalg.norm(grad_rows)
+        return loss, grad_rows, grad_w
+
+    def spy_perturb(*args):
+        perturbed.append(None)
+        return perturb_gradient(*args)
+
+    monkeypatch.setattr(training, "_loss_and_gradients", loud_gradients)
+    monkeypatch.setattr(training, "perturb_gradient", spy_perturb)
+    if scale < 1:
+        train(g, cfg)
+        assert len(perturbed) == cfg.iterations(20)
+        return
+    with pytest.raises(PrivacyOverdraftError) as err:
+        train(g, cfg)
+    message = str(err.value)
+    assert "at epoch 1, iteration 1" in message
+    assert f"per-step bound {bound}" in message
+    norm = float(message.split("norm ")[1].split()[0])
+    assert norm == pytest.approx(scale * bound, rel=1e-12)
+    assert len(perturbed) == 6
 
 
 def test_noise_stream_is_consumed_in_order(monkeypatch):
