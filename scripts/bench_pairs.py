@@ -18,6 +18,12 @@ by more than the distance between the parent's quartiles is flagged
 reports ``"correct": false`` or a failed operation, or if a run prints no
 result.
 
+``disk_mb`` counts the absolute paths that ``manifest.json`` and
+``eval_report.json`` store, so it differs between trees at paths of
+different lengths whatever the code does. The script therefore refuses such
+a pair: it exits 2, naming both lengths, before it reads BENCHMARK.json or
+runs anything.
+
 With ``--out FILE`` (a ``BENCH_<pr>.json`` at the root of the change tree,
 by convention) the script also writes, per workload and end-to-end metric,
 each side's median and quartiles, the ratio, the change's wins and both
@@ -160,8 +166,14 @@ def main() -> int:
                         help="also write the medians, quartiles and runs here")
     args = parser.parse_args()
 
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    lengths = {side: len(str(tree)) for side, tree in trees.items()}
+    if lengths["parent"] != lengths["change"]:
+        print(f"the trees' paths differ in length (parent {lengths['parent']}, "
+              f"change {lengths['change']} characters), which disk_mb would "
+              f"count; use paths of equal length", file=sys.stderr)
+        return 2
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
     bad_runs = 0
     worse = []
     record = {"host": host(), "seed": args.seed, "pairs": args.pairs,

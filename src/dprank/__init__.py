@@ -10,8 +10,8 @@ from .model import (AdamState, Theta, adam_step, batch_gradients, edge_loss,
 from .privacy import (PrivacyLedger, PrivacyOverdraftError, PrivacySpec,
                       compute_m, min_layers, noise_sigma, perturb_gradient)
 from .synthesis import default_target_edges, sample_graph
-from .metrics import (EvalReport, GraphStats, build_report, compute_stats,
-                      degree_ks, link_prediction_auc, micro_f1, mre,
+from .metrics import (GraphStats, build_report, compute_stats, degree_ks,
+                      link_prediction_auc, micro_f1, mre,
                       node_classification_f1)
 from .training import (ScoreMatrix, TrainConfig, TrainResult, accumulate_scores,
                        train)
@@ -26,7 +26,7 @@ __all__ = [
     "PrivacyLedger", "PrivacyOverdraftError", "PrivacySpec",
     "compute_m", "min_layers", "noise_sigma", "perturb_gradient",
     "default_target_edges", "sample_graph",
-    "EvalReport", "GraphStats", "build_report", "compute_stats", "degree_ks",
+    "GraphStats", "build_report", "compute_stats", "degree_ks",
     "link_prediction_auc", "micro_f1", "mre", "node_classification_f1",
     "ScoreMatrix", "TrainConfig", "TrainResult", "accumulate_scores", "train",
 ]

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .graph import Graph, load_edge_list, write_edge_list, write_id_map
-from .metrics import (EvalReport, GraphStats, build_report, compute_stats,
-                      degree_ks, link_prediction_auc, node_classification_f1)
+from .metrics import (GraphStats, build_report, compute_stats, degree_ks,
+                      link_prediction_auc, node_classification_f1)
 from .privacy import PrivacySpec, gdp_epsilon
 from .synthesis import default_target_edges, sample_graph, symmetrize_scores
 from .training import TrainConfig, train
@@ -265,9 +265,10 @@ def load_labels(path, g: Graph) -> np.ndarray:
     """Two-column node-id/class-id CSV, remapped onto dense ids when the graph
     was loaded through an id remap.
 
-    Blank and ``#`` lines are skipped. The first remaining row may be a
-    header; any later row that is not two integers, or that labels a node
-    already labelled, raises ValueError with its line number."""
+    Blank and ``#`` lines are skipped. The first remaining row is a header
+    when one of its fields is not an integer. Any other row that is not two
+    integers, or that labels a node already labelled, raises ValueError with
+    its line number."""
     raw = {}
     with open(path) as fh:
         reader = csv.reader(fh)
@@ -275,16 +276,17 @@ def load_labels(path, g: Graph) -> np.ndarray:
         for row in reader:
             if not row or row[0].strip().startswith("#"):
                 continue
+            header_allowed, first, values = first, False, None
             try:
-                node, cls = map(int, row)  # ValueError unless two integers
+                values = [int(field) for field in row]
+                node, cls = values  # ValueError unless exactly two
                 if node in raw:
                     raise ValueError(f"node {node} is listed twice")
                 raw[node] = cls
             except ValueError as exc:
-                if not first:
+                if not header_allowed or values is not None:
                     raise ValueError(f"{path}:{reader.line_num}: malformed label "
                                      f"row {row!r}: {exc}") from None
-            first = False
     ids = g.original_ids if g.original_ids is not None else np.arange(g.num_nodes)
     labels = np.empty(g.num_nodes, dtype=np.int64)
     missing = 0
@@ -307,9 +309,10 @@ def _synthetic_stats(g: Graph) -> GraphStats:
 
 def run_eval(original_path, synthetic_dir, out_dir=None,
              downstream: bool | None = None,
-             labels_path=None) -> dict[float, EvalReport]:
+             labels_path=None) -> dict[float, dict]:
     """Evaluate every synthetic run in ``synthetic_dir`` against the original
-    and return one report per epsilon.
+    and return one report per epsilon: the entries of ``eval_report.json``'s
+    ``per_epsilon``, keyed by epsilon.
 
     Reads graphs, sidecars, and embeddings; model checkpoints are never
     touched. Missing runs reduce the aggregate and are reported as warnings
@@ -383,23 +386,19 @@ def run_eval(original_path, synthetic_dir, out_dir=None,
                 original_stats, stats, list(ks),
                 auc_values=[a for a in auc if a is not None] or None,
                 f1_values=[f for f in f1 if f is not None] or None)
-            report.warnings += gaps
+            report["warnings"] += gaps
+            report["privacy_spec"] = privacy_specs.get(epsilon)
             reports[epsilon] = report
     finally:
         pool.shutdown(cancel_futures=True)
 
     out_dir = Path(out_dir if out_dir is not None else synthetic_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    per_epsilon = {}
-    for eps, rep in reports.items():
-        entry = rep.to_dict()
-        entry["privacy_spec"] = privacy_specs.get(eps)
-        per_epsilon[str(eps)] = entry
     payload = {
         "kind": "evaluation",
         "version": __version__,
         "original_dataset": str(original_path),
-        "per_epsilon": per_epsilon,
+        "per_epsilon": {str(eps): rep for eps, rep in reports.items()},
         "gaps": gaps,
     }
     _json_dump(payload, out_dir / "eval_report.json")
@@ -424,15 +423,15 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None) -> Path:
     rows = []
     for epsilon, report in reports.items():
         epsilon = float(epsilon)  # an integer epsilon still prints as 1.0
-        for run_idx, run_stats in enumerate(report.synthetic_runs):
+        for run_idx, run_stats in enumerate(report["synthetic_runs"]):
             for metric, value in run_stats.items():
-                orig = report.original.get(metric)
+                orig = report["original"].get(metric)
                 rel = (abs((value - orig) / orig)
                        if value is not None and orig not in (None, 0) else "")
                 rows.append((epsilon, metric, run_idx,
                              "" if value is None else value,
                              "" if orig is None else orig, rel))
-        for run_idx, ks in enumerate(report.ks_per_run):
+        for run_idx, ks in enumerate(report["ks_per_run"]):
             rows.append((epsilon, "degree_ks", run_idx, ks, "", ""))
 
     rows.sort(key=lambda r: (r[0], r[1], r[2]))

@@ -319,7 +319,7 @@ def node_classification_f1(embeddings: np.ndarray, labels,
     # layouts of the training rows are built, never the features of all n
     # rows, and an epoch writes into two preallocated buffers.
     scaled_x = np.empty((n_train, r + 1))
-    np.take(embeddings, train_idx, axis=0, out=scaled_x[:, :r])
+    scaled_x[:, :r] = embeddings[train_idx]
     scaled_x[:, r] = 1.0
     x_train_t = scaled_x.T.copy()
     scaled_x *= CLASSIFIER_LR
@@ -342,45 +342,16 @@ def node_classification_f1(embeddings: np.ndarray, labels,
 
     del scaled_x, x_train_t
     x_test = np.empty((n - n_train, r + 1))
-    np.take(embeddings, test_idx, axis=0, out=x_test[:, :r])
+    x_test[:, :r] = embeddings[test_idx]
     x_test[:, r] = 1.0
     pred = classes[np.argmax(x_test @ w_t.T, axis=1)]
     return micro_f1(labels[test_idx], pred)
 
 
-@dataclass
-class EvalReport:
-    """Original-vs-synthetic comparison: per-run statistic values, MRE per
-    metric, degree KS per run, and optional downstream-task scores."""
-
-    original: dict
-    synthetic_runs: list
-    mre_per_metric: dict
-    ks_per_run: list
-    auc: tuple | None = None
-    micro_f1_score: tuple | None = None
-    warnings: list = None
-
-    def to_dict(self) -> dict:
-        payload = {
-            "original": self.original,
-            "synthetic_runs": self.synthetic_runs,
-            "mre": self.mre_per_metric,
-            "ks_per_run": self.ks_per_run,
-            "ks_mean": float(np.mean(self.ks_per_run)) if self.ks_per_run else None,
-            "warnings": self.warnings or [],
-        }
-        payload["auc"] = (None if self.auc is None
-                          else {"mean": self.auc[0], "std": self.auc[1]})
-        payload["micro_f1"] = (None if self.micro_f1_score is None
-                               else {"mean": self.micro_f1_score[0],
-                                     "std": self.micro_f1_score[1]})
-        return payload
-
-
 def build_report(original_stats: GraphStats, synthetic_stats: list,
-                 ks_values: list, auc_values=None, f1_values=None) -> EvalReport:
-    """Aggregate per-run statistics into MRE-per-metric plus downstream means.
+                 ks_values: list, auc_values=None, f1_values=None) -> dict:
+    """Aggregate per-run statistics into MRE per metric, degree KS, and the
+    downstream means: one epsilon's entry as ``eval_report.json`` stores it.
 
     Metrics undefined on the original graph (zero or null true value) are
     skipped with a warning entry rather than failing the whole report.
@@ -406,11 +377,10 @@ def build_report(original_stats: GraphStats, synthetic_stats: list,
         if values is None:
             return None
         arr = np.asarray(values, dtype=np.float64)
-        return (float(arr.mean()), float(arr.std()))
+        return {"mean": float(arr.mean()), "std": float(arr.std())}
 
-    return EvalReport(original=orig, synthetic_runs=runs,
-                      mre_per_metric=mre_per_metric,
-                      ks_per_run=[float(k) for k in ks_values],
-                      auc=mean_std(auc_values),
-                      micro_f1_score=mean_std(f1_values),
-                      warnings=notes)
+    ks = [float(k) for k in ks_values]
+    return {"original": orig, "synthetic_runs": runs, "mre": mre_per_metric,
+            "ks_per_run": ks, "ks_mean": float(np.mean(ks)) if ks else None,
+            "warnings": notes, "auc": mean_std(auc_values),
+            "micro_f1": mean_std(f1_values)}

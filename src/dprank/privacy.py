@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, asdict
-from fractions import Fraction
 
 import numpy as np
 
@@ -314,9 +313,10 @@ class PrivacyLedger:
 
     Exactly ``t`` entries may be recorded; totals may never exceed the declared
     (epsilon, delta). Overdrafts raise and are meant to abort the run. The
-    totals are kept as exact ``Fraction`` sums, so a record costs O(1)
+    totals are exact sums of ``Fraction`` addends, so a record costs O(1)
     however many entries precede it, and :meth:`spent` rounds them once, as
-    ``math.fsum`` over all the entries would.
+    ``math.fsum`` over all the entries would. The first record imports
+    ``fractions`` (and ``decimal``), which commands without a ledger skip.
     """
 
     epsilon: float
@@ -327,7 +327,7 @@ class PrivacyLedger:
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and math.isfinite(self.delta)):
             raise ValueError("declared budget must be finite")
-        self._eps_total, self._delta_total = Fraction(0), Fraction(0)
+        self._eps_total = self._delta_total = 0
 
     def record(self, eps_t: float, delta_t: float) -> None:
         if not (math.isfinite(eps_t) and math.isfinite(delta_t)):
@@ -345,6 +345,7 @@ class PrivacyLedger:
             raise PrivacyOverdraftError(
                 f"delta overdraft: {delta_after} > {self.delta}")
         self.entries.append((eps_t, delta_t))
+        from fractions import Fraction  # a float addend would round the sum
         self._eps_total += Fraction(eps_t)
         self._delta_total += Fraction(delta_t)
 

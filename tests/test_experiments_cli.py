@@ -161,9 +161,9 @@ def test_eval_identical_synthetic_gives_zero_errors(small_dataset, tmp_path):
     for rec in json.loads((out / "manifest.json").read_text())["runs"]:
         write_edge_list(original, out / rec["dir"] / "synthetic_edges.tsv")
     report = run_eval(dataset, out)[3.2]
-    assert all(v == 0.0 for v in report.mre_per_metric.values()
+    assert all(v == 0.0 for v in report["mre"].values()
                if v is not None)
-    assert all(k == 0.0 for k in report.ks_per_run)
+    assert all(k == 0.0 for k in report["ks_per_run"])
 
 
 def test_eval_partial_runs_warns(small_dataset, tmp_path):
@@ -173,8 +173,8 @@ def test_eval_partial_runs_warns(small_dataset, tmp_path):
     rec = json.loads((out / "manifest.json").read_text())["runs"][0]
     (out / rec["dir"] / "synthetic_edges.tsv").unlink()
     report = run_eval(dataset, out)[3.2]
-    assert any("missing run output" in w for w in report.warnings)
-    assert len(report.ks_per_run) == 1
+    assert any("missing run output" in w for w in report["warnings"])
+    assert len(report["ks_per_run"]) == 1
     payload = json.loads((out / "eval_report.json").read_text())
     assert payload["gaps"]
 
@@ -186,7 +186,7 @@ def test_eval_never_touches_checkpoints(small_dataset, tmp_path):
     for ckpt_dir in out.glob("eps_*/run_*/checkpoints"):
         shutil.rmtree(ckpt_dir)
     report = run_eval(dataset, out)[3.2]
-    assert report.ks_per_run
+    assert report["ks_per_run"]
 
 
 def test_eval_downstream_scores(small_dataset, tmp_path):
@@ -195,10 +195,25 @@ def test_eval_downstream_scores(small_dataset, tmp_path):
                        labels=str(labels_path), downstream=True)
     out = run_synth(cfg)
     report = run_eval(dataset, out)[3.2]
-    assert report.auc is not None and 0.0 <= report.auc[0] <= 1.0
-    assert report.micro_f1_score is not None
-    assert 0.0 <= report.micro_f1_score[0] <= 1.0
+    assert report["auc"] is not None and 0.0 <= report["auc"]["mean"] <= 1.0
+    assert report["micro_f1"] is not None
+    assert 0.0 <= report["micro_f1"]["mean"] <= 1.0
 
+
+def test_eval_returns_what_eval_report_json_holds(small_dataset, tmp_path):
+    # one representation of a report: the returned entries are the written
+    # ones, with downstream scores, warnings and the privacy spec
+    dataset, labels_path = small_dataset
+    out = run_synth(small_config(dataset, tmp_path / "out", run_count=1,
+                                 epsilons=[1.6, 3.2], labels=str(labels_path),
+                                 downstream=True))
+    (out / "eps_1.6" / "run_0" / "embeddings.npy").unlink()
+    reports = run_eval(dataset, out)
+    per_epsilon = json.loads(
+        (out / "eval_report.json").read_text())["per_epsilon"]
+    assert reports == {float(k): v for k, v in per_epsilon.items()}
+    assert reports[3.2]["micro_f1"] is not None
+    assert reports[3.2]["privacy_spec"]["epsilon"] == 3.2
 
 
 def eval_outputs(out):
@@ -242,9 +257,9 @@ def test_eval_statistics_run_in_a_worker_with_serial_outputs(
                       downstream=True)
 
     assert eval_outputs(tmp_path / "pooled") == eval_outputs(tmp_path / "inline")
-    assert {e: r.warnings for e, r in pooled.items()} \
-        == {e: r.warnings for e, r in inline.items()}
-    assert "missing run output: eps_3.2/run_0" in pooled[1.6].warnings
+    assert {e: r["warnings"] for e, r in pooled.items()} \
+        == {e: r["warnings"] for e, r in inline.items()}
+    assert "missing run output: eps_3.2/run_0" in pooled[1.6]["warnings"]
     assert stats_calls.pop(os.getpid()) == 1      # the original graph
     assert list(stats_calls.values()) == [3], stats_calls
     # the original and the three present runs, none in the worker
@@ -309,6 +324,17 @@ def test_load_labels_rejects_malformed_rows(tmp_path, bad_row):
     path = tmp_path / "labels.csv"
     path.write_text(f"node_id,class_id\n0,1\n# note\n{bad_row}\n2,0\n")
     with pytest.raises(ValueError, match=r"labels\.csv:4: malformed"):
+        load_labels(path, g)
+
+
+@pytest.mark.parametrize("first_row", ["1,2,3", "7"])
+def test_load_labels_first_row_of_integers_is_data(tmp_path, first_row):
+    # a header has a field that is not an integer; a first row of integers
+    # is data, so it must be a node id and a class id
+    g = from_edges(3, [(0, 1), (1, 2)])
+    path = tmp_path / "labels.csv"
+    path.write_text(f"{first_row}\n0,1\n1,0\n2,1\n")
+    with pytest.raises(ValueError, match=r"labels\.csv:1: malformed"):
         load_labels(path, g)
 
 

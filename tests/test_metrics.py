@@ -457,17 +457,17 @@ def test_build_report_aggregates(k4):
     stats = compute_stats(k4)
     report = build_report(stats, [stats, stats], [0.0, 0.0],
                           auc_values=[0.7, 0.8], f1_values=None)
-    assert all(v == 0.0 for v in report.mre_per_metric.values())
-    assert report.auc == (pytest.approx(0.75), pytest.approx(0.05))
-    assert report.micro_f1_score is None
-    payload = report.to_dict()
-    assert payload["ks_mean"] == 0.0
+    assert all(v == 0.0 for v in report["mre"].values())
+    assert report["auc"] == {"mean": pytest.approx(0.75),
+                             "std": pytest.approx(0.05)}
+    assert report["micro_f1"] is None
+    assert report["ks_mean"] == 0.0
 
 
 def test_build_report_skips_undefined_metrics():
     empty = compute_stats(from_edges(3, []))
     k3 = compute_stats(cycle_graph(3))
     report = build_report(empty, [k3], [1.0])
-    assert report.mre_per_metric["rede"] is None
-    assert report.mre_per_metric["triangle_count"] is None  # true value 0
-    assert any("undefined" in w for w in report.warnings)
+    assert report["mre"]["rede"] is None
+    assert report["mre"]["triangle_count"] is None  # true value 0
+    assert any("undefined" in w for w in report["warnings"])

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dprank
 from dprank.privacy import (PrefetchedNoise, PrivacyLedger,
                             PrivacyOverdraftError, PrivacySpec, RowGradient,
                             compute_m, gdp_epsilon, min_layers,
@@ -429,6 +434,20 @@ def test_ledger_exact_sum_survives_cancellation_and_overflow():
     ledger.record(-1e308, 0.0)
     with pytest.raises(OverflowError):
         ledger.spent()
+
+
+def test_importing_the_cli_loads_no_fractions():
+    # only a ledger's first record imports fractions, and through it decimal:
+    # eval and report build no ledger and do not pay for them
+    src = str(Path(dprank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, dprank.cli; print(sorted("
+         "{'fractions', 'decimal'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------ PrivacySpec
