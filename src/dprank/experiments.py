@@ -217,8 +217,9 @@ def synth_one_run(cfg: ExperimentConfig, g: Graph, epsilon: float,
     }
 
 
-def run_synth(cfg: ExperimentConfig, out_dir=None) -> Path:
-    """Train and synthesize run_count times per epsilon; write the manifest."""
+def run_synth(cfg: ExperimentConfig) -> Path:
+    """Train and synthesize run_count times per epsilon under ``cfg.out_dir``;
+    write the manifest."""
     cfg.validate()
     g = load_graph(cfg.dataset, cfg.symmetrize)
     # train derives the same spec; refuse what it would refuse (a per-step
@@ -231,7 +232,7 @@ def run_synth(cfg: ExperimentConfig, out_dir=None) -> Path:
             problems.append(str(exc))
     if problems:
         raise ConfigError(list(dict.fromkeys(problems)))
-    out_dir = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_id_map(g, out_dir / "id_map.csv")
 
@@ -410,13 +411,13 @@ def run_eval(original_path, synthetic_dir, out_dir=None,
     return reports
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir=None) -> Path:
+def run_sweep(cfg: ExperimentConfig) -> Path:
     """Synthesize and evaluate across the epsilon list, consolidating into a
     long-format CSV with one row per (epsilon, metric, run)."""
     cfg.validate()
     if len(cfg.epsilons) < 2:
         raise ConfigError(["a sweep needs at least two epsilon values"])
-    out_dir = run_synth(cfg, out_dir)
+    out_dir = run_synth(cfg)
     reports = run_eval(cfg.dataset, out_dir, downstream=cfg.downstream,
                        labels_path=cfg.labels)
 

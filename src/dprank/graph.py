@@ -99,9 +99,9 @@ def from_edges(num_nodes: int, edges, symmetrize: bool = False,
 
     # the edges are sorted by (src, dst), so dst is already the CSR index array
     src, dst = edges[:, 0], edges[:, 1]
-    out_degree = np.bincount(src, minlength=num_nodes)
+    out_indptr = row_pointers(src, num_nodes)
+    out_degree = np.diff(out_indptr)
     in_degree = np.bincount(dst, minlength=num_nodes)
-    out_indptr = np.concatenate(([0], np.cumsum(out_degree)))
     assert out_degree.sum() == in_degree.sum() == len(edges)
     return Graph(
         num_nodes=num_nodes,

@@ -197,8 +197,10 @@ def accumulate_scores(v: np.ndarray, starts: np.ndarray, scores: ScoreMatrix,
     costs O(PROPOSALS * r) rather than O(N * r). Candidates are scored
     ``FIRST_PROPOSALS`` at a time for every walker, and the rest only for the
     walkers that rejected those: the first accepted candidate and the draws
-    are those of scoring all of them. Raises ``ValueError`` on non-finite
-    embeddings.
+    are those of scoring all of them. On the final embeddings of a
+    reference run (seed 41) a candidate is accepted with probability
+    0.48-0.60, so a walker step takes the full-row branch with probability
+    about 5e-6. Raises ``ValueError`` on non-finite embeddings.
     """
     n = v.shape[0]
     if scores.num_nodes != n:
@@ -286,7 +288,12 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None) -> TrainResult:
     serial run on the dense gradient; the draws are those of a serial run
     too. The helper is joined before ``train`` returns or raises. At the
     peak four N x r arrays are live: V, its two Adam moments and the noise
-    buffer.
+    buffer. Weight normalization and the other fine-grained numpy work stay
+    on this thread, because numpy calls on two threads contend for the GIL:
+    moving normalization to the helper gave no gain, and a 284 x 64
+    matmul+tanh loop ran 2.4x slower beside a normalization thread. Every
+    call that ``bench/traced.py`` wraps runs on this thread too, since its
+    tracer keeps one span stack for all threads.
 
     The saved rows and the gradient pass's U-row arrays (a
     :class:`~dprank.model.Workspace`) are allocated once, for the most rows

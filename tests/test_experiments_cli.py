@@ -415,6 +415,40 @@ def test_cli_synth_and_eval_and_report(small_dataset, tmp_path, capsys):
     assert f"if S_nabla={spec['s_nabla']:g} is a valid sensitivity" in printed
 
 
+def test_cli_csv_dataset_with_sparse_ids(tmp_path):
+    # a .csv dataset is read comma-separated; its ids 3, 13, 23, ... are
+    # remapped onto 0..N-1, id_map.csv records the remap, and labels keyed
+    # by the original ids, in any order, reach the classifier
+    g = citation_benchmark_graph(num_nodes=60, num_edges=130, seed=5)
+    dataset = tmp_path / "graph.csv"
+    dataset.write_text("".join(f"{10 * u + 3},{10 * v + 3}\n"
+                               for u, v in g.edges if u < v))
+    labels = benchmark_labels(60, num_classes=3, seed=5)
+    labels_path = tmp_path / "labels.csv"
+    order = np.random.default_rng(0).permutation(60)
+    labels_path.write_text("node_id,class_id\n" + "".join(
+        f"{10 * k + 3},{labels[k]}\n" for k in order))
+    out_dir = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, small_config(dataset, out_dir, run_count=1))
+
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    with open(out_dir / "id_map.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["node_id", "original_id"]] + [
+        [str(k), str(10 * k + 3)] for k in range(60)]
+    assert main(["eval", "--original", str(dataset), "--synthetic-dir",
+                 str(out_dir), "--downstream", "--labels",
+                 str(labels_path)]) == 0
+    report = json.loads((out_dir / "eval_report.json").read_text())
+    (entry,) = report["per_epsilon"].values()
+    assert 0.0 <= entry["auc"]["mean"] <= 1.0
+    assert 0.0 <= entry["micro_f1"]["mean"] <= 1.0
+    assert np.array_equal(
+        load_labels(labels_path, experiments.load_graph(dataset, True)),
+        labels)
+
+
 def test_cli_eval_without_downstream_ignores_the_manifest(small_dataset,
                                                          tmp_path):
     # the synth config asks for downstream scores; a bare eval runs none

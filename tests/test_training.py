@@ -72,6 +72,27 @@ def test_train_deterministic(tmp_path):
         assert a.ledger.entries == b.ledger.entries
 
 
+def test_release_equals_the_edgeless_graphs():
+    # at the reference settings, here for one epoch, the noise swamps the
+    # summed embedding gradient: V, the scores and the synthetic graph
+    # trained on the benchmark graph are bitwise those of the edgeless graph
+    # with the same N and seeds. Only W, which is never released, sees the
+    # edges
+    from dprank.datasets import citation_benchmark_graph
+    from dprank.synthesis import sample_graph
+    g = citation_benchmark_graph()
+    cfg = TrainConfig(n_epochs=1, master_seed=123)
+    assert (g.num_nodes, cfg.iterations(g.num_nodes)) == (2708, 169)
+    real, null = train(g, cfg), train(edgeless_graph(g.num_nodes), cfg)
+    assert np.array_equal(real.theta.v, null.theta.v)
+    for x, y in zip(real.scores.triplet(), null.scores.triplet()):
+        assert np.array_equal(x, y)
+    assert (sample_graph(real.scores, rng=np.random.default_rng(5))
+            == sample_graph(null.scores, rng=np.random.default_rng(5)))
+    assert not all(np.array_equal(x, y)
+                   for x, y in zip(real.theta.w, null.theta.w))
+
+
 def test_train_runs_exactly_t_iterations(monkeypatch):
     g = ring_graph(20)
     cfg = tiny_config()
