@@ -2,8 +2,8 @@
 """Run the privacy-budget sweep on the benchmark graph.
 
 Builds the dataset if missing, then trains, synthesizes, and evaluates
-run_count times per epsilon, writing the consolidated long-format CSV.
-Expect roughly half a minute per run at the default scale.
+run_count times per epsilon. Expect roughly half a minute per run at the
+default scale.
 
 Usage:
     python scripts/run_benchmark_sweep.py [--out runs/benchmark_sweep]

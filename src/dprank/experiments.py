@@ -26,13 +26,11 @@ from .graph import Graph, load_edge_list, write_edge_list, write_id_map
 from .metrics import (GraphStats, build_report, compute_stats, degree_ks,
                       link_prediction_auc, node_classification_f1)
 from .privacy import PrivacySpec, gdp_epsilon
-from .synthesis import default_target_edges, sample_graph, symmetrize_scores
+from .synthesis import (check_target_edges, default_target_edges, sample_graph,
+                        symmetrize_scores)
 from .training import TrainConfig, train
 
 MANIFEST_NAME = "manifest.json"
-SWEEP_SCHEMA = "sweep/v1"
-SWEEP_COLUMNS = ("epsilon", "metric", "run", "value", "original_value",
-                 "relative_error")
 EVAL_COLUMNS = ("epsilon", "run", "metric", "original", "synthetic")
 
 
@@ -81,12 +79,14 @@ class ExperimentConfig:
             problems.append("run_count must be >= 1")
         if self.threads < 1:
             problems.append("threads must be >= 1")
-        if self.target_edges is not None and self.target_edges < 1:
-            problems.append("target_edges override must be positive")
         known = {f.name for f in dataclasses.fields(TrainConfig)}
         unknown = set(self.train) - known
         if unknown:
             problems.append(f"unknown train config keys: {sorted(unknown)}")
+        per_run = sorted({"epsilon", "master_seed"} & set(self.train))
+        if per_run:
+            problems.append(f"train may not set {per_run}: epsilons and "
+                            "master_seed set them per run")
         try:
             self.train_config(0).validate()
         except (ValueError, TypeError) as exc:
@@ -222,9 +222,15 @@ def run_synth(cfg: ExperimentConfig) -> Path:
     write the manifest."""
     cfg.validate()
     g = load_graph(cfg.dataset, cfg.symmetrize)
-    # train derives the same spec; refuse what it would refuse (a per-step
-    # budget epsilon/T >= 1) before any run trains or any directory is written
+    # train and sample_graph derive the same spec and edge range; refuse what
+    # they would refuse (a per-step budget epsilon/T >= 1, a target_edges out
+    # of range) before any run trains or any directory is written
     problems = []
+    if cfg.target_edges is not None:
+        try:
+            check_target_edges(cfg.target_edges, g.num_nodes)
+        except ValueError as exc:
+            problems.append(str(exc))
     for epsilon in cfg.epsilons:
         try:
             cfg.train_config(0, epsilon=epsilon).privacy_spec(g.num_nodes)
@@ -412,39 +418,16 @@ def run_eval(original_path, synthetic_dir, out_dir=None,
 
 
 def run_sweep(cfg: ExperimentConfig) -> Path:
-    """Synthesize and evaluate across the epsilon list, consolidating into a
-    long-format CSV with one row per (epsilon, metric, run)."""
+    """``run_synth`` across at least two epsilons, then ``run_eval`` of its
+    output. A run's relative error per metric is |synthetic - original| /
+    original from ``eval_report.csv``; its mean per epsilon is the MRE in
+    ``eval_report.json``."""
     cfg.validate()
     if len(cfg.epsilons) < 2:
         raise ConfigError(["a sweep needs at least two epsilon values"])
     out_dir = run_synth(cfg)
-    reports = run_eval(cfg.dataset, out_dir, downstream=cfg.downstream,
-                       labels_path=cfg.labels)
-
-    rows = []
-    for epsilon, report in reports.items():
-        epsilon = float(epsilon)  # an integer epsilon still prints as 1.0
-        for run_idx, run_stats in enumerate(report["synthetic_runs"]):
-            for metric, value in run_stats.items():
-                orig = report["original"].get(metric)
-                rel = (abs((value - orig) / orig)
-                       if value is not None and orig not in (None, 0) else "")
-                rows.append((epsilon, metric, run_idx,
-                             "" if value is None else value,
-                             "" if orig is None else orig, rel))
-        for run_idx, ks in enumerate(report["ks_per_run"]):
-            rows.append((epsilon, "degree_ks", run_idx, ks, "", ""))
-
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    sweep_path = out_dir / "sweep.csv"
-    with open(sweep_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        writer.writerows(rows)
-    manifest = json.loads((out_dir / MANIFEST_NAME).read_text())
-    manifest["sweep_schema"] = SWEEP_SCHEMA
-    manifest["sweep_csv"] = sweep_path.name
-    _json_dump(manifest, out_dir / MANIFEST_NAME)
+    run_eval(cfg.dataset, out_dir, downstream=cfg.downstream,
+             labels_path=cfg.labels)
     return out_dir
 
 

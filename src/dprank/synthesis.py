@@ -80,10 +80,10 @@ def default_target_edges(scores) -> int:
     """Edge budget from thresholding the standardized scores at sigmoid 0.5.
 
     The positive upper-triangle entries of the symmetrized matrix are
-    standardized to z-scores; entries with z > 0 (sigmoid above 0.5) count
-    toward the budget. Raw counts are scale-dependent, so without
-    standardization any positive count would pass the threshold and the rule
-    would be vacuous. Pairs never observed carry no evidence and are excluded.
+    standardized to z-scores; entries with z > 0 (sigmoid above 0.5), that
+    is the entries above their mean, count toward the budget. Raw counts are
+    scale-dependent, so without standardization any positive count would
+    pass the threshold and the rule would be vacuous. Pairs never observed carry no evidence and are excluded.
     Zero variance falls back to counting the positive entries.
 
     The result is clamped to [N-1, N(N-1)/2]: the coverage phase of
@@ -95,13 +95,10 @@ def default_target_edges(scores) -> int:
     n, pos = s_sym.num_nodes, s_sym.weights
     if pos.size == 0:
         raise ValueError("score matrix is all zero; no edge budget derivable")
-    std = pos.std()
-    if std == 0.0:
-        count = int(pos.size)
+    if pos.std() > 0:
+        count = int(np.count_nonzero(pos > pos.mean()))
     else:
-        z = pos - pos.mean()
-        z /= std
-        count = int(np.count_nonzero(z > 0))
+        count = int(pos.size)
     lo = max(n - 1, 1)
     hi = n * (n - 1) // 2
     return int(min(max(count, lo), hi))
@@ -205,6 +202,21 @@ def _coverage_edges(s_sym, rng: np.random.Generator) -> list:
     return edges
 
 
+def check_target_edges(target_edges: int, n: int):
+    """Raise ValueError unless ``target_edges`` edges can cover ``n`` nodes
+    without isolates (at least ceil(n/2)) in a simple graph (at most
+    n(n-1)/2)."""
+    min_edges = math.ceil(n / 2)
+    max_edges = n * (n - 1) // 2
+    if target_edges < min_edges:
+        raise ValueError(
+            f"target_edges={target_edges} cannot cover {n} nodes without "
+            f"isolates; need at least {min_edges}")
+    if target_edges > max_edges:
+        raise ValueError(f"target_edges={target_edges} exceeds the {max_edges} "
+                         "possible undirected edges")
+
+
 def sample_graph(scores, target_edges: int | None = None, *,
                  rng: np.random.Generator) -> Graph:
     """Sample an undirected simple graph with exactly ``target_edges`` edges
@@ -224,15 +236,7 @@ def sample_graph(scores, target_edges: int | None = None, *,
         raise ValueError("score matrix is all zero; nothing to sample from")
     if target_edges is None:
         target_edges = default_target_edges(s_sym)
-    min_edges = math.ceil(n / 2)
-    max_edges = n * (n - 1) // 2
-    if target_edges < min_edges:
-        raise ValueError(
-            f"target_edges={target_edges} cannot cover {n} nodes without "
-            f"isolates; need at least {min_edges}")
-    if target_edges > max_edges:
-        raise ValueError(f"target_edges={target_edges} exceeds the {max_edges} "
-                         "possible undirected edges")
+    check_target_edges(target_edges, n)
 
     edges = _coverage_edges(s_sym, rng)
     if len(edges) > target_edges:

@@ -17,9 +17,8 @@ import dprank
 from dprank import experiments, training
 from dprank.cli import main
 from dprank.datasets import benchmark_labels, citation_benchmark_graph
-from dprank.experiments import (ConfigError, ExperimentConfig, SWEEP_COLUMNS,
-                                derive_seed, load_labels, run_eval, run_sweep,
-                                run_synth)
+from dprank.experiments import (ConfigError, ExperimentConfig, derive_seed,
+                                load_labels, run_eval, run_sweep, run_synth)
 from dprank.graph import from_edges, write_edge_list
 from dprank.privacy import gdp_epsilon
 from dprank.training import TrainConfig
@@ -340,42 +339,32 @@ def test_load_labels_first_row_of_integers_is_data(tmp_path, first_row):
 
 # ------------------------------------------------------------------ sweep
 
-def test_sweep_consolidated_csv(small_dataset, tmp_path):
-    dataset, _ = small_dataset
-    cfg = small_config(dataset, tmp_path / "out", epsilons=[0.4, 3.2])
-    out = run_sweep(cfg)
-    lines = (out / "sweep.csv").read_text().strip().splitlines()
-    assert lines[0] == ",".join(SWEEP_COLUMNS)
-    # 2 epsilons x (7 stats + degree_ks) x 2 runs
-    assert len(lines) - 1 == 2 * 8 * 2
-    rows = [line.split(",") for line in lines[1:]]
-    keys = [(float(r[0]), r[1], int(r[2])) for r in rows]
-    assert keys == sorted(keys)
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["sweep_schema"] == "sweep/v1"
+def test_sweep_is_synth_then_eval(small_dataset, tmp_path):
+    # a sweep directory holds what synth followed by eval of its output
+    # writes, byte for byte; only the manifest's out_dir differs
+    dataset, labels = small_dataset
+    overrides = dict(epsilons=[0.4, 3.2], downstream=True, labels=str(labels))
+    swept = run_sweep(small_config(dataset, tmp_path / "sweep", **overrides))
+    cfg = small_config(dataset, tmp_path / "apart", **overrides)
+    apart = run_synth(cfg)
+    run_eval(cfg.dataset, apart, downstream=cfg.downstream,
+             labels_path=cfg.labels)
 
+    def files(out):
+        return sorted(p.relative_to(out).as_posix()
+                      for p in out.rglob("*") if p.is_file())
 
-def test_sweep_csv_matches_eval_report(small_dataset, tmp_path):
-    dataset, _ = small_dataset
-    cfg = small_config(dataset, tmp_path / "out", epsilons=[0.4, 3.2])
-    out = run_sweep(cfg)
-    payload = json.loads((out / "eval_report.json").read_text())
-    expected = {}
-    for eps, report in payload["per_epsilon"].items():
-        for run, stats in enumerate(report["synthetic_runs"]):
-            for metric, value in stats.items():
-                orig = report["original"][metric]
-                expected[(float(eps), metric, run)] = (value, orig)
-        for run, ks in enumerate(report["ks_per_run"]):
-            expected[(float(eps), "degree_ks", run)] = (ks, None)
-    with open(out / "sweep.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == len(expected)
-    for row in rows:
-        value, orig = expected[(float(row["epsilon"]), row["metric"],
-                                int(row["run"]))]
-        assert row["value"] == ("" if value is None else str(value))
-        assert row["original_value"] == ("" if orig is None else str(orig))
+    assert files(swept) == files(apart)
+    assert "eval_report.csv" in files(swept)
+    for name in files(swept):
+        if name == "manifest.json":
+            m_swept, m_apart = (json.loads((out / name).read_text())
+                                for out in (swept, apart))
+            m_swept["config"].pop("out_dir")
+            m_apart["config"].pop("out_dir")
+            assert m_swept == m_apart
+        else:
+            assert (swept / name).read_bytes() == (apart / name).read_bytes(), name
 
 
 def test_sweep_requires_two_epsilons(small_dataset, tmp_path):
@@ -651,11 +640,20 @@ def test_cli_refuses_epsilons_sharing_a_run_directory(small_dataset, tmp_path,
     ({"train": {"s_nabla": math.inf}}, "s_nabla must be finite"),
     ({"train": {"n_epochs": math.inf}}, "n_epochs must be an integer, got inf"),
     ({"train": {"r": 8.5}}, "r must be an integer, got 8.5"),
-], ids=["epsilon-nan", "eta-inf", "s_nabla-inf", "n_epochs-inf", "r-fractional"])
+    ({"target_edges": 5}, "target_edges=5 cannot cover 60 nodes without "
+     "isolates; need at least 30"),
+    ({"target_edges": 1771}, "target_edges=1771 exceeds the 1770 possible "
+     "undirected edges"),
+    ({"train": {"epsilon": 0.5}}, "train may not set ['epsilon']"),
+    ({"train": {"master_seed": 9}}, "train may not set ['master_seed']"),
+], ids=["epsilon-nan", "eta-inf", "s_nabla-inf", "n_epochs-inf", "r-fractional",
+        "target_edges-below-cover", "target_edges-above-simple",
+        "train-epsilon", "train-master_seed"])
 def test_cli_non_finite_config_values_are_config_errors(small_dataset, tmp_path,
                                                         capsys, override, problem):
-    # json reads NaN and Infinity, and a count may arrive as a float; each is
-    # refused before any directory is made
+    # json reads NaN and Infinity, a count may arrive as a float, and an
+    # edge target or a per-run train value may be out of place; each is
+    # refused before anything trains or any directory is made
     dataset, _ = small_dataset
     out_dir = tmp_path / "out"
     cfg_path = tmp_path / "cfg.json"
