@@ -350,13 +350,11 @@ def test_sweep_is_synth_then_eval(small_dataset, tmp_path):
     run_eval(cfg.dataset, apart, downstream=cfg.downstream,
              labels_path=cfg.labels)
 
-    def files(out):
-        return sorted(p.relative_to(out).as_posix()
-                      for p in out.rglob("*") if p.is_file())
-
-    assert files(swept) == files(apart)
-    assert "eval_report.csv" in files(swept)
-    for name in files(swept):
+    names = [sorted(p.relative_to(out).as_posix()
+                    for p in out.rglob("*") if p.is_file())
+             for out in (swept, apart)]
+    assert names[0] == names[1]
+    for name in names[0]:
         if name == "manifest.json":
             m_swept, m_apart = (json.loads((out / name).read_text())
                                 for out in (swept, apart))
