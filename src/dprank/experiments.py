@@ -56,7 +56,9 @@ class ExperimentConfig:
     threads: int = 1
     train: dict = field(default_factory=dict)
 
-    def validate(self):
+    def validate(self, sweep: bool = False) -> Graph:
+        """The dataset's graph, or one :class:`ConfigError` naming every
+        problem, those on the graph too; ``sweep`` asks for two epsilons."""
         # a JSON config can put any type anywhere; the checks below compare
         # and iterate, so they run only on well-typed values
         problems = self._type_problems()
@@ -68,6 +70,8 @@ class ExperimentConfig:
             problems.append(f"labels path does not exist: {self.labels}")
         if not self.epsilons:
             problems.append("epsilons list must not be empty")
+        if sweep and len(self.epsilons) < 2:
+            problems.append("a sweep needs at least two epsilon values")
         if not all(math.isfinite(e) and e > 0 for e in self.epsilons):
             problems.append("every epsilon must be positive and finite")
         by_tag = {}
@@ -91,8 +95,29 @@ class ExperimentConfig:
             self.train_config(0).validate()
         except (ValueError, TypeError) as exc:
             problems.append(f"train config rejected: {exc}")
+        else:
+            if Path(self.dataset).exists():
+                g = load_graph(self.dataset, self.symmetrize)
+                problems += self._graph_problems(g)
         if problems:
-            raise ConfigError(problems)
+            raise ConfigError(list(dict.fromkeys(problems)))
+        return g
+
+    def _graph_problems(self, g: Graph) -> list:
+        """What train and sample_graph would refuse on ``g``: epsilon/T >= 1,
+        more batch nodes than N, a target_edges out of range."""
+        problems = []
+        if self.target_edges is not None:
+            try:
+                check_target_edges(self.target_edges, g.num_nodes)
+            except ValueError as exc:
+                problems.append(str(exc))
+        for epsilon in (e for e in self.epsilons if math.isfinite(e) and e > 0):
+            try:
+                self.train_config(0, epsilon=epsilon).privacy_spec(g.num_nodes)
+            except ValueError as exc:
+                problems.append(str(exc))
+        return problems
 
     def _type_problems(self) -> list:
         def integer(value):
@@ -219,25 +244,12 @@ def synth_one_run(cfg: ExperimentConfig, g: Graph, epsilon: float,
 
 def run_synth(cfg: ExperimentConfig) -> Path:
     """Train and synthesize run_count times per epsilon under ``cfg.out_dir``;
-    write the manifest."""
-    cfg.validate()
-    g = load_graph(cfg.dataset, cfg.symmetrize)
-    # train and sample_graph derive the same spec and edge range; refuse what
-    # they would refuse (a per-step budget epsilon/T >= 1, a target_edges out
-    # of range) before any run trains or any directory is written
-    problems = []
-    if cfg.target_edges is not None:
-        try:
-            check_target_edges(cfg.target_edges, g.num_nodes)
-        except ValueError as exc:
-            problems.append(str(exc))
-    for epsilon in cfg.epsilons:
-        try:
-            cfg.train_config(0, epsilon=epsilon).privacy_spec(g.num_nodes)
-        except ValueError as exc:
-            problems.append(str(exc))
-    if problems:
-        raise ConfigError(list(dict.fromkeys(problems)))
+    write the manifest. Every config problem is refused before any run
+    trains or any directory is written."""
+    return _synthesize(cfg, cfg.validate())
+
+
+def _synthesize(cfg: ExperimentConfig, g: Graph) -> Path:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_id_map(g, out_dir / "id_map.csv")
@@ -422,10 +434,7 @@ def run_sweep(cfg: ExperimentConfig) -> Path:
     output. A run's relative error per metric is |synthetic - original| /
     original from ``eval_report.csv``; its mean per epsilon is the MRE in
     ``eval_report.json``."""
-    cfg.validate()
-    if len(cfg.epsilons) < 2:
-        raise ConfigError(["a sweep needs at least two epsilon values"])
-    out_dir = run_synth(cfg)
+    out_dir = _synthesize(cfg, cfg.validate(sweep=True))
     run_eval(cfg.dataset, out_dir, downstream=cfg.downstream,
              labels_path=cfg.labels)
     return out_dir

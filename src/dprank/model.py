@@ -269,8 +269,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # elements of a parameter that adam_update updates per block: 128 KB of
 # float64 per scratch block, 128 rows of a 128-wide V. 2^16-element blocks
-# make a quarter of the numpy calls, each of which the noise worker's update
-# of V makes under the GIL, and trained synth-wide about 4% faster, but
 # raised the peak RSS of training by about 1 MB (2 CPUs, one BLAS thread)
 ADAM_BLOCK = 1 << 14
 

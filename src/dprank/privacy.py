@@ -1,10 +1,13 @@
 """Differential-privacy arithmetic: gradient-bound constant, minimum depth,
-per-iteration Gaussian calibration, noise injection (with a source that
-draws each step's noise one step ahead), and the budget ledger."""
+per-iteration Gaussian calibration, noise injection (with a worker process
+that draws each step's noise one step ahead), and the budget ledger."""
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import traceback
 import warnings
 from dataclasses import dataclass, field, asdict
 
@@ -160,85 +163,101 @@ def perturb_gradient(sum_grad_v, s_nabla: float, sigma: float,
     return noise
 
 
-class PrefetchedNoise:
-    """Zero-mean Gaussian draws of one shape, each filled ahead on a worker
-    thread into the one buffer the source owns, where the worker can also
-    run an update that reads the draw.
+def shared_zeros(shape: tuple) -> np.ndarray:
+    """A float64 array of zeros in an anonymous ``MAP_SHARED`` mapping of its
+    own, which processes forked after it share; freeing the array unmaps it."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
-    Serves exactly ``count`` calls of ``normal(0.0, scale, size=shape)`` with
-    the values that as many serial ``rng.normal`` calls return: filling with
-    ``standard_normal`` and scaling in place consumes the stream as
-    ``normal`` does (a zero may differ in sign, since ``normal`` adds the
-    mean). :meth:`apply` has the worker call a function on the pending draw
-    once it is filled. ``normal`` waits for the pending fill and update and
-    returns the buffer; the caller calls :meth:`release` once done with it,
-    which lets ``executor`` (one worker) fill the next draw into the same
-    buffer while the caller goes on. Nothing else may draw from ``rng``
-    meanwhile. Other arguments raise ``ValueError``; a call past ``count``, a
-    ``normal`` or ``apply`` before the previous draw was released, a second
-    ``apply`` to one draw, or a ``release`` with no draw out raises
-    ``RuntimeError``. The first fill is submitted on construction and no fill
-    after the last draw.
+
+class PrefetchedNoise:
+    """Zero-mean Gaussian draws of one shape, each filled ahead by a forked
+    worker process into one shared buffer, where the worker then runs a
+    fixed update that reads the draw.
+
+    Serves exactly ``count`` calls of ``normal(0.0, scale, size=shape)``
+    with the values of as many serial ``rng.normal`` calls: the worker fills
+    with ``standard_normal`` from its copy of ``rng`` and scales in place (a
+    zero may differ in sign). After its k-th fill it waits for
+    :meth:`apply` and calls ``update(draw, k)``, which must not change the
+    draw and reaches this process only through shared mappings
+    (:func:`shared_zeros`). ``normal`` waits for the update and returns the
+    buffer; :meth:`release` hands it back for the next fill. One pipe
+    carries apply and release, the other done. Calls out of this order or
+    past ``count``, and a worker that exited early, raise ``RuntimeError``;
+    other ``normal`` arguments raise ``ValueError``. :meth:`close` closes
+    this end of the pipes and reaps the worker, which also exits after its
+    last release or once this process dies. Fork with no other thread running.
     """
 
     def __init__(self, rng: np.random.Generator, scale: float, shape: tuple,
-                 count: int, executor):
+                 count: int, update):
         if count < 1:
             raise ValueError("draw count must be >= 1")
-        self._rng = rng
         self._scale = scale
-        self._shape = tuple(shape)
         self._count = count
-        self._buffer = np.empty(self._shape)
-        self._executor = executor
-        self._submitted = 0
+        self._buffer = shared_zeros(tuple(shape))
+        self._taken = 0
         self._lent = False
         # whether apply was called for the pending or lent draw
         self.applied = False
-        self._pending = self._submit()
+        orders, self._orders = os.pipe()
+        self._done, done = os.pipe()
+        self._pid = os.fork()
+        for fd in (orders, done) if self._pid else (self._orders, self._done):
+            os.close(fd)  # each process keeps its own two ends
+        if self._pid:
+            return
+        try:  # the worker, which leaves only through os._exit
+            for k in range(1, count + 1):
+                rng.standard_normal(out=self._buffer)
+                self._buffer *= scale
+                if not os.read(orders, 1):  # apply; empty once this end closed
+                    break
+                update(self._buffer, k)
+                os.write(done, b"\0")
+                os.read(orders, 1)  # release; if empty, the next read is too
+        except BrokenPipeError:  # this end was closed during the update
+            pass
+        except Exception:  # this end sees only that the worker exited early
+            traceback.print_exc()
+        finally:
+            os._exit(0)
 
-    def _submit(self):
-        self._submitted += 1
-        return self._executor.submit(self._fill)
-
-    def _fill(self) -> np.ndarray:
-        self._rng.standard_normal(out=self._buffer)
-        self._buffer *= self._scale
-        return self._buffer
+    def _signal(self) -> None:
+        try:
+            os.write(self._orders, b"\0")
+        except BrokenPipeError:
+            raise RuntimeError("the noise worker exited early") from None
 
     def _check_pending(self) -> None:
         if self._lent:
             raise RuntimeError("the previous noise draw was not released")
-        if self._pending is None:
+        if self._taken == self._count:
             raise RuntimeError(f"all {self._count} noise draws were taken")
 
-    def apply(self, update) -> None:
-        """Have the worker call ``update(draw)`` once the pending draw is
-        filled; ``normal`` returns the draw only after ``update`` is done.
-        ``update`` must not change the draw."""
+    def apply(self) -> None:
+        """Have the worker run the update on the pending draw once it is
+        filled; ``normal`` returns the draw only after the update is done."""
         self._check_pending()
         if self.applied:
             raise RuntimeError("an update was already applied to this draw")
-        fill = self._pending
-
-        def run():
-            draw = fill.result()
-            update(draw)
-            return draw
-
-        self._pending = self._executor.submit(run)
+        self._signal()
         self.applied = True
 
     def normal(self, loc: float, scale: float, size: tuple) -> np.ndarray:
-        if (loc, scale, tuple(size)) != (0.0, self._scale, self._shape):
+        shape = self._buffer.shape
+        if (loc, scale, tuple(size)) != (0.0, self._scale, shape):
             raise ValueError(
-                f"noise source serves normal(0.0, {self._scale}, {self._shape}), "
+                f"noise source serves normal(0.0, {self._scale}, {shape}), "
                 f"not normal({loc}, {scale}, {tuple(size)})")
         self._check_pending()
-        draw = self._pending.result()
-        self._pending = None
+        if not self.applied:
+            raise RuntimeError("no update was applied to this noise draw")
+        if not os.read(self._done, 1):
+            raise RuntimeError("the noise worker exited early")
+        self._taken += 1
         self._lent = True
-        return draw
+        return self._buffer
 
     def release(self) -> None:
         """Hand back the array the last ``normal`` returned; the next draw
@@ -247,8 +266,13 @@ class PrefetchedNoise:
             raise RuntimeError("no noise draw is out to release")
         self._lent = False
         self.applied = False
-        if self._submitted < self._count:
-            self._pending = self._submit()
+        self._signal()
+
+    def close(self) -> None:
+        """Close this end of both pipes and wait for the worker to exit."""
+        os.close(self._orders)
+        os.close(self._done)
+        os.waitpid(self._pid, 0)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -27,7 +27,7 @@ from .model import (AdamState, Theta, WeightNormalizer, Workspace,
                     _loss_and_gradients, adam_step, adam_update, init_params,
                     touched_nodes)
 from .privacy import (PrefetchedNoise, PrivacyLedger, PrivacyOverdraftError,
-                      PrivacySpec, RowGradient, perturb_gradient)
+                      PrivacySpec, RowGradient, perturb_gradient, shared_zeros)
 
 CHECKPOINT_VERSION = 6
 CHECKPOINT_NAME = "checkpoint.npz"
@@ -277,23 +277,20 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None) -> TrainResult:
     :class:`~dprank.privacy.PrivacyOverdraftError` before it is noised.
 
     The embedding gradient is nonzero only in the rows of the batch's nodes
-    U, so its update splits in two. One helper thread (see
-    :class:`PrefetchedNoise`) draws each step's N x r noise and then runs
-    Adam on every row of V on the noise alone, ``noise / B``; meanwhile this
-    thread takes the gradient from the rows of V, m and v saved before the
-    step and updates W. It then waits for the helper, releases the draw for
-    the next fill once it has ``(noise[U] + grad_rows) / B``, runs Adam on
-    the saved rows and writes them back over the helper's. Adam is
+    U, so its update splits in two. A worker process forked before the first
+    step (see :class:`PrefetchedNoise`) draws each step's N x r noise and
+    runs Adam on every row of V on the noise alone, ``noise / B``; meanwhile
+    this process takes the gradient from the rows of V, m and v saved before
+    the step and updates W. It then waits for the worker, releases the draw
+    for the next fill once it has ``(noise[U] + grad_rows) / B``, runs Adam
+    on the saved rows and writes them back over the worker's. Adam is
     element-wise and ``(x + 0.0) / B == x / B``, so V is bitwise that of a
-    serial run on the dense gradient; the draws are those of a serial run
-    too. The helper is joined before ``train`` returns or raises. At the
-    peak four N x r arrays are live: V, its two Adam moments and the noise
-    buffer. Weight normalization and the other fine-grained numpy work stay
-    on this thread, because numpy calls on two threads contend for the GIL:
-    moving normalization to the helper gave no gain, and a 284 x 64
-    matmul+tanh loop ran 2.4x slower beside a normalization thread. Every
-    call that ``bench/traced.py`` wraps runs on this thread too, since its
-    tracer keeps one span stack for all threads.
+    serial run on the dense gradient, from the same draws. V, its two Adam
+    moments and the noise buffer live in shared mappings, and the returned V
+    stays in its own. The worker is reaped before ``train`` returns or
+    raises; a worker thread would contend with this one for the GIL.
+    ``train`` starts no thread, so the fork copies none, and every call that
+    ``bench/traced.py`` wraps runs on the calling thread.
 
     The saved rows and the gradient pass's U-row arrays (a
     :class:`~dprank.model.Workspace`) are allocated once, for the most rows
@@ -318,8 +315,10 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None) -> TrainResult:
     scores = ScoreMatrix(n, capacity=pspec.t * cfg.batch_nodes * (cfg.r_wl - 1))
     ledger = PrivacyLedger(cfg.epsilon, cfg.delta, pspec.t)
     adam_w = AdamState.for_params(theta.w)
-    # V's Adam moments and step count; both threads write the moments
-    m_v, s_v, step_v = np.zeros_like(theta.v), np.zeros_like(theta.v), 0
+    # V and its Adam moments live in mappings that the noise worker writes
+    v, m_v, s_v = (shared_zeros(theta.v.shape) for _ in range(3))
+    v[...] = theta.v
+    theta.v, step_v = v, 0
     # a batch touches at most its starts and r_wl - 1 further nodes per walk.
     # The step's row buffers are made once for that many rows; np.empty
     # leaves the rows no batch reaches unbacked
@@ -328,11 +327,12 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None) -> TrainResult:
     workspace = Workspace(max_rows, cfg.r, cfg.d, pspec.min_depth)
 
     # the noise reads neither the data nor the model, so each step's draw is
-    # made on a worker thread from the release of the draw before it; leaving
-    # the block joins the worker, also when a step raises
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        noise = PrefetchedNoise(rng_noise, cfg.s_nabla * pspec.sigma,
-                                theta.v.shape, pspec.t, pool)
+    # made in a worker process from the release of the draw before it;
+    # leaving the block reaps the worker, also when a step raises
+    update = partial(adam_update, m_v, s_v, theta.v, eta=cfg.eta,
+                     divisor=b_nominal)
+    with closing(PrefetchedNoise(rng_noise, cfg.s_nabla * pspec.sigma,
+                                 v.shape, pspec.t, update)) as noise:
         for epoch in range(cfg.n_epochs):
             order = rng_shuffle.permutation(n)
             for it in range(per_epoch):
@@ -344,10 +344,9 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None) -> TrainResult:
                 for full, rows in ((theta.v, v_rows), (m_v, m_rows), (s_v, s_rows)):
                     np.take(full, nodes, axis=0, out=rows, mode="clip")
                 # from here until the wait in perturb_gradient the worker
-                # updates every row of V, m and v on the noise alone
-                noise.apply(partial(adam_update, m_v, s_v, theta.v,
-                                    t=step_v + 1, eta=cfg.eta,
-                                    divisor=b_nominal))
+                # updates every row of V, m and v on the noise alone, as
+                # Adam's step step_v + 1
+                noise.apply()
                 normalizer.normalize_(theta)
                 loss, grad_rows, grad_w = _loss_and_gradients(
                     v_rows, theta.w, batch, inverse, g, cfg.gamma, workspace)

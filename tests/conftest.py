@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -12,6 +13,23 @@ from dprank.graph import from_edges
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def worker_pids(monkeypatch):
+    """The pid of every process ``os.fork`` makes from here on, in order, as
+    the forking process sees it."""
+    pids = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
 
 
 @pytest.fixture

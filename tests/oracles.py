@@ -6,10 +6,12 @@ independent of the code paths under test.
 """
 
 import itertools
+import os
 from collections import deque
 from concurrent.futures import Future
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 
@@ -468,11 +470,17 @@ def loss_and_gradients_allocating(v_rows, w, pairs, inverse, g, gamma):
     return loss, delta @ w[0].T, grad_w
 
 
+def assert_reaped(pid):
+    """``pid`` is no longer a child of this process: it exited and was waited
+    for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
 class InlineExecutor:
-    """Stands in for ``concurrent.futures.ProcessPoolExecutor`` or
-    ``ThreadPoolExecutor``: runs each task in the calling thread when it is
-    submitted, so code that hands work to a pool can be compared with its
-    serial run."""
+    """Stands in for ``concurrent.futures.ProcessPoolExecutor``: runs each
+    task in the calling thread when it is submitted, so code that hands work
+    to a pool can be compared with its serial run."""
 
     def __init__(self, max_workers=None):
         pass

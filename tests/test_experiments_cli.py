@@ -644,9 +644,12 @@ def test_cli_refuses_epsilons_sharing_a_run_directory(small_dataset, tmp_path,
      "undirected edges"),
     ({"train": {"epsilon": 0.5}}, "train may not set ['epsilon']"),
     ({"train": {"master_seed": 9}}, "train may not set ['master_seed']"),
+    # a problem of the config and one found on its graph, named together
+    ({"run_count": 0, "target_edges": 5},
+     ("run_count must be >= 1", "target_edges=5 cannot cover 60 nodes")),
 ], ids=["epsilon-nan", "eta-inf", "s_nabla-inf", "n_epochs-inf", "r-fractional",
         "target_edges-below-cover", "target_edges-above-simple",
-        "train-epsilon", "train-master_seed"])
+        "train-epsilon", "train-master_seed", "run_count-and-target_edges"])
 def test_cli_non_finite_config_values_are_config_errors(small_dataset, tmp_path,
                                                         capsys, override, problem):
     # json reads NaN and Infinity, a count may arrive as a float, and an
@@ -661,7 +664,9 @@ def test_cli_non_finite_config_values_are_config_errors(small_dataset, tmp_path,
     cfg_path.write_text(json.dumps(payload))
     assert main(["synth", "--config", str(cfg_path)]) == 1
     assert not out_dir.exists()
-    assert problem in capsys.readouterr().err
+    err = capsys.readouterr().err
+    for one in (problem,) if isinstance(problem, str) else problem:
+        assert one in err
 
 
 def test_cli_wrong_typed_config_values_are_config_errors(small_dataset,

@@ -2,7 +2,7 @@ import math
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +13,9 @@ import dprank
 from dprank.privacy import (PrefetchedNoise, PrivacyLedger,
                             PrivacyOverdraftError, PrivacySpec, RowGradient,
                             compute_m, gdp_epsilon, min_layers,
-                            noise_sigma, perturb_gradient)
+                            noise_sigma, perturb_gradient, shared_zeros)
 from dprank.training import TrainConfig
+from oracles import assert_reaped
 
 
 # ------------------------------------------------------------- constant M
@@ -224,10 +225,10 @@ def test_perturb_variance_scales_with_sensitivity():
     assert abs(out.std() - 3.0) / 3.0 < 0.02
 
 
-def test_prefetched_noise_serves_exactly_count_serial_draws():
+def test_prefetched_noise_serves_exactly_count_serial_draws(worker_pids):
     rng = np.random.default_rng(5)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        noise = PrefetchedNoise(rng, 2.0, (4, 3), 3, pool)
+    with closing(PrefetchedNoise(rng, 2.0, (4, 3), 3,
+                                 lambda draw, k: None)) as noise:
         for loc, scale, size in [(1.0, 2.0, (4, 3)), (0.0, 3.0, (4, 3)),
                                  (0.0, 2.0, (3, 4))]:
             with pytest.raises(ValueError, match="noise source serves"):
@@ -236,6 +237,9 @@ def test_prefetched_noise_serves_exactly_count_serial_draws():
             noise.release()
         draws = []
         for _ in range(3):
+            with pytest.raises(RuntimeError, match="no update was applied"):
+                noise.normal(0.0, 2.0, size=(4, 3))
+            noise.apply()
             draws.append(noise.normal(0.0, 2.0, size=(4, 3)).copy())
             # the one buffer is still lent out: a second draw would refill it
             with pytest.raises(RuntimeError, match="was not released"):
@@ -243,37 +247,61 @@ def test_prefetched_noise_serves_exactly_count_serial_draws():
             noise.release()
         with pytest.raises(RuntimeError, match="all 3 noise draws"):
             noise.normal(0.0, 2.0, size=(4, 3))
+        # three fills and no fourth: the worker leaves by itself once the
+        # third draw is released (waited for here, and reaped by close)
+        (pid,) = worker_pids
+        assert os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT).si_status == 0
+    assert_reaped(pid)
     replay = np.random.default_rng(5)
     for draw in draws:
         assert np.array_equal(draw, replay.normal(0.0, 2.0, (4, 3)))
-    # three fills and no fourth: the stream stopped where three draws end
-    assert rng.bit_generator.state == replay.bit_generator.state
+    # the worker drew from its copy of the generator, never from this one
+    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
 
-def test_prefetched_noise_applies_one_update_after_each_fill():
+def test_prefetched_noise_applies_one_update_after_each_fill(worker_pids):
     rng = np.random.default_rng(6)
-    seen = []
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        noise = PrefetchedNoise(rng, 2.0, (4, 3), 2, pool)
+    # what the worker's update saw, per draw: the step k and the draw, in a
+    # mapping that the worker process writes
+    seen = shared_zeros((2, 13))
+
+    def update(draw, k):
+        seen[k - 1] = (k, *draw.ravel())
+
+    with closing(PrefetchedNoise(rng, 2.0, (4, 3), 2, update)) as noise:
         assert not noise.applied
-        noise.apply(lambda draw: seen.append(draw.copy()))
+        noise.apply()
+        assert noise.applied
         with pytest.raises(RuntimeError, match="already applied"):
-            noise.apply(lambda draw: None)
+            noise.apply()
         first = noise.normal(0.0, 2.0, size=(4, 3)).copy()
+        # normal waited for the update
+        assert seen[0].tolist() == [1.0, *first.ravel()]
         with pytest.raises(RuntimeError, match="was not released"):
-            noise.apply(lambda draw: None)
+            noise.apply()
         noise.release()
         assert not noise.applied
-        # a draw with no update is served as before
+        noise.apply()
         second = noise.normal(0.0, 2.0, size=(4, 3)).copy()
         noise.release()
         with pytest.raises(RuntimeError, match="all 2 noise draws"):
-            noise.apply(lambda draw: None)
-    # the update saw the filled draw, and normal waited for it
-    assert len(seen) == 1 and np.array_equal(seen[0], first)
+            noise.apply()
+    (pid,) = worker_pids
+    assert_reaped(pid)
+    assert seen[1].tolist() == [2.0, *second.ravel()]
     replay = np.random.default_rng(6)
     assert np.array_equal(first, replay.normal(0.0, 2.0, (4, 3)))
     assert np.array_equal(second, replay.normal(0.0, 2.0, (4, 3)))
+
+
+def test_prefetched_noise_reaps_its_worker_when_closed_early(worker_pids):
+    # closing with draws still to come ends the worker where it waits
+    with closing(PrefetchedNoise(np.random.default_rng(8), 1.0, (4, 3), 5,
+                                 lambda draw, k: None)) as noise:
+        noise.apply()
+        noise.normal(0.0, 1.0, size=(4, 3))
+    (pid,) = worker_pids
+    assert_reaped(pid)
 
 
 def test_perturb_row_gradient_reads_the_draw_rows():
@@ -283,11 +311,11 @@ def test_perturb_row_gradient_reads_the_draw_rows():
     # the other rows' noise comes only from an update applied to the draw
     with pytest.raises(ValueError, match="every other row"):
         perturb_gradient(grad, 1.0, 1.0, 2, np.random.default_rng(7))
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        noise = PrefetchedNoise(np.random.default_rng(7), 1.0, (5, 3), 2, pool)
+    with closing(PrefetchedNoise(np.random.default_rng(7), 1.0, (5, 3), 2,
+                                 lambda draw, k: None)) as noise:
         with pytest.raises(ValueError, match="every other row"):
             perturb_gradient(grad, 1.0, 1.0, 2, noise)
-        noise.apply(lambda draw: None)
+        noise.apply()
         out = perturb_gradient(grad, 1.0, 1.0, 2, noise)
         noise.release()
     draw = np.random.default_rng(7).normal(0.0, 1.0, (5, 3))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -17,10 +18,10 @@ from dprank.graph import from_edges
 from dprank.model import adam_step, adam_update
 from dprank.privacy import (PrefetchedNoise, PrivacyLedger,
                             PrivacyOverdraftError, RowGradient,
-                            perturb_gradient)
+                            perturb_gradient, shared_zeros)
 from dprank.training import (ScoreMatrix, TrainConfig, TrainingDivergedError,
                              accumulate_scores, train)
-from oracles import (InlineExecutor, accumulate_scores_single_stage,
+from oracles import (accumulate_scores_single_stage, assert_reaped,
                      inverse_cdf_step, masked_softmax_probs,
                      rejection_acceptance, score_csr, train_serial)
 
@@ -142,7 +143,10 @@ def test_optimizer_only_sees_perturbed_v_gradient(monkeypatch):
     perturbed_ids = []
     consumed_ids = []
     draw_ids = []
-    worker_grad_ids = []
+    # the worker process logs the id of the gradient each update reads, in
+    # a mapping both processes share; the draw is made before the fork, so
+    # it has the same id in both
+    worker_grad_ids = shared_zeros((cfg.iterations(12),))
     normal = PrefetchedNoise.normal
 
     def spy_perturb(grad, s_nabla, sigma, batch_size, rng):
@@ -164,7 +168,7 @@ def test_optimizer_only_sees_perturbed_v_gradient(monkeypatch):
 
     def spy_update(m, v, p, grad, t, eta, divisor):
         # the worker's update reads nothing but the noise draw
-        worker_grad_ids.append(id(grad))
+        worker_grad_ids[t - 1] = id(grad)
         return adam_update(m, v, p, grad, t, eta, divisor)
 
     monkeypatch.setattr(training, "perturb_gradient", spy_perturb)
@@ -174,36 +178,170 @@ def test_optimizer_only_sees_perturbed_v_gradient(monkeypatch):
     train(g, cfg)
     assert len(perturbed_ids) == 3
     assert consumed_ids == perturbed_ids
-    assert worker_grad_ids == draw_ids
+    assert worker_grad_ids.tolist() == [float(i) for i in draw_ids]
 
 
-def test_train_aborts_on_nonfinite(monkeypatch):
+def wait_for(flag, timeout=5.0):
+    """Wait until another process sets ``flag[0]``, for at most ``timeout``
+    seconds."""
+    deadline = time.monotonic() + timeout
+    while not flag[0] and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert flag[0]
+
+
+def abort_mid_update(monkeypatch, worker_pids, gradients):
+    """Train with a noise worker whose first update takes 0.2 s, the
+    gradients of each step replaced by ``gradients(v_rows, w)`` once that
+    update has started, and return what ``train`` raised. The worker must
+    finish the update and be reaped before ``train`` raises."""
     g = ring_graph(12)
     cfg = tiny_config(n_epochs=1, epsilon=2.0)  # epsilon/T = 2/3
-    update_started = threading.Event()
-    update_done = []
+    # [update started, update done], written by the worker process
+    flags = shared_zeros((2,))
 
     def slow_update(*args, **kwargs):
-        update_started.set()
+        flags[0] = 1.0
         time.sleep(0.2)
         adam_update(*args, **kwargs)
-        update_done.append(True)
+        flags[1] = 1.0
 
-    def bad_loss(v_rows, w, batch, inverse, graph, gamma, workspace):
+    def late_gradients(v_rows, w, batch, inverse, graph, gamma, workspace):
         # the abort comes while the worker's noise-only update is running
-        assert update_started.wait(5.0)
-        gw = [np.zeros_like(wl) for wl in w]
-        return float("nan"), np.zeros_like(v_rows), gw
+        wait_for(flags[:1])
+        return gradients(v_rows, w)
 
     monkeypatch.setattr(training, "adam_update", slow_update)
-    monkeypatch.setattr(training, "_loss_and_gradients", bad_loss)
-    before = set(threading.enumerate())
-    with pytest.raises(TrainingDivergedError) as err:
+    monkeypatch.setattr(training, "_loss_and_gradients", late_gradients)
+    with pytest.raises(RuntimeError) as err:
         train(g, cfg)
-    assert err.value.epoch == 0 and err.value.iteration == 0
-    # the noise worker was busy with the first update and is joined all the same
-    assert update_done == [True]
-    assert set(threading.enumerate()) <= before
+    # the worker was busy with the first update and is reaped all the same
+    assert flags[1] == 1.0
+    (pid,) = worker_pids
+    assert_reaped(pid)
+    return err.value
+
+
+def test_train_aborts_on_nonfinite(monkeypatch, worker_pids):
+    def nan_loss(v_rows, w):
+        return float("nan"), np.zeros_like(v_rows), [np.zeros_like(wl) for wl in w]
+
+    err = abort_mid_update(monkeypatch, worker_pids, nan_loss)
+    assert isinstance(err, TrainingDivergedError)
+    assert err.epoch == 0 and err.iteration == 0
+
+
+def test_train_reaps_its_worker_on_an_overdraft_mid_update(monkeypatch,
+                                                            worker_pids):
+    def loud_rows(v_rows, w):
+        return 0.0, np.ones_like(v_rows), [np.zeros_like(wl) for wl in w]
+
+    err = abort_mid_update(monkeypatch, worker_pids, loud_rows)
+    assert isinstance(err, PrivacyOverdraftError)
+    assert "at epoch 0, iteration 0" in str(err)
+
+
+@pytest.mark.parametrize("when", ["waiting", "mid_update"])
+def test_train_raises_when_its_worker_is_killed(monkeypatch, worker_pids,
+                                                when):
+    # the worker dies in the third step, while it waits to be asked for its
+    # update (train's request then fails) or in the middle of that update
+    # (its done then never comes): train must raise instead of waiting
+    g, cfg = ring_graph(20), tiny_config()
+    target = {"waiting": "generate_walk_batch",
+              "mid_update": "_loss_and_gradients"}[when]
+    real = getattr(training, target)
+    started = shared_zeros((1,))  # written by the worker process
+    steps = []
+
+    def stalled_update(m, v, p, grad, t, eta, divisor):
+        if t == 3:
+            started[0] = 1.0
+            time.sleep(5.0)  # killed before it wakes
+        return adam_update(m, v, p, grad, t, eta, divisor)
+
+    def kill_worker(*args):
+        steps.append(None)
+        if len(steps) == 3:
+            (pid,) = worker_pids
+            if when == "mid_update":
+                wait_for(started)
+            os.kill(pid, signal.SIGKILL)
+            # wait until it is dead, without reaping it
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        return real(*args)
+
+    def hung(signum, frame):
+        raise TimeoutError("train still waits for its dead worker")
+
+    monkeypatch.setattr(training, "adam_update", stalled_update)
+    monkeypatch.setattr(training, target, kill_worker)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(4)
+    try:
+        with pytest.raises(RuntimeError, match="noise worker exited early"):
+            train(g, cfg)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(steps) == 3
+    assert started[0] == (when == "mid_update")
+    (pid,) = worker_pids
+    assert_reaped(pid)
+
+
+ORPHAN_CHILD = """
+import os
+from dprank.graph import from_edges
+from dprank.training import TrainConfig, train
+
+fork = os.fork
+
+
+def spy():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+
+os.fork = spy
+n = 400
+g = from_edges(n, [(i, (i + 1) % n) for i in range(n)], symmetrize=True)
+train(g, TrainConfig(n_epochs=1000, batch_nodes=4, r_wn=1, r_wl=4, r=6, d=4,
+                     s=2.0, epsilon=3.2, master_seed=11))
+"""
+
+
+def test_worker_exits_soon_after_its_parent_is_killed():
+    # a training process killed with SIGKILL runs no cleanup; its worker
+    # must see the end of its pipe and exit by itself, within 1 s
+    src = str(Path(training.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen([sys.executable, "-c", ORPHAN_CHILD], env=env,
+                            stdout=subprocess.PIPE, text=True)
+    try:
+        pid = int(proc.stdout.readline())
+        time.sleep(0.3)  # well into the run's 100000 steps
+        assert proc.poll() is None
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+
+    def running():
+        # a zombie has exited; its new parent may not have reaped it yet
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    deadline = time.monotonic() + 1.0
+    while running() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not running()
 
 
 @pytest.mark.parametrize("scale", [0.5, 1.5])
@@ -274,18 +412,23 @@ def test_noise_stream_is_consumed_in_order(monkeypatch):
                               / cfg.nominal_batch_pairs())
 
 
-def test_train_joins_its_noise_worker(monkeypatch):
-    before = set(threading.enumerate())
+def test_train_joins_its_noise_worker(monkeypatch, worker_pids):
+    # one worker process runs through every step; train starts no thread,
+    # so the fork copies none, and reaps the worker before it returns
+    threads = set(threading.enumerate())
     during = []
 
     def spy_perturb(*args):
-        during.append(set(threading.enumerate()) - before)
+        (pid,) = worker_pids
+        during.append((os.waitpid(pid, os.WNOHANG),
+                       set(threading.enumerate()) == threads))
         return perturb_gradient(*args)
 
     monkeypatch.setattr(training, "perturb_gradient", spy_perturb)
-    train(ring_graph(20), tiny_config())
-    assert all(during)
-    assert set(threading.enumerate()) <= before
+    result = train(ring_graph(20), tiny_config())
+    assert during == [((0, 0), True)] * result.privacy.t
+    (pid,) = worker_pids
+    assert_reaped(pid)
 
 
 def edgeless_graph(n):
@@ -335,11 +478,11 @@ def test_train_matches_serial_dense_step(monkeypatch, case, master_seed):
 
 
 def test_train_matches_serial_dense_step_under_fast_thread_switching(monkeypatch):
-    # the worker and this thread both write V, m and v. With threads switched
-    # every microsecond and a worker that starts each update late, a row
-    # update that the worker overwrites, or one it reads half-written,
-    # breaks bitwise equality
-    import sys
+    # the worker process and this one both write V, m and v. With a worker
+    # that starts each update late (the fork inherits the patched update),
+    # a row update that the worker overwrites, or one it reads half-written,
+    # breaks bitwise equality; the short switch interval now reaches only
+    # this process's threads
 
     def late_update(*args, **kwargs):
         time.sleep(0.01)
@@ -357,80 +500,125 @@ def test_train_matches_serial_dense_step_under_fast_thread_switching(monkeypatch
     assert np.array_equal(result.theta.v, theta.v)
 
 
-def test_traced_calls_stay_on_the_calling_thread(monkeypatch, tmp_path):
-    # every call a tracer wraps runs on the thread that called train, and the
-    # worker's noise-only update is the one call made elsewhere: it covers
-    # every row of V once per step, so every row is noised on every step
+def test_traced_calls_stay_on_the_calling_thread(monkeypatch, tmp_path,
+                                                 worker_pids):
+    # every call a tracer wraps runs in this process on the thread that
+    # called train, and the worker's noise-only update is the one call made
+    # elsewhere: it covers every row of V once per step, so every row is
+    # noised on every step
     g, cfg = ring_graph(20), tiny_config()
+    t, n = cfg.iterations(20), g.num_nodes
     calls = []
+    # per update, as the worker process sees it: its pid, the id of the
+    # parameter and the shape of the gradient
+    updates = shared_zeros((t, 4))
 
     def spy(name, fn):
         def wrapper(*args, **kwargs):
-            calls.append((name, threading.get_ident(), args))
+            calls.append((name, os.getpid(), threading.get_ident(), args))
             return fn(*args, **kwargs)
         return wrapper
 
+    def spy_update(m, v, p, grad, step, eta, divisor):
+        updates[step - 1] = (os.getpid(), id(p), *grad.shape)
+        return adam_update(m, v, p, grad, step, eta, divisor)
+
     for name in ("generate_walk_batch", "_loss_and_gradients", "adam_step",
-                 "perturb_gradient", "accumulate_scores", "save_checkpoint",
-                 "adam_update"):
+                 "perturb_gradient", "accumulate_scores", "save_checkpoint"):
         monkeypatch.setattr(training, name, spy(name, getattr(training, name)))
+    monkeypatch.setattr(training, "adam_update", spy_update)
     monkeypatch.setattr(model.WeightNormalizer, "normalize_",
                         spy("normalize_", model.WeightNormalizer.normalize_))
     result = train(g, cfg, run_dir=tmp_path)
-    t, n = result.privacy.t, g.num_nodes
-    main = threading.get_ident()
+    assert result.privacy.t == t
+    main = (os.getpid(), threading.get_ident())
     by_name = {}
-    for name, ident, args in calls:
-        by_name.setdefault(name, []).append((ident, args))
-    assert {name for name, _, _ in calls} == {
+    for name, pid, ident, args in calls:
+        by_name.setdefault(name, []).append(((pid, ident), args))
+    assert set(by_name) == {
         "generate_walk_batch", "_loss_and_gradients", "adam_step",
         "perturb_gradient", "accumulate_scores", "save_checkpoint",
-        "adam_update", "normalize_"}
+        "normalize_"}
     for name, seen in by_name.items():
-        if name != "adam_update":
-            assert {ident for ident, _ in seen} == {main}, name
+        assert {where for where, _ in seen} == {main}, name
     perturbs = by_name["perturb_gradient"]
     assert len(perturbs) == t
     assert all(args[0].size == n * cfg.r for _, args in perturbs)
-    updates = by_name["adam_update"]
-    assert len(updates) == t
-    assert all(ident != main for ident, _ in updates)
-    # adam_update(m, v, p, grad, ...): p is the whole of V, grad the draw
-    assert all(args[2] is result.theta.v and args[3].shape == (n, cfg.r)
-               for _, args in updates)
+    # adam_update(m, v, p, grad, ...) in the worker, once per step: p is the
+    # whole of V, grad the draw
+    (pid,) = worker_pids
+    assert pid != os.getpid()
+    assert updates.tolist() == [[pid, id(result.theta.v), n, cfg.r]] * t
 
 
-def test_train_with_inline_fills_matches_threaded(monkeypatch):
-    # an inline fill overwrites the noise buffer the moment train releases
-    # it, so a draw still read after its release would change the result
+def test_train_reads_no_draw_after_its_release(monkeypatch):
+    # the worker fills the next draw into the buffer from the moment train
+    # releases it. Poisoning the draw just before each release makes any
+    # later read of it change the result, whenever the next fill lands
     g = ring_graph(20)
     cfg = tiny_config()
-    threaded = train(g, cfg)
-    monkeypatch.setattr(training, "ThreadPoolExecutor", InlineExecutor)
-    inline = train(g, cfg)
-    assert np.array_equal(threaded.theta.v, inline.theta.v)
+    clean = train(g, cfg)
+    normal, release = PrefetchedNoise.normal, PrefetchedNoise.release
+    lent = []
+
+    def spy_normal(self, *args, **kwargs):
+        lent.append(normal(self, *args, **kwargs))
+        return lent[-1]
+
+    def poisoned_release(self):
+        lent[-1][...] = np.nan
+        release(self)
+
+    monkeypatch.setattr(PrefetchedNoise, "normal", spy_normal)
+    monkeypatch.setattr(PrefetchedNoise, "release", poisoned_release)
+    poisoned = train(g, cfg)
+    assert len(lent) == clean.privacy.t
+    assert np.array_equal(clean.theta.v, poisoned.theta.v)
     assert all(np.array_equal(a, b)
-               for a, b in zip(threaded.scores.triplet(), inline.scores.triplet()))
+               for a, b in zip(clean.scores.triplet(), poisoned.scores.triplet()))
 
 
-def test_train_peak_memory_holds_four_embedding_sized_arrays():
-    # V, its two Adam moments and the one noise buffer; no N x r gradient.
-    # The growth of the tracemalloc peak from N to 2N counts the N x r
-    # arrays live at the peak: the Adam scratch blocks are of fixed size, and
-    # the other N-length arrays (the shuffle order, the score keys) add
-    # about 0.2 of one, so a fifth N x r array would read above 5
+def test_train_peak_memory_holds_four_embedding_sized_arrays(monkeypatch):
+    # V, its two Adam moments and the one noise buffer, each in a shared
+    # mapping of its own, and no N x r gradient. tracemalloc does not see
+    # the mappings, so their sizes are counted as train makes them: exactly
+    # four N x r float64 arrays. Once they are made, the growth of the
+    # traced peak from N to 2N counts the N x r arrays that train allocates
+    # besides: the Adam scratch blocks are of fixed size, and the N-length
+    # arrays (the shuffle order, the score keys) add about 0.2 of one, so
+    # one more N x r array would read above 1
+    import mmap
     import tracemalloc
     cfg = tiny_config(n_epochs=1, batch_nodes=50, r=32, s=8.0)
+    real_mmap = mmap.mmap
+    mapped = []
+
+    def spy_mmap(fileno, length, *args, **kwargs):
+        mapped.append(length)
+        return real_mmap(fileno, length, *args, **kwargs)
+
+    init = PrefetchedNoise.__init__
+
+    def reset_peak_after(self, *args):
+        # the fork comes once all four arrays are mapped and V's first
+        # draw is freed
+        init(self, *args)
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(mmap, "mmap", spy_mmap)
+    monkeypatch.setattr(PrefetchedNoise, "__init__", reset_peak_after)
     peaks = []
     for n in (6000, 12000):
         g = ring_graph(n)
+        mapped.clear()
         tracemalloc.start()
         try:
             train(g, cfg)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert (peaks[1] - peaks[0]) / (6000 * cfg.r * 8) < 4.5
+        assert mapped == [n * cfg.r * 8] * 4
+    assert (peaks[1] - peaks[0]) / (6000 * cfg.r * 8) < 0.5
 
 
 def test_train_step_peak_stays_near_the_step_boundary(monkeypatch):
