@@ -25,11 +25,7 @@ def _load_config(args) -> ExperimentConfig:
         cfg.out_dir = args.out
     if args.seed is not None:
         cfg.master_seed = args.seed
-    if getattr(args, "target_edges", None) is not None:
-        cfg.target_edges = args.target_edges
-    if getattr(args, "downstream", False):
-        cfg.downstream = True
-    if getattr(args, "threads", None) is not None:
+    if args.threads is not None:
         cfg.threads = args.threads
     return cfg
 
@@ -50,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="train and synthesize graphs")
     _add_common(p_synth)
-    p_synth.add_argument("--target-edges", type=int, dest="target_edges",
-                         help="synthetic edge count (overrides config)")
 
     p_eval = sub.add_parser("eval", help="evaluate synthetic runs")
     p_eval.add_argument("--original", required=True, help="original edge list")
@@ -64,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="synth + eval across epsilons")
     _add_common(p_sweep)
-    p_sweep.add_argument("--target-edges", type=int, dest="target_edges")
-    p_sweep.add_argument("--downstream", action="store_true")
 
     p_report = sub.add_parser("report", help="print a report summary")
     p_report.add_argument("--dir", required=True, help="evaluated directory")

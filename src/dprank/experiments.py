@@ -32,6 +32,7 @@ from .training import TrainConfig, train
 
 MANIFEST_NAME = "manifest.json"
 EVAL_COLUMNS = ("epsilon", "run", "metric", "original", "synthetic")
+TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
 
 
 class ConfigError(ValueError):
@@ -64,8 +65,6 @@ class ExperimentConfig:
         problems = self._type_problems()
         if problems:
             raise ConfigError(problems)
-        if not Path(self.dataset).exists():
-            problems.append(f"dataset path does not exist: {self.dataset}")
         if self.labels is not None and not Path(self.labels).exists():
             problems.append(f"labels path does not exist: {self.labels}")
         if not self.epsilons:
@@ -83,36 +82,37 @@ class ExperimentConfig:
             problems.append("run_count must be >= 1")
         if self.threads < 1:
             problems.append("threads must be >= 1")
-        known = {f.name for f in dataclasses.fields(TrainConfig)}
-        unknown = set(self.train) - known
+        unknown = set(self.train) - TRAIN_KEYS
         if unknown:
             problems.append(f"unknown train config keys: {sorted(unknown)}")
         per_run = sorted({"epsilon", "master_seed"} & set(self.train))
         if per_run:
             problems.append(f"train may not set {per_run}: epsilons and "
                             "master_seed set them per run")
+        train_problems = self.train_config(0).problems()
+        problems += train_problems
         try:
-            self.train_config(0).validate()
-        except (ValueError, TypeError) as exc:
-            problems.append(f"train config rejected: {exc}")
+            g = load_graph(self.dataset, self.symmetrize)
+        except FileNotFoundError:
+            problems.append(f"dataset path does not exist: {self.dataset}")
+        except (OSError, ValueError) as exc:    # a directory, a malformed line
+            problems.append(f"dataset {self.dataset}: {exc}")
         else:
-            if Path(self.dataset).exists():
-                g = load_graph(self.dataset, self.symmetrize)
-                problems += self._graph_problems(g)
+            problems += self._graph_problems(g, not train_problems)
         if problems:
             raise ConfigError(list(dict.fromkeys(problems)))
         return g
 
-    def _graph_problems(self, g: Graph) -> list:
-        """What train and sample_graph would refuse on ``g``: epsilon/T >= 1,
-        more batch nodes than N, a target_edges out of range."""
+    def _graph_problems(self, g: Graph, train_valid: bool) -> list:
+        """What train and sample_graph would refuse on ``g``: a target_edges
+        out of range; with a valid train config, epsilon/T >= 1 or N < batch."""
         problems = []
         if self.target_edges is not None:
             try:
                 check_target_edges(self.target_edges, g.num_nodes)
             except ValueError as exc:
                 problems.append(str(exc))
-        for epsilon in (e for e in self.epsilons if math.isfinite(e) and e > 0):
+        for epsilon in (e for e in self.epsilons if train_valid and 0 < e < math.inf):
             try:
                 self.train_config(0, epsilon=epsilon).privacy_spec(g.num_nodes)
             except ValueError as exc:
@@ -146,7 +146,7 @@ class ExperimentConfig:
                 for name, (kind, ok) in expected.items() if not ok]
 
     def train_config(self, seed: int, epsilon: float | None = None) -> TrainConfig:
-        overrides = dict(self.train)
+        overrides = {k: v for k, v in self.train.items() if k in TRAIN_KEYS}
         overrides["master_seed"] = seed
         if epsilon is not None:
             overrides["epsilon"] = epsilon

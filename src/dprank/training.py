@@ -34,6 +34,11 @@ CHECKPOINT_NAME = "checkpoint.npz"
 INIT_SCALE = 0.1
 PROPOSALS = 16      # rejection-sampler candidates per walker step
 FIRST_PROPOSALS = 4  # of them, scored for every walker before the rest
+# least value of each integer TrainConfig field; the open interval of each real
+MIN_COUNTS = {"n_epochs": 1, "batch_nodes": 1, "r_wn": 1, "r_wl": 2, "r": 1,
+              "d": 1, "master_seed": -math.inf}
+INTERVALS = {"gamma": (0, 1), "s": (1, math.inf), "s_nabla": (0, math.inf),
+             "eta": (0, math.inf), "epsilon": (0, math.inf), "delta": (0, 1)}
 
 
 class TrainingDivergedError(RuntimeError):
@@ -67,30 +72,30 @@ class TrainConfig:
     master_seed: int = 0
 
     def validate(self):
-        counts = {name: getattr(self, name) for name in
-                  ("n_epochs", "batch_nodes", "r_wn", "r_wl", "r", "d", "master_seed")}
-        wrong = [f"{name} must be an integer, got {value!r}"
-                 for name, value in counts.items()
-                 if isinstance(value, bool) or not isinstance(value, numbers.Integral)]
-        if wrong:
-            raise ValueError("; ".join(wrong))
-        reals = {"gamma": self.gamma, "s": self.s, "s_nabla": self.s_nabla,
-                 "eta": self.eta, "epsilon": self.epsilon, "delta": self.delta}
-        nonfinite = [name for name, value in reals.items() if not math.isfinite(value)]
-        if nonfinite:
-            raise ValueError(f"{', '.join(nonfinite)} must be finite")
-        if not 0 < self.gamma < 1:
-            raise ValueError("gamma must lie in (0, 1)")
-        if min(self.n_epochs, self.batch_nodes, self.r_wn, self.r, self.d) < 1:
-            raise ValueError("counts and dimensions must be >= 1")
-        if self.r_wl < 2:
-            raise ValueError("walk length must be >= 2")
-        if self.s <= 1:
-            raise ValueError("normalization scale must exceed 1")
-        if self.s_nabla <= 0 or self.eta <= 0:
-            raise ValueError("s_nabla and eta must be positive")
-        if self.epsilon <= 0 or not 0 < self.delta < 1:
-            raise ValueError("invalid privacy budget")
+        """Raise one ``ValueError`` naming every bad field (:meth:`problems`)."""
+        problems = self.problems()
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    def problems(self) -> list:
+        """One message per field that ``train`` refuses, naming it: a wrong
+        type, a count below ``MIN_COUNTS``, a real outside ``INTERVALS``."""
+        problems = []
+        for name, value in asdict(self).items():
+            integer = name in MIN_COUNTS
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if integer else numbers.Real):
+                kind = "an integer" if integer else "a number"
+                problems.append(f"{name} must be {kind}, got {value!r}")
+            elif integer:
+                if value < MIN_COUNTS[name]:
+                    problems.append(f"{name} must be >= {MIN_COUNTS[name]}, got {value}")
+            elif not math.isfinite(value):
+                problems.append(f"{name} must be finite")
+            elif not INTERVALS[name][0] < value < INTERVALS[name][1]:
+                problems.append(f"{name} must lie in ({INTERVALS[name][0]:g}, "
+                                f"{INTERVALS[name][1]:g}), got {value!r}")
+        return problems
 
     def iterations(self, num_nodes: int) -> int:
         return self.n_epochs * (num_nodes // self.batch_nodes)

@@ -647,15 +647,33 @@ def test_cli_refuses_epsilons_sharing_a_run_directory(small_dataset, tmp_path,
     # a problem of the config and one found on its graph, named together
     ({"run_count": 0, "target_edges": 5},
      ("run_count must be >= 1", "target_edges=5 cannot cover 60 nodes")),
+    # a dataset that does not parse is one more problem of the config
+    ({"run_count": 0, "dataset": "malformed.tsv"},
+     ("run_count must be >= 1",
+      "dataset malformed.tsv: line 3: non-integer node id in 'x y'")),
+    # every bad train value is named, each by its field
+    ({"train": {"gamma": 2, "s": 0.5}},
+     ("gamma must lie in (0, 1), got 2", "s must lie in (1, inf), got 0.5")),
+    ({"train": {"r": 0, "s_nabla": -1, "eta": 0}},
+     ("r must be >= 1, got 0", "s_nabla must lie in (0, inf), got -1",
+      "eta must lie in (0, inf), got 0")),
+    ({"train": {"gamma": "y"}}, "gamma must be a number, got 'y'"),
+    ({"train": {"bogus": 1, "r": 0}},
+     ("unknown train config keys: ['bogus']", "r must be >= 1, got 0")),
 ], ids=["epsilon-nan", "eta-inf", "s_nabla-inf", "n_epochs-inf", "r-fractional",
         "target_edges-below-cover", "target_edges-above-simple",
-        "train-epsilon", "train-master_seed", "run_count-and-target_edges"])
+        "train-epsilon", "train-master_seed", "run_count-and-target_edges",
+        "run_count-and-malformed-dataset", "train-gamma-and-s",
+        "train-r-s_nabla-eta", "train-gamma-str", "train-unknown-and-r"])
 def test_cli_non_finite_config_values_are_config_errors(small_dataset, tmp_path,
-                                                        capsys, override, problem):
+                                                        monkeypatch, capsys,
+                                                        override, problem):
     # json reads NaN and Infinity, a count may arrive as a float, and an
     # edge target or a per-run train value may be out of place; each is
     # refused before anything trains or any directory is made
     dataset, _ = small_dataset
+    monkeypatch.chdir(tmp_path)
+    Path("malformed.tsv").write_text("0 1\n1 2\nx y\n")
     out_dir = tmp_path / "out"
     cfg_path = tmp_path / "cfg.json"
     payload = small_config(dataset, out_dir).to_dict()
@@ -713,13 +731,43 @@ def test_cli_flag_overrides(small_dataset, tmp_path):
     dataset, _ = small_dataset
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, small_config(dataset, tmp_path / "ignored",
-                                        run_count=1))
+                                        run_count=1, target_edges=80))
     out = tmp_path / "flagged"
     assert main(["synth", "--config", str(cfg_path), "--out", str(out),
-                 "--seed", "99", "--target-edges", "80"]) == 0
+                 "--seed", "99"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["master_seed"] == 99
     assert manifest["runs"][0]["target_edges"] == 80
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--target-edges", "80"],
+    ["sweep", "--target-edges", "80"],
+    ["sweep", "--downstream"],
+], ids=["synth-target-edges", "sweep-target-edges", "sweep-downstream"])
+def test_cli_has_no_flag_for_an_experiment_key(tmp_path, capsys, argv):
+    # target_edges and downstream are set in the config, and only there
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--config", str(tmp_path / "cfg.json")] + argv[1:])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in \
+        capsys.readouterr().err
+
+
+def test_cli_sweep_then_report(small_dataset, tmp_path, capsys):
+    # dprank sweep is the one sweep: it exits 0, and report prints one
+    # block per epsilon, each with its per-step bound line
+    dataset, _ = small_dataset
+    out_dir = tmp_path / "sweep"
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, small_config(dataset, out_dir, epsilons=[1.6, 3.2],
+                                        run_count=1))
+    assert main(["sweep", "--config", str(cfg_path)]) == 0
+    assert main(["report", "--dir", str(out_dir)]) == 0
+    blocks = capsys.readouterr().out.split("\nepsilon = ")[1:]
+    assert [block.split("\n", 1)[0] for block in blocks] == ["1.6", "3.2"]
+    for block in blocks:
+        assert "\n  per-step bound: the same noise gives epsilon " in block
 
 
 def test_cli_threads_flag_parallel_runs(small_dataset, tmp_path):

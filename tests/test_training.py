@@ -1031,6 +1031,17 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             tiny_config(**{field: value}).validate()
     tiny_config().validate()
+    with pytest.raises(ValueError, match="^gamma must be a number, got 'y'$"):
+        tiny_config(gamma="y").validate()
+    # one pass names every bad field, each exactly once
+    bad = dict(gamma=1.0, n_epochs=0, batch_nodes=2.0, r_wn=True, r_wl=1,
+               r=8.5, d="4", s=1.0, s_nabla=-1.0, eta=math.nan, epsilon=0.0,
+               delta=1.0, master_seed=None)
+    assert set(bad) == set(TrainConfig().to_dict())
+    with pytest.raises(ValueError) as err:
+        tiny_config(**bad).validate()
+    problems = str(err.value).split("; ")
+    assert [p.split(" ", 1)[0] for p in problems] == list(bad)
 
 
 def test_config_iteration_arithmetic():
