@@ -56,15 +56,18 @@ class ExperimentConfig:
     out_dir: str = "runs/experiment"
     threads: int = 1
     train: dict = field(default_factory=dict)
+    _unknown = ()   # the keys of the file that from_file read and no field takes
 
     def validate(self, sweep: bool = False) -> Graph:
         """The dataset's graph, or one :class:`ConfigError` naming every
-        problem, those on the graph too; ``sweep`` asks for two epsilons."""
+        problem, the file's unknown keys and those on the graph too;
+        ``sweep`` asks for two epsilons."""
+        problems = [f"unknown config keys: {self._unknown}"] if self._unknown else []
         # a JSON config can put any type anywhere; the checks below compare
         # and iterate, so they run only on well-typed values
-        problems = self._type_problems()
-        if problems:
-            raise ConfigError(problems)
+        type_problems = self._type_problems()
+        if type_problems:
+            raise ConfigError(problems + type_problems)
         if self.labels is not None and not Path(self.labels).exists():
             problems.append(f"labels path does not exist: {self.labels}")
         if not self.epsilons:
@@ -90,7 +93,7 @@ class ExperimentConfig:
             problems.append(f"train may not set {per_run}: epsilons and "
                             "master_seed set them per run")
         train_problems = self.train_config(0).problems()
-        problems += train_problems
+        problems += train_problems.values()
         try:
             g = load_graph(self.dataset, self.symmetrize)
         except FileNotFoundError:
@@ -98,25 +101,34 @@ class ExperimentConfig:
         except (OSError, ValueError) as exc:    # a directory, a malformed line
             problems.append(f"dataset {self.dataset}: {exc}")
         else:
-            problems += self._graph_problems(g, not train_problems)
+            problems += self._graph_problems(g, set(train_problems))
         if problems:
             raise ConfigError(list(dict.fromkeys(problems)))
         return g
 
-    def _graph_problems(self, g: Graph, train_valid: bool) -> list:
+    def _graph_problems(self, g: Graph, bad: set) -> list:
         """What train and sample_graph would refuse on ``g``: a target_edges
-        out of range; with a valid train config, epsilon/T >= 1 or N < batch."""
+        out of range, N < batch_nodes and epsilon/T >= 1, each checked when
+        the train fields it reads are not in ``bad``."""
         problems = []
         if self.target_edges is not None:
             try:
                 check_target_edges(self.target_edges, g.num_nodes)
             except ValueError as exc:
                 problems.append(str(exc))
-        for epsilon in (e for e in self.epsilons if train_valid and 0 < e < math.inf):
-            try:
-                self.train_config(0, epsilon=epsilon).privacy_spec(g.num_nodes)
-            except ValueError as exc:
-                problems.append(str(exc))
+        # privacy_spec checks N < batch_nodes, then epsilon/T >= 1, and only
+        # then reads train's fields but r, d, eta and the two set per run
+        spec_bad = bad - {"r", "d", "eta", "master_seed", "epsilon"}
+        for epsilon in (e for e in self.epsilons
+                        if 0 < e < math.inf and "batch_nodes" not in bad):
+            cfg = self.train_config(0, epsilon=epsilon)
+            if (not spec_bad or cfg.batch_nodes > g.num_nodes
+                    or "n_epochs" not in bad
+                    and epsilon / cfg.iterations(g.num_nodes) >= 1):
+                try:
+                    cfg.privacy_spec(g.num_nodes)
+                except ValueError as exc:
+                    problems.append(str(exc))
         return problems
 
     def _type_problems(self) -> list:
@@ -157,15 +169,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            payload = json.load(fh)
+        """The config in the JSON object at ``path``, or a :class:`ConfigError`;
+        :meth:`validate` names its unknown keys and a missing ``dataset``."""
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+        except (OSError, ValueError) as exc:  # also not JSON, not UTF-8
+            raise ConfigError([f"config {path}: {exc}"]) from None
         if not isinstance(payload, dict):
             raise ConfigError([f"config must be a JSON object, got {payload!r}"])
         known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigError([f"unknown config keys: {sorted(unknown)}"])
-        return cls(**payload)
+        cfg = cls(**{"dataset": None, **{k: payload[k] for k in known & set(payload)}})
+        cfg._unknown = sorted(set(payload) - known)
+        return cfg
 
 
 def derive_seed(master_seed: int, run_index: int, purpose: str) -> int:

@@ -135,30 +135,27 @@ def perturb_gradient(sum_grad_v, s_nabla: float, sigma: float,
     which rows a batch touches is data-dependent, so sparing them would leak
     participation), then divides by the nominal batch pair count.
 
-    ``rng`` is a ``Generator`` or a :class:`PrefetchedNoise`. For a dense
-    ``sum_grad_v`` the result is the array ``rng.normal`` returned, perturbed
-    in place (IEEE addition commutes, so it equals ``(sum_grad_v + noise) /
-    batch_size`` bit for bit). For a :class:`RowGradient` it is the new array
-    ``(noise[rows] + values) / batch_size``; ``rng`` must then be a
-    :class:`PrefetchedNoise` whose draw an update has read (see
-    :meth:`PrefetchedNoise.apply`), and noising the other rows, whose
-    gradient is 0, with ``noise / batch_size`` is that update's job. A
-    caller drawing from a :class:`PrefetchedNoise` hands the draw back with
-    its ``release`` once done with it.
+    For a dense ``sum_grad_v``, ``rng`` is a ``Generator`` and the result is
+    the array ``rng.normal`` returned, perturbed in place (IEEE addition
+    commutes, so it equals ``(sum_grad_v + noise) / batch_size`` bit for bit).
+    For a :class:`RowGradient`, ``rng`` is a :class:`PrefetchedNoise` of scale
+    ``s_nabla * sigma`` applied to exactly its ``rows``, and the result is the
+    new array ``(noise[rows] + values) / batch_size``; noising the other rows,
+    whose gradient is 0, with ``noise / batch_size`` is the update's job.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if batch_size < 1:
         raise ValueError("batch size must be >= 1")
-    sparse = isinstance(sum_grad_v, RowGradient)
-    if sparse and not (isinstance(rng, PrefetchedNoise) and rng.applied):
-        raise ValueError("a row gradient needs a noise draw whose update "
-                         "noised every other row")
-    noise = rng.normal(0.0, s_nabla * sigma, size=sum_grad_v.shape)
-    if sparse:
-        noise = noise[sum_grad_v.rows]
-        sum_grad_v = sum_grad_v.values
-    noise += sum_grad_v
+    if isinstance(sum_grad_v, RowGradient):
+        if not (isinstance(rng, PrefetchedNoise) and rng.applied is not None
+                and np.array_equal(rng.applied, sum_grad_v.rows)):
+            raise ValueError("a row gradient needs a noise draw applied to its "
+                             "rows, whose update noised every other row")
+        noise = rng.rows() + sum_grad_v.values
+    else:
+        noise = rng.normal(0.0, s_nabla * sigma, size=sum_grad_v.shape)
+        noise += sum_grad_v
     noise /= batch_size
     return noise
 
@@ -170,36 +167,36 @@ def shared_zeros(shape: tuple) -> np.ndarray:
 
 
 class PrefetchedNoise:
-    """Zero-mean Gaussian draws of one shape, each filled ahead by a forked
-    worker process into one shared buffer, where the worker then runs a
-    fixed update that reads the draw.
+    """``count`` zero-mean Gaussian draws of one N-row shape, each filled
+    ahead by a forked worker process, which runs a fixed update on the whole
+    draw and hands this process only the rows that :meth:`apply` names.
 
-    Serves exactly ``count`` calls of ``normal(0.0, scale, size=shape)``
-    with the values of as many serial ``rng.normal`` calls: the worker fills
-    with ``standard_normal`` from its copy of ``rng`` and scales in place (a
-    zero may differ in sign). After its k-th fill it waits for
-    :meth:`apply` and calls ``update(draw, k)``, which must not change the
-    draw and reaches this process only through shared mappings
-    (:func:`shared_zeros`). ``normal`` waits for the update and returns the
-    buffer; :meth:`release` hands it back for the next fill. One pipe
-    carries apply and release, the other done. Calls out of this order or
-    past ``count``, and a worker that exited early, raise ``RuntimeError``;
-    other ``normal`` arguments raise ``ValueError``. :meth:`close` closes
-    this end of the pipes and reaps the worker, which also exits after its
-    last release or once this process dies. Fork with no other thread running.
+    The k-th draw holds the values of the k-th of as many serial
+    ``rng.normal(0.0, scale, size=shape)`` calls: the worker fills an array
+    of its own with ``standard_normal`` from its copy of ``rng`` and scales
+    it in place (a zero may differ in sign). It then waits for
+    :meth:`apply`, calls ``update(draw, k)``, which must not change the draw
+    and reaches this process only through shared mappings
+    (:func:`shared_zeros`), copies the applied rows into a shared block of
+    the draw's shape, signals done and starts the next fill. :meth:`rows`
+    waits for done and returns those rows. Calls out of this order or past
+    ``count``, and a worker that exited early, raise ``RuntimeError``.
+    :meth:`close` closes this end of the two pipes and reaps the worker,
+    which also exits after its last draw or once this process dies. Fork
+    with no other thread running.
     """
 
     def __init__(self, rng: np.random.Generator, scale: float, shape: tuple,
                  count: int, update):
         if count < 1:
             raise ValueError("draw count must be >= 1")
-        self._scale = scale
-        self._count = count
-        self._buffer = shared_zeros(tuple(shape))
-        self._taken = 0
-        self._lent = False
-        # whether apply was called for the pending or lent draw
-        self.applied = False
+        self._left = count
+        # the rows named by apply for the pending draw, until rows returns them
+        self.applied = None
+        # the applied row ids and the draw's rows fill only the head of each
+        # mapping, so the pages past the most rows ever applied stay unbacked
+        self._index = np.frombuffer(mmap.mmap(-1, 8 * shape[0]), dtype=np.int64)
+        self._block = shared_zeros(tuple(shape))
         orders, self._orders = os.pipe()
         self._done, done = os.pipe()
         self._pid = os.fork()
@@ -208,14 +205,17 @@ class PrefetchedNoise:
         if self._pid:
             return
         try:  # the worker, which leaves only through os._exit
+            draw = np.empty(self._block.shape)
             for k in range(1, count + 1):
-                rng.standard_normal(out=self._buffer)
-                self._buffer *= scale
-                if not os.read(orders, 1):  # apply; empty once this end closed
+                rng.standard_normal(out=draw)
+                draw *= scale
+                # apply sends the row count; empty once this end closed
+                if not (size := os.read(orders, 8)):
                     break
-                update(self._buffer, k)
+                update(draw, k)
+                rows = self._index[:int.from_bytes(size, "little")]
+                self._block[:len(rows)] = draw[rows]
                 os.write(done, b"\0")
-                os.read(orders, 1)  # release; if empty, the next read is too
         except BrokenPipeError:  # this end was closed during the update
             pass
         except Exception:  # this end sees only that the worker exited early
@@ -223,50 +223,35 @@ class PrefetchedNoise:
         finally:
             os._exit(0)
 
-    def _signal(self) -> None:
+    def apply(self, rows: np.ndarray) -> None:
+        """Have the worker run the update on the pending draw once it is
+        filled and copy out the draw's ``rows``; raises ``ValueError`` on a
+        row id outside [0, N)."""
+        if not self._left:
+            raise RuntimeError("every noise draw was taken")
+        if self.applied is not None:
+            raise RuntimeError("an update was already applied to this draw")
+        # as unsigned, a negative id is larger than any valid one
+        if len(rows) and rows.astype(np.uint64).max() >= len(self._index):
+            raise ValueError(f"noise row id outside [0, {len(self._index)})")
+        self._index[:len(rows)] = rows
         try:
-            os.write(self._orders, b"\0")
+            os.write(self._orders, len(rows).to_bytes(8, "little"))
         except BrokenPipeError:
             raise RuntimeError("the noise worker exited early") from None
+        self.applied = rows
 
-    def _check_pending(self) -> None:
-        if self._lent:
-            raise RuntimeError("the previous noise draw was not released")
-        if self._taken == self._count:
-            raise RuntimeError(f"all {self._count} noise draws were taken")
-
-    def apply(self) -> None:
-        """Have the worker run the update on the pending draw once it is
-        filled; ``normal`` returns the draw only after the update is done."""
-        self._check_pending()
-        if self.applied:
-            raise RuntimeError("an update was already applied to this draw")
-        self._signal()
-        self.applied = True
-
-    def normal(self, loc: float, scale: float, size: tuple) -> np.ndarray:
-        shape = self._buffer.shape
-        if (loc, scale, tuple(size)) != (0.0, self._scale, shape):
-            raise ValueError(
-                f"noise source serves normal(0.0, {self._scale}, {shape}), "
-                f"not normal({loc}, {scale}, {tuple(size)})")
-        self._check_pending()
-        if not self.applied:
+    def rows(self) -> np.ndarray:
+        """Wait for the update on the applied draw and return the draw's
+        rows that :meth:`apply` named, in its order, as a view of the shared
+        block, which the next :meth:`apply` overwrites."""
+        if self.applied is None:
             raise RuntimeError("no update was applied to this noise draw")
         if not os.read(self._done, 1):
             raise RuntimeError("the noise worker exited early")
-        self._taken += 1
-        self._lent = True
-        return self._buffer
-
-    def release(self) -> None:
-        """Hand back the array the last ``normal`` returned; the next draw
-        is filled into it from here on."""
-        if not self._lent:
-            raise RuntimeError("no noise draw is out to release")
-        self._lent = False
-        self.applied = False
-        self._signal()
+        self._left -= 1
+        rows, self.applied = self._block[:len(self.applied)], None
+        return rows
 
     def close(self) -> None:
         """Close this end of both pipes and wait for the worker to exit."""

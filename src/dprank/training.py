@@ -75,26 +75,27 @@ class TrainConfig:
         """Raise one ``ValueError`` naming every bad field (:meth:`problems`)."""
         problems = self.problems()
         if problems:
-            raise ValueError("; ".join(problems))
+            raise ValueError("; ".join(problems.values()))
 
-    def problems(self) -> list:
-        """One message per field that ``train`` refuses, naming it: a wrong
-        type, a count below ``MIN_COUNTS``, a real outside ``INTERVALS``."""
-        problems = []
+    def problems(self) -> dict:
+        """Each field that ``train`` refuses, mapped to one message naming
+        it: a wrong type, a count below ``MIN_COUNTS``, a real outside
+        ``INTERVALS``."""
+        problems = {}
         for name, value in asdict(self).items():
             integer = name in MIN_COUNTS
             if isinstance(value, bool) or not isinstance(
                     value, numbers.Integral if integer else numbers.Real):
                 kind = "an integer" if integer else "a number"
-                problems.append(f"{name} must be {kind}, got {value!r}")
+                problems[name] = f"{name} must be {kind}, got {value!r}"
             elif integer:
                 if value < MIN_COUNTS[name]:
-                    problems.append(f"{name} must be >= {MIN_COUNTS[name]}, got {value}")
+                    problems[name] = f"{name} must be >= {MIN_COUNTS[name]}, got {value}"
             elif not math.isfinite(value):
-                problems.append(f"{name} must be finite")
+                problems[name] = f"{name} must be finite"
             elif not INTERVALS[name][0] < value < INTERVALS[name][1]:
-                problems.append(f"{name} must lie in ({INTERVALS[name][0]:g}, "
-                                f"{INTERVALS[name][1]:g}), got {value!r}")
+                problems[name] = (f"{name} must lie in ({INTERVALS[name][0]:g}, "
+                                  f"{INTERVALS[name][1]:g}), got {value!r}")
         return problems
 
     def iterations(self, num_nodes: int) -> int:
@@ -286,14 +287,14 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None) -> TrainResult:
     step (see :class:`PrefetchedNoise`) draws each step's N x r noise and
     runs Adam on every row of V on the noise alone, ``noise / B``; meanwhile
     this process takes the gradient from the rows of V, m and v saved before
-    the step and updates W. It then waits for the worker, releases the draw
-    for the next fill once it has ``(noise[U] + grad_rows) / B``, runs Adam
-    on the saved rows and writes them back over the worker's. Adam is
-    element-wise and ``(x + 0.0) / B == x / B``, so V is bitwise that of a
-    serial run on the dense gradient, from the same draws. V, its two Adam
-    moments and the noise buffer live in shared mappings, and the returned V
-    stays in its own. The worker is reaped before ``train`` returns or
-    raises; a worker thread would contend with this one for the GIL.
+    the step and updates W. It then waits for the worker, which hands back
+    only ``noise[U]``, forms ``(noise[U] + grad_rows) / B``, runs Adam on the
+    saved rows and writes them back over the worker's. Adam is element-wise
+    and ``(x + 0.0) / B == x / B``, so V is bitwise that of a serial run on
+    the dense gradient, from the same draws. V and its two Adam moments live
+    in shared mappings, and the returned V stays in its own; the whole draw
+    lives only in the worker. The worker is reaped before ``train`` returns
+    or raises; a worker thread would contend with this one for the GIL.
     ``train`` starts no thread, so the fork copies none, and every call that
     ``bench/traced.py`` wraps runs on the calling thread.
 
@@ -331,9 +332,9 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None) -> TrainResult:
     saved = np.empty((3, max_rows, cfg.r))     # pre-step V, m and v rows
     workspace = Workspace(max_rows, cfg.r, cfg.d, pspec.min_depth)
 
-    # the noise reads neither the data nor the model, so each step's draw is
-    # made in a worker process from the release of the draw before it;
-    # leaving the block reaps the worker, also when a step raises
+    # the noise reads neither the data nor the model, so a worker process
+    # draws each step's noise once it has handed back the rows of the draw
+    # before it; leaving the block reaps the worker, also when a step raises
     update = partial(adam_update, m_v, s_v, theta.v, eta=cfg.eta,
                      divisor=b_nominal)
     with closing(PrefetchedNoise(rng_noise, cfg.s_nabla * pspec.sigma,
@@ -350,8 +351,8 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None) -> TrainResult:
                     np.take(full, nodes, axis=0, out=rows, mode="clip")
                 # from here until the wait in perturb_gradient the worker
                 # updates every row of V, m and v on the noise alone, as
-                # Adam's step step_v + 1
-                noise.apply()
+                # Adam's step step_v + 1, and copies out the noise rows of U
+                noise.apply(nodes)
                 normalizer.normalize_(theta)
                 loss, grad_rows, grad_w = _loss_and_gradients(
                     v_rows, theta.w, batch, inverse, g, cfg.gamma, workspace)
@@ -372,9 +373,6 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None) -> TrainResult:
                 noisy_rows = perturb_gradient(
                     RowGradient(nodes, grad_rows, theta.v.shape), cfg.s_nabla,
                     pspec.sigma, b_nominal, noise)
-                # the worker is done with this draw and nothing reads it
-                # again: the next step's draw fills the same buffer from here
-                noise.release()
                 # only perturbed rows ever reach the embedding optimizer; its
                 # rows are recomputed from their pre-step state and written
                 # over the worker's noise-only values

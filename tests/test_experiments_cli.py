@@ -68,10 +68,13 @@ def test_config_collects_all_problems(tmp_path):
 
 
 def test_config_from_file_rejects_unknown_keys(tmp_path):
+    # validate names them, beside the config's other problems
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"dataset": "x", "epsilon_list": [1.0]}))
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_file(path)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_file(path).validate()
+    assert err.value.problems == ["unknown config keys: ['epsilon_list']",
+                                  "dataset path does not exist: x"]
 
 
 def test_derived_seeds_are_stable_and_distinct():
@@ -660,11 +663,21 @@ def test_cli_refuses_epsilons_sharing_a_run_directory(small_dataset, tmp_path,
     ({"train": {"gamma": "y"}}, "gamma must be a number, got 'y'"),
     ({"train": {"bogus": 1, "r": 0}},
      ("unknown train config keys: ['bogus']", "r must be >= 1, got 0")),
+    # an unknown key of the file, named with the config's other problems
+    ({"bogus": 1, "run_count": 0},
+     ("unknown config keys: ['bogus']", "run_count must be >= 1")),
+    # a check on the graph runs whenever the train fields it reads are valid
+    ({"train": {"r": 0, "batch_nodes": 100}},
+     ("r must be >= 1, got 0", "batch_nodes=100 exceeds the node count 60")),
+    ({"epsilons": [7.0], "train": {"gamma": 2}},
+     ("gamma must lie in (0, 1), got 2", "epsilon/T = 7/7 >= 1 at N = 60")),
 ], ids=["epsilon-nan", "eta-inf", "s_nabla-inf", "n_epochs-inf", "r-fractional",
         "target_edges-below-cover", "target_edges-above-simple",
         "train-epsilon", "train-master_seed", "run_count-and-target_edges",
         "run_count-and-malformed-dataset", "train-gamma-and-s",
-        "train-r-s_nabla-eta", "train-gamma-str", "train-unknown-and-r"])
+        "train-r-s_nabla-eta", "train-gamma-str", "train-unknown-and-r",
+        "unknown-key-and-run_count", "train-r-and-batch_nodes",
+        "train-gamma-and-per-step-budget"])
 def test_cli_non_finite_config_values_are_config_errors(small_dataset, tmp_path,
                                                         monkeypatch, capsys,
                                                         override, problem):
@@ -725,6 +738,25 @@ def test_cli_wrong_typed_config_values_are_config_errors(small_dataset,
     cfg_path.write_text(json.dumps([good]))
     assert main(["synth", "--config", str(cfg_path)]) == 1
     assert "config must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, problem", [
+    ('{"epsilons": [1.0, 2.0]}', "dataset must be a path, got None"),
+    ('{"dataset": "graph.tsv", ', "config {path}: Expecting property name"),
+    (None, "config {path}: [Errno 2] No such file or directory"),
+], ids=["no-dataset", "truncated", "missing-file"])
+def test_cli_config_files_that_give_no_config_are_config_errors(
+        tmp_path, capsys, text, problem):
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid config:\n  ")
+    assert err.count("\n  ") == 1  # one problem
+    assert problem.format(path=cfg_path) in err
 
 
 def test_cli_flag_overrides(small_dataset, tmp_path):

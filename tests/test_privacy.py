@@ -226,80 +226,80 @@ def test_perturb_variance_scales_with_sensitivity():
 
 
 def test_prefetched_noise_serves_exactly_count_serial_draws(worker_pids):
+    # rows() returns the applied rows of the k-th serial draw, in the order
+    # apply named them: here no row, one row and every row
     rng = np.random.default_rng(5)
+    applied = [np.array([], dtype=np.int64), np.array([2]), np.array([3, 0, 1, 2])]
     with closing(PrefetchedNoise(rng, 2.0, (4, 3), 3,
                                  lambda draw, k: None)) as noise:
-        for loc, scale, size in [(1.0, 2.0, (4, 3)), (0.0, 3.0, (4, 3)),
-                                 (0.0, 2.0, (3, 4))]:
-            with pytest.raises(ValueError, match="noise source serves"):
-                noise.normal(loc, scale, size=size)
-        with pytest.raises(RuntimeError, match="no noise draw is out"):
-            noise.release()
         draws = []
-        for _ in range(3):
+        for rows in applied:
             with pytest.raises(RuntimeError, match="no update was applied"):
-                noise.normal(0.0, 2.0, size=(4, 3))
-            noise.apply()
-            draws.append(noise.normal(0.0, 2.0, size=(4, 3)).copy())
-            # the one buffer is still lent out: a second draw would refill it
-            with pytest.raises(RuntimeError, match="was not released"):
-                noise.normal(0.0, 2.0, size=(4, 3))
-            noise.release()
-        with pytest.raises(RuntimeError, match="all 3 noise draws"):
-            noise.normal(0.0, 2.0, size=(4, 3))
+                noise.rows()
+            noise.apply(rows)
+            draws.append(noise.rows().copy())
+        with pytest.raises(RuntimeError, match="every noise draw was taken"):
+            noise.apply(np.array([0]))
+        with pytest.raises(RuntimeError, match="no update was applied"):
+            noise.rows()
         # three fills and no fourth: the worker leaves by itself once the
-        # third draw is released (waited for here, and reaped by close)
+        # third draw's rows are handed back (waited for here, and reaped by
+        # close)
         (pid,) = worker_pids
         assert os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT).si_status == 0
     assert_reaped(pid)
     replay = np.random.default_rng(5)
-    for draw in draws:
-        assert np.array_equal(draw, replay.normal(0.0, 2.0, (4, 3)))
+    for rows, draw in zip(applied, draws):
+        assert draw.shape == (len(rows), 3)
+        assert np.array_equal(draw, replay.normal(0.0, 2.0, (4, 3))[rows])
     # the worker drew from its copy of the generator, never from this one
     assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
 
 def test_prefetched_noise_applies_one_update_after_each_fill(worker_pids):
     rng = np.random.default_rng(6)
-    # what the worker's update saw, per draw: the step k and the draw, in a
-    # mapping that the worker process writes
+    # what the worker's update saw, per draw: the step k and the whole draw,
+    # in a mapping that the worker process writes
     seen = shared_zeros((2, 13))
 
     def update(draw, k):
         seen[k - 1] = (k, *draw.ravel())
 
     with closing(PrefetchedNoise(rng, 2.0, (4, 3), 2, update)) as noise:
-        assert not noise.applied
-        noise.apply()
-        assert noise.applied
+        assert noise.applied is None
+        for bad in ([-1], [0, 4]):
+            with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+                noise.apply(np.array(bad))
+        assert noise.applied is None
+        # the worker waits for apply before it runs the update
+        assert not seen.any()
+        noise.apply(np.array([1]))
+        assert noise.applied.tolist() == [1]
         with pytest.raises(RuntimeError, match="already applied"):
-            noise.apply()
-        first = noise.normal(0.0, 2.0, size=(4, 3)).copy()
-        # normal waited for the update
-        assert seen[0].tolist() == [1.0, *first.ravel()]
-        with pytest.raises(RuntimeError, match="was not released"):
-            noise.apply()
-        noise.release()
-        assert not noise.applied
-        noise.apply()
-        second = noise.normal(0.0, 2.0, size=(4, 3)).copy()
-        noise.release()
-        with pytest.raises(RuntimeError, match="all 2 noise draws"):
-            noise.apply()
+            noise.apply(np.array([1]))
+        first = noise.rows().copy()
+        # rows waited for the update
+        assert seen[0, 0] == 1.0
+        assert noise.applied is None
+        noise.apply(np.array([0, 3]))
+        second = noise.rows().copy()
+        with pytest.raises(RuntimeError, match="every noise draw was taken"):
+            noise.apply(np.array([0]))
     (pid,) = worker_pids
     assert_reaped(pid)
-    assert seen[1].tolist() == [2.0, *second.ravel()]
     replay = np.random.default_rng(6)
-    assert np.array_equal(first, replay.normal(0.0, 2.0, (4, 3)))
-    assert np.array_equal(second, replay.normal(0.0, 2.0, (4, 3)))
+    for k, (rows, got) in enumerate([([1], first), ([0, 3], second)]):
+        draw = replay.normal(0.0, 2.0, (4, 3))
+        assert seen[k].tolist() == [k + 1, *draw.ravel()]
+        assert np.array_equal(got, draw[rows])
 
 
 def test_prefetched_noise_reaps_its_worker_when_closed_early(worker_pids):
     # closing with draws still to come ends the worker where it waits
     with closing(PrefetchedNoise(np.random.default_rng(8), 1.0, (4, 3), 5,
                                  lambda draw, k: None)) as noise:
-        noise.apply()
-        noise.normal(0.0, 1.0, size=(4, 3))
+        noise.apply(np.array([0, 2]))
+        noise.rows()
     (pid,) = worker_pids
     assert_reaped(pid)
 
@@ -308,22 +308,31 @@ def test_perturb_row_gradient_reads_the_draw_rows():
     values = np.arange(6.0).reshape(2, 3)
     grad = RowGradient(np.array([1, 3]), values, (5, 3))
     assert grad.size == 15
-    # the other rows' noise comes only from an update applied to the draw
+    # the other rows' noise comes only from an update applied to the draw,
+    # and the gradient's rows only from a draw applied to exactly them
     with pytest.raises(ValueError, match="every other row"):
         perturb_gradient(grad, 1.0, 1.0, 2, np.random.default_rng(7))
-    with closing(PrefetchedNoise(np.random.default_rng(7), 1.0, (5, 3), 2,
+    with closing(PrefetchedNoise(np.random.default_rng(7), 1.0, (5, 3), 3,
                                  lambda draw, k: None)) as noise:
         with pytest.raises(ValueError, match="every other row"):
             perturb_gradient(grad, 1.0, 1.0, 2, noise)
-        noise.apply()
+        for other in ([1, 2], [1]):
+            noise.apply(np.array(other))
+            with pytest.raises(ValueError, match="applied to its rows"):
+                perturb_gradient(grad, 1.0, 1.0, 2, noise)
+            noise.rows()
+        noise.apply(np.array([1, 3]))
         out = perturb_gradient(grad, 1.0, 1.0, 2, noise)
-        noise.release()
-    draw = np.random.default_rng(7).normal(0.0, 1.0, (5, 3))
+    # the third serial draw, and the dense path on it
+    replay = np.random.default_rng(7)
+    draw = [replay.normal(0.0, 1.0, (5, 3)) for _ in range(3)][2]
     assert np.array_equal(out, (draw[[1, 3]] + values) / 2)
     dense = np.zeros((5, 3))
     dense[[1, 3]] = values
-    assert np.array_equal(
-        out, perturb_gradient(dense, 1.0, 1.0, 2, np.random.default_rng(7))[[1, 3]])
+    replay = np.random.default_rng(7)
+    for _ in range(2):
+        replay.normal(0.0, 1.0, (5, 3))
+    assert np.array_equal(out, perturb_gradient(dense, 1.0, 1.0, 2, replay)[[1, 3]])
 
 
 # ----------------------------------------------------------------- ledger

@@ -142,12 +142,9 @@ def test_optimizer_only_sees_perturbed_v_gradient(monkeypatch):
     cfg = tiny_config(n_epochs=1, epsilon=2.0)  # epsilon/T = 2/3
     perturbed_ids = []
     consumed_ids = []
-    draw_ids = []
-    # the worker process logs the id of the gradient each update reads, in
-    # a mapping both processes share; the draw is made before the fork, so
-    # it has the same id in both
-    worker_grad_ids = shared_zeros((cfg.iterations(12),))
-    normal = PrefetchedNoise.normal
+    # the worker process logs the sum of the draw each update reads, in a
+    # mapping both processes share
+    worker_draw_sums = shared_zeros((cfg.iterations(12),))
 
     def spy_perturb(grad, s_nabla, sigma, batch_size, rng):
         out = perturb_gradient(grad, s_nabla, sigma, batch_size, rng)
@@ -161,24 +158,23 @@ def test_optimizer_only_sees_perturbed_v_gradient(monkeypatch):
             consumed_ids.append(id(grads[0]))
         return adam_step(state, params, grads, eta)
 
-    def spy_normal(self, *args, **kwargs):
-        draw = normal(self, *args, **kwargs)
-        draw_ids.append(id(draw))
-        return draw
-
     def spy_update(m, v, p, grad, t, eta, divisor):
         # the worker's update reads nothing but the noise draw
-        worker_grad_ids[t - 1] = id(grad)
+        worker_draw_sums[t - 1] = grad.sum()
         return adam_update(m, v, p, grad, t, eta, divisor)
 
     monkeypatch.setattr(training, "perturb_gradient", spy_perturb)
     monkeypatch.setattr(training, "adam_step", spy_adam)
     monkeypatch.setattr(training, "adam_update", spy_update)
-    monkeypatch.setattr(training.PrefetchedNoise, "normal", spy_normal)
-    train(g, cfg)
+    result = train(g, cfg)
     assert len(perturbed_ids) == 3
     assert consumed_ids == perturbed_ids
-    assert worker_grad_ids.tolist() == [float(i) for i in draw_ids]
+    # the update of step t read the whole of the noise stream's t-th draw
+    noise_seed = np.random.SeedSequence(cfg.master_seed).spawn(5)[2]
+    replay = np.random.default_rng(noise_seed)
+    scale = cfg.s_nabla * result.privacy.sigma
+    assert worker_draw_sums.tolist() == [
+        replay.normal(0.0, scale, (12, cfg.r)).sum() for _ in range(3)]
 
 
 def wait_for(flag, timeout=5.0):
@@ -551,38 +547,43 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch, tmp_path,
     assert updates.tolist() == [[pid, id(result.theta.v), n, cfg.r]] * t
 
 
-def test_train_reads_no_draw_after_its_release(monkeypatch):
-    # the worker fills the next draw into the buffer from the moment train
-    # releases it. Poisoning the draw just before each release makes any
-    # later read of it change the result, whenever the next fill lands
+def test_train_reads_no_noise_rows_after_the_next_apply(monkeypatch):
+    # the worker copies each draw's rows of U into the one shared block that
+    # rows() returns, once the next step's apply has named them. Poisoning
+    # the rows just before each apply makes any later read of them change
+    # the result, whenever the worker's copy lands
     g = ring_graph(20)
     cfg = tiny_config()
     clean = train(g, cfg)
-    normal, release = PrefetchedNoise.normal, PrefetchedNoise.release
+    apply, rows = PrefetchedNoise.apply, PrefetchedNoise.rows
     lent = []
 
-    def spy_normal(self, *args, **kwargs):
-        lent.append(normal(self, *args, **kwargs))
+    def spy_rows(self):
+        lent.append(rows(self))
         return lent[-1]
 
-    def poisoned_release(self):
-        lent[-1][...] = np.nan
-        release(self)
+    def poisoned_apply(self, applied):
+        if lent:
+            lent[-1][...] = np.nan
+        apply(self, applied)
 
-    monkeypatch.setattr(PrefetchedNoise, "normal", spy_normal)
-    monkeypatch.setattr(PrefetchedNoise, "release", poisoned_release)
+    monkeypatch.setattr(PrefetchedNoise, "rows", spy_rows)
+    monkeypatch.setattr(PrefetchedNoise, "apply", poisoned_apply)
     poisoned = train(g, cfg)
     assert len(lent) == clean.privacy.t
+    assert all(len(block) for block in lent)
     assert np.array_equal(clean.theta.v, poisoned.theta.v)
     assert all(np.array_equal(a, b)
                for a, b in zip(clean.scores.triplet(), poisoned.scores.triplet()))
 
 
 def test_train_peak_memory_holds_four_embedding_sized_arrays(monkeypatch):
-    # V, its two Adam moments and the one noise buffer, each in a shared
-    # mapping of its own, and no N x r gradient. tracemalloc does not see
-    # the mappings, so their sizes are counted as train makes them: exactly
-    # four N x r float64 arrays. Once they are made, the growth of the
+    # V, its two Adam moments and the block that the noise rows of U come
+    # back in, each in a shared mapping of its own, beside the N-entry index
+    # of U, and no N x r gradient; the whole draw lives only in the worker.
+    # tracemalloc does not see the mappings, so their sizes are counted as
+    # train makes them: exactly four N x r float64 arrays and N int64s.
+    # Once they are made, the growth of the
     # traced peak from N to 2N counts the N x r arrays that train allocates
     # besides: the Adam scratch blocks are of fixed size, and the N-length
     # arrays (the shuffle order, the score keys) add about 0.2 of one, so
@@ -600,7 +601,7 @@ def test_train_peak_memory_holds_four_embedding_sized_arrays(monkeypatch):
     init = PrefetchedNoise.__init__
 
     def reset_peak_after(self, *args):
-        # the fork comes once all four arrays are mapped and V's first
+        # the fork comes once all five mappings are made and V's first
         # draw is freed
         init(self, *args)
         tracemalloc.reset_peak()
@@ -617,7 +618,7 @@ def test_train_peak_memory_holds_four_embedding_sized_arrays(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert mapped == [n * cfg.r * 8] * 4
+        assert mapped == [n * cfg.r * 8] * 3 + [n * 8, n * cfg.r * 8]
     assert (peaks[1] - peaks[0]) / (6000 * cfg.r * 8) < 0.5
 
 
