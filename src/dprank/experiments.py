@@ -60,8 +60,10 @@ class ExperimentConfig:
 
     def validate(self, sweep: bool = False) -> Graph:
         """The dataset's graph, or one :class:`ConfigError` naming every
-        problem, the file's unknown keys and those on the graph too;
-        ``sweep`` asks for two epsilons."""
+        problem: the file's unknown keys, each per-epsilon train config's
+        :meth:`TrainConfig.problems` on the graph, a ``target_edges`` out of
+        range and, for a downstream run, its labels file; ``sweep`` asks for
+        two epsilons."""
         problems = [f"unknown config keys: {self._unknown}"] if self._unknown else []
         # a JSON config can put any type anywhere; the checks below compare
         # and iterate, so they run only on well-typed values
@@ -92,8 +94,7 @@ class ExperimentConfig:
         if per_run:
             problems.append(f"train may not set {per_run}: epsilons and "
                             "master_seed set them per run")
-        train_problems = self.train_config(0).problems()
-        problems += train_problems.values()
+        problems += self.train_config(0).problems().values()
         try:
             g = load_graph(self.dataset, self.symmetrize)
         except FileNotFoundError:
@@ -101,35 +102,24 @@ class ExperimentConfig:
         except (OSError, ValueError) as exc:    # a directory, a malformed line
             problems.append(f"dataset {self.dataset}: {exc}")
         else:
-            problems += self._graph_problems(g, set(train_problems))
+            if g.num_nodes < 2:
+                problems.append(f"dataset {self.dataset} has fewer than 2 nodes")
+            if self.target_edges is not None:
+                try:
+                    check_target_edges(self.target_edges, g.num_nodes)
+                except ValueError as exc:
+                    problems.append(str(exc))
+            for e in (e for e in self.epsilons if 0 < e < math.inf):
+                cfg = self.train_config(0, epsilon=e)
+                problems += cfg.problems(g.num_nodes).values()
+            if self.downstream and self.labels and Path(self.labels).exists():
+                try:
+                    load_labels(self.labels, g)
+                except (OSError, ValueError) as exc:
+                    problems.append(f"labels: {exc}")
         if problems:
             raise ConfigError(list(dict.fromkeys(problems)))
         return g
-
-    def _graph_problems(self, g: Graph, bad: set) -> list:
-        """What train and sample_graph would refuse on ``g``: a target_edges
-        out of range, N < batch_nodes and epsilon/T >= 1, each checked when
-        the train fields it reads are not in ``bad``."""
-        problems = []
-        if self.target_edges is not None:
-            try:
-                check_target_edges(self.target_edges, g.num_nodes)
-            except ValueError as exc:
-                problems.append(str(exc))
-        # privacy_spec checks N < batch_nodes, then epsilon/T >= 1, and only
-        # then reads train's fields but r, d, eta and the two set per run
-        spec_bad = bad - {"r", "d", "eta", "master_seed", "epsilon"}
-        for epsilon in (e for e in self.epsilons
-                        if 0 < e < math.inf and "batch_nodes" not in bad):
-            cfg = self.train_config(0, epsilon=epsilon)
-            if (not spec_bad or cfg.batch_nodes > g.num_nodes
-                    or "n_epochs" not in bad
-                    and epsilon / cfg.iterations(g.num_nodes) >= 1):
-                try:
-                    cfg.privacy_spec(g.num_nodes)
-                except ValueError as exc:
-                    problems.append(str(exc))
-        return problems
 
     def _type_problems(self) -> list:
         def integer(value):

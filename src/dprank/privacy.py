@@ -292,13 +292,9 @@ class PrivacySpec:
     def derive(cls, epsilon: float, delta: float, s: float, s_nabla: float,
                t: int, num_nodes: int, gamma: float,
                batch_pairs: int) -> "PrivacySpec":
-        """The spec of a run of ``t`` iterations; raises ``ValueError`` on a
-        per-step budget epsilon/T >= 1, outside the regime the Gaussian
-        mechanism's calibration is stated for."""
-        if t >= 1 and epsilon / t >= 1.0:  # noise_sigma rejects t < 1
-            raise ValueError(
-                f"per-step budget epsilon/T = {epsilon:g}/{t} >= 1 at N = "
-                f"{num_nodes} nodes; lower epsilon or raise the iteration count")
+        """The spec of a run of ``t`` iterations: arithmetic only, which
+        refuses nothing itself (``TrainConfig.privacy_spec`` refuses a bad
+        config first; :func:`noise_sigma` warns at epsilon/T >= 1)."""
         m = compute_m(num_nodes, gamma)
         return cls(epsilon=epsilon, delta=delta, s=s, s_nabla=s_nabla, t=t,
                    sigma=noise_sigma(epsilon, delta, t),

@@ -36,7 +36,7 @@ PROPOSALS = 16      # rejection-sampler candidates per walker step
 FIRST_PROPOSALS = 4  # of them, scored for every walker before the rest
 # least value of each integer TrainConfig field; the open interval of each real
 MIN_COUNTS = {"n_epochs": 1, "batch_nodes": 1, "r_wn": 1, "r_wl": 2, "r": 1,
-              "d": 1, "master_seed": -math.inf}
+              "d": 1, "master_seed": 0}
 INTERVALS = {"gamma": (0, 1), "s": (1, math.inf), "s_nabla": (0, math.inf),
              "eta": (0, math.inf), "epsilon": (0, math.inf), "delta": (0, 1)}
 
@@ -71,16 +71,18 @@ class TrainConfig:
     delta: float = 1e-5
     master_seed: int = 0
 
-    def validate(self):
-        """Raise one ``ValueError`` naming every bad field (:meth:`problems`)."""
-        problems = self.problems()
+    def validate(self, num_nodes: int | None = None):
+        """Raise one ``ValueError`` naming every problem of :meth:`problems`."""
+        problems = self.problems(num_nodes)
         if problems:
             raise ValueError("; ".join(problems.values()))
 
-    def problems(self) -> dict:
+    def problems(self, num_nodes: int | None = None) -> dict:
         """Each field that ``train`` refuses, mapped to one message naming
         it: a wrong type, a count below ``MIN_COUNTS``, a real outside
-        ``INTERVALS``."""
+        ``INTERVALS``. Given ``num_nodes``, also a batch larger than the
+        graph and a per-step budget epsilon/T >= 1, each checked when the
+        fields it reads are valid."""
         problems = {}
         for name, value in asdict(self).items():
             integer = name in MIN_COUNTS
@@ -96,6 +98,17 @@ class TrainConfig:
             elif not INTERVALS[name][0] < value < INTERVALS[name][1]:
                 problems[name] = (f"{name} must lie in ({INTERVALS[name][0]:g}, "
                                   f"{INTERVALS[name][1]:g}), got {value!r}")
+        if num_nodes is None or "batch_nodes" in problems:
+            return problems
+        if num_nodes < self.batch_nodes:
+            problems["batch_nodes"] = (f"batch_nodes={self.batch_nodes} exceeds "
+                                       f"the node count {num_nodes}")
+        elif not {"n_epochs", "epsilon"} & problems.keys() and (
+                self.epsilon / (t := self.iterations(num_nodes)) >= 1.0):
+            # outside the regime the Gaussian mechanism's calibration is stated for
+            problems["epsilon"] = (f"per-step budget epsilon/T = {self.epsilon:g}/{t} "
+                                   f">= 1 at N = {num_nodes} nodes; lower epsilon or "
+                                   "raise the iteration count")
         return problems
 
     def iterations(self, num_nodes: int) -> int:
@@ -105,12 +118,9 @@ class TrainConfig:
         return self.batch_nodes * self.r_wn * (self.r_wl - 1)
 
     def privacy_spec(self, num_nodes: int) -> PrivacySpec:
-        """The privacy arithmetic of training on ``num_nodes`` nodes; raises
-        ``ValueError`` when no iteration fits or on a per-step budget
-        epsilon/T >= 1."""
-        if num_nodes < self.batch_nodes:
-            raise ValueError(f"batch_nodes={self.batch_nodes} exceeds the "
-                             f"node count {num_nodes}")
+        """The privacy arithmetic of training on ``num_nodes`` nodes, or one
+        ``ValueError`` naming every problem of :meth:`problems`."""
+        self.validate(num_nodes)
         return PrivacySpec.derive(
             epsilon=self.epsilon, delta=self.delta, s=self.s,
             s_nabla=self.s_nabla, t=self.iterations(num_nodes),
@@ -306,7 +316,6 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None) -> TrainResult:
     ``run_dir`` enables an end-of-epoch checkpoint of the weights,
     ``checkpoint.npz``, overwritten each epoch (see :func:`save_checkpoint`).
     """
-    cfg.validate()
     n = g.num_nodes
     pspec = cfg.privacy_spec(n)
     per_epoch = n // cfg.batch_nodes

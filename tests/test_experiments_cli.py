@@ -671,13 +671,23 @@ def test_cli_refuses_epsilons_sharing_a_run_directory(small_dataset, tmp_path,
      ("r must be >= 1, got 0", "batch_nodes=100 exceeds the node count 60")),
     ({"epsilons": [7.0], "train": {"gamma": 2}},
      ("gamma must lie in (0, 1), got 2", "epsilon/T = 7/7 >= 1 at N = 60")),
+    # a graph of one node, named beside the train problems found on it
+    ({"dataset": "one_node.tsv", "train": {"gamma": 2, "batch_nodes": 1}},
+     ("gamma must lie in (0, 1), got 2", "epsilon/T = 3.2/1 >= 1 at N = 1",
+      "dataset one_node.tsv has fewer than 2 nodes")),
+    # a downstream run's labels are parsed before anything trains
+    ({"downstream": True, "labels": "bad_row.csv"},
+     "labels: bad_row.csv:3: malformed label row ['1', 'x']"),
+    ({"downstream": True, "labels": "unlabelled.csv"},
+     "labels: 1 nodes have no label in unlabelled.csv"),
 ], ids=["epsilon-nan", "eta-inf", "s_nabla-inf", "n_epochs-inf", "r-fractional",
         "target_edges-below-cover", "target_edges-above-simple",
         "train-epsilon", "train-master_seed", "run_count-and-target_edges",
         "run_count-and-malformed-dataset", "train-gamma-and-s",
         "train-r-s_nabla-eta", "train-gamma-str", "train-unknown-and-r",
         "unknown-key-and-run_count", "train-r-and-batch_nodes",
-        "train-gamma-and-per-step-budget"])
+        "train-gamma-and-per-step-budget", "one-node-dataset-and-train-gamma",
+        "labels-malformed-row", "labels-unlabelled-node"])
 def test_cli_non_finite_config_values_are_config_errors(small_dataset, tmp_path,
                                                         monkeypatch, capsys,
                                                         override, problem):
@@ -687,6 +697,9 @@ def test_cli_non_finite_config_values_are_config_errors(small_dataset, tmp_path,
     dataset, _ = small_dataset
     monkeypatch.chdir(tmp_path)
     Path("malformed.tsv").write_text("0 1\n1 2\nx y\n")
+    Path("one_node.tsv").write_text("5 5\n")
+    Path("bad_row.csv").write_text("node_id,class_id\n0,1\n1,x\n")
+    Path("unlabelled.csv").write_text("".join(f"{i},0\n" for i in range(59)))
     out_dir = tmp_path / "out"
     cfg_path = tmp_path / "cfg.json"
     payload = small_config(dataset, out_dir).to_dict()

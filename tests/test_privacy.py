@@ -502,6 +502,16 @@ def test_spec_derivation_consistency():
     assert payload["epsilon"] == 3.2 and payload["min_depth"] == spec.min_depth
 
 
+def test_spec_derivation_only_warns_at_a_per_step_budget_of_one():
+    # TrainConfig.privacy_spec refuses epsilon/T >= 1; derive is arithmetic
+    with pytest.warns(RuntimeWarning, match="epsilon/T"):
+        spec = PrivacySpec.derive(epsilon=7.0, delta=1e-5, s=8.0, s_nabla=5.0,
+                                  t=7, num_nodes=60, gamma=0.85, batch_pairs=48)
+    assert spec.t == 7
+    assert spec.sigma == pytest.approx(math.sqrt(2 * math.log(1.25 * 7 / 1e-5)),
+                                       rel=1e-15)
+
+
 def test_spec_rejects_bad_budget():
     with pytest.raises(ValueError):
         PrivacySpec(epsilon=-1, delta=1e-5, s=8, s_nabla=5, t=1, sigma=1,

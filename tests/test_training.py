@@ -673,6 +673,16 @@ def test_train_refuses_per_step_budget_of_one():
         train(g, tiny_config(n_epochs=1, epsilon=3.2))
 
 
+def test_privacy_spec_names_every_problem_on_the_graph():
+    # N = 60 and batch_nodes = 8 give T = 7: a bad field and the per-step
+    # budget on the graph, in one error
+    cfg = TrainConfig(gamma=2, epsilon=7.0, batch_nodes=8, n_epochs=1)
+    with pytest.raises(ValueError) as err:
+        cfg.privacy_spec(60)
+    assert "gamma must lie in (0, 1), got 2" in str(err.value)
+    assert "epsilon/T = 7/7 >= 1 at N = 60" in str(err.value)
+
+
 def test_train_rejects_oversized_batch():
     g = ring_graph(6)
     with pytest.raises(ValueError):
@@ -1032,6 +1042,9 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             tiny_config(**{field: value}).validate()
     tiny_config().validate()
+    # np.random.SeedSequence takes no negative seed
+    with pytest.raises(ValueError, match="^master_seed must be >= 0, got -1$"):
+        tiny_config(master_seed=-1).validate()
     with pytest.raises(ValueError, match="^gamma must be a number, got 'y'$"):
         tiny_config(gamma="y").validate()
     # one pass names every bad field, each exactly once
