@@ -49,7 +49,6 @@ class ExperimentConfig:
     epsilons: list = field(default_factory=lambda: [3.2])
     run_count: int = 5
     master_seed: int = 0
-    symmetrize: bool = True
     labels: str | None = None
     target_edges: int | None = None
     downstream: bool = False
@@ -96,14 +95,12 @@ class ExperimentConfig:
                             "master_seed set them per run")
         problems += self.train_config(0).problems().values()
         try:
-            g = load_graph(self.dataset, self.symmetrize)
+            g = load_graph(self.dataset)
         except FileNotFoundError:
             problems.append(f"dataset path does not exist: {self.dataset}")
         except (OSError, ValueError) as exc:    # a directory, a malformed line
             problems.append(f"dataset {self.dataset}: {exc}")
         else:
-            if g.num_nodes < 2:
-                problems.append(f"dataset {self.dataset} has fewer than 2 nodes")
             if self.target_edges is not None:
                 try:
                     check_target_edges(self.target_edges, g.num_nodes)
@@ -137,7 +134,6 @@ class ExperimentConfig:
             "epsilons": ("a list of numbers", numbers),
             "run_count": ("an integer", integer(self.run_count)),
             "master_seed": ("an integer", integer(self.master_seed)),
-            "symmetrize": ("a boolean", isinstance(self.symmetrize, bool)),
             "downstream": ("a boolean", isinstance(self.downstream, bool)),
             "threads": ("an integer", integer(self.threads)),
             "target_edges": ("an integer or null",
@@ -191,10 +187,11 @@ def _json_dump(payload, path: Path):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def load_graph(path, symmetrize: bool) -> Graph:
-    """Edge list at ``path``: comma-separated if it ends in .csv, else tsv."""
+def load_graph(path) -> Graph:
+    """Undirected graph of the edge list at ``path``: comma-separated if it
+    ends in .csv, else tsv."""
     fmt = "csv" if str(path).endswith(".csv") else "tsv"
-    return load_edge_list(path, format=fmt, symmetrize=symmetrize)
+    return load_edge_list(path, format=fmt, symmetrize=True)
 
 
 def _eps_tag(epsilon: float) -> str:
@@ -345,13 +342,13 @@ def run_eval(original_path, synthetic_dir, out_dir=None,
     """
     synthetic_dir = Path(synthetic_dir)
     manifest = json.loads((synthetic_dir / MANIFEST_NAME).read_text())
-    cfg = ExperimentConfig(**manifest["config"])
+    config = manifest["config"]
     if downstream is None:
-        downstream = cfg.downstream
+        downstream = config["downstream"]
     if labels_path is None:
-        labels_path = cfg.labels
+        labels_path = config["labels"]
 
-    original = load_graph(original_path, cfg.symmetrize)
+    original = load_graph(original_path)
     n = original.num_nodes
     labels = (load_labels(labels_path, original)
               if downstream and labels_path else None)
@@ -382,12 +379,12 @@ def run_eval(original_path, synthetic_dir, out_dir=None,
                 gaps.append(f"missing embeddings for downstream: {rec['dir']}")
             elif downstream:
                 emb = np.load(emb_path)
-                if emb.shape[:1] != (n,):
+                if emb.ndim != 2 or emb.shape[0] != n:
                     raise ValueError(
                         f"{emb_path} has shape {emb.shape}, but the "
                         f"original graph has {n} nodes, one row each")
                 rng = np.random.default_rng(
-                    derive_seed(cfg.master_seed, rec["run"], "evaluation"))
+                    derive_seed(config["master_seed"], rec["run"], "evaluation"))
                 auc = link_prediction_auc(original, emb, rng=rng)
                 if labels is not None:
                     f1 = node_classification_f1(emb, labels, rng=rng)

@@ -106,9 +106,11 @@ def default_target_edges(scores) -> int:
 
 def sample_edges_without_replacement(s_sym, count: int,
                                      rng: np.random.Generator,
-                                     existing=()) -> list:
+                                     unused=None) -> list:
     """Draw ``count`` distinct undirected edges with p_ij proportional to the
-    symmetrized score of the pair, skipping ``existing``.
+    symmetrized score of the pair, among the support entries that the boolean
+    mask ``unused`` leaves True (all of them when it is None), and mark each
+    picked entry False in it.
 
     Implemented as rounds of i.i.d. categorical draws with duplicates
     discarded, which is distributionally identical to sequential draws from
@@ -117,21 +119,9 @@ def sample_edges_without_replacement(s_sym, count: int,
     the positive support is exhausted before ``count`` edges exist.
     """
     s_sym = symmetrize_scores(s_sym)
-    n, rows, cols, weights = (s_sym.num_nodes, s_sym.rows, s_sym.cols,
-                              s_sym.weights)
-    unused = np.ones(len(weights), dtype=bool)
-    if len(existing):
-        e = np.asarray(existing, dtype=np.int64).reshape(-1, 2)
-        # a pair (u, v), u < v, is the key u*n + v; the support's keys are
-        # sorted, so each pair is one binary search
-        wanted = e.min(axis=1) * n + e.max(axis=1)
-        keys = rows * n
-        keys += cols
-        pos = np.searchsorted(keys, wanted)
-        found = pos < len(keys)
-        found[found] = keys[pos[found]] == wanted[found]
-        unused[pos[found]] = False
-        del keys
+    rows, cols, weights = s_sym.rows, s_sym.cols, s_sym.weights
+    if unused is None:
+        unused = np.ones(len(weights), dtype=bool)
     num_unused = int(np.count_nonzero(unused))
     if count > num_unused:
         raise RuntimeError(
@@ -147,23 +137,23 @@ def sample_edges_without_replacement(s_sym, count: int,
         cdf[-1] = 1.0
         need = count - len(picked)
         draws = live[np.searchsorted(cdf, rng.random(max(64, 2 * need)))]
-        for d in draws:
-            if unused[d]:
-                unused[d] = False
-                picked.append((int(rows[d]), int(cols[d])))
-                if len(picked) == count:
-                    break
+        # every draw is live; keep the first draw of each entry, in draw order
+        _, first = np.unique(draws, return_index=True)
+        new = draws[np.sort(first)[:need]]
+        unused[new] = False
+        picked += zip(rows[new].tolist(), cols[new].tolist())
     return picked
 
 
-def _coverage_edges(s_sym, rng: np.random.Generator) -> list:
+def _coverage_edges(s_sym, rng: np.random.Generator, unused) -> list:
     """Phase 1: guarantee every node at least one incident edge.
 
     Nodes are visited in order; a node already covered by an earlier edge is
     skipped, so the phase adds the minimum number of edges the sampled
     partners allow. The partner is drawn from the node's stored row entries,
-    which makes the same single uniform draw as a draw over the dense row. An
-    empty row falls back to a uniform random partner.
+    which makes the same single uniform draw as a draw over the dense row,
+    and that entry is marked False in the mask ``unused``. An empty row falls
+    back to a uniform random partner, which has no entry to mark.
     """
     s_sym = symmetrize_scores(s_sym)
     n, rows, cols, weights = (s_sym.num_nodes, s_sym.rows, s_sym.cols,
@@ -174,7 +164,6 @@ def _coverage_edges(s_sym, rng: np.random.Generator) -> list:
     upper_ptr = row_pointers(rows, n)
     lower_ptr = row_pointers(cols, n)
     by_col = np.argsort(cols, kind="stable")
-    lower_weights = weights[by_col]
     covered = np.zeros(n, dtype=bool)
     edges = []
     for i in range(n):
@@ -182,7 +171,7 @@ def _coverage_edges(s_sym, rng: np.random.Generator) -> list:
             continue
         a, b = lower_ptr[i], lower_ptr[i + 1]
         lo, hi = upper_ptr[i], upper_ptr[i + 1]
-        data = np.concatenate((lower_weights[a:b], weights[lo:hi]))
+        data = np.concatenate((weights[by_col[a:b]], weights[lo:hi]))
         total = data.sum()
         if total > 0:
             # rng.choice(row partners, p=data / total) draw for draw: numpy's
@@ -191,7 +180,9 @@ def _coverage_edges(s_sym, rng: np.random.Generator) -> list:
             cdf = np.add.accumulate(data, out=data)
             cdf /= cdf[-1]
             k = a + int(cdf.searchsorted(rng.random(), side="right"))
-            j = int(rows[by_col[k]] if k < b else cols[lo + k - b])
+            entry = by_col[k] if k < b else lo + k - b
+            unused[entry] = False
+            j = int(rows[entry] if k < b else cols[entry])
         else:
             log.warning("node %d has an all-zero score row; sampling a uniform partner", i)
             j = int(rng.integers(n - 1))
@@ -238,13 +229,14 @@ def sample_graph(scores, target_edges: int | None = None, *,
         target_edges = default_target_edges(s_sym)
     check_target_edges(target_edges, n)
 
-    edges = _coverage_edges(s_sym, rng)
+    unused = np.ones(len(s_sym.weights), dtype=bool)
+    edges = _coverage_edges(s_sym, rng, unused)
     if len(edges) > target_edges:
         raise RuntimeError(
             f"covering all nodes required {len(edges)} edges, more than "
             f"target_edges={target_edges}; raise the target")
     edges += sample_edges_without_replacement(
-        s_sym, target_edges - len(edges), rng, existing=edges)
+        s_sym, target_edges - len(edges), rng, unused)
 
     arr = np.asarray(edges, dtype=np.int64)
     return from_edges(n, arr, symmetrize=True)

@@ -80,8 +80,9 @@ class TrainConfig:
     def problems(self, num_nodes: int | None = None) -> dict:
         """Each field that ``train`` refuses, mapped to one message naming
         it: a wrong type, a count below ``MIN_COUNTS``, a real outside
-        ``INTERVALS``. Given ``num_nodes``, also a batch larger than the
-        graph and a per-step budget epsilon/T >= 1, each checked when the
+        ``INTERVALS``. Given ``num_nodes``, also a graph of fewer than 2
+        nodes (under ``"num_nodes"``), a batch larger than the graph and a
+        per-step budget epsilon/T >= 1, each of the last two checked when the
         fields it reads are valid."""
         problems = {}
         for name, value in asdict(self).items():
@@ -98,6 +99,9 @@ class TrainConfig:
             elif not INTERVALS[name][0] < value < INTERVALS[name][1]:
                 problems[name] = (f"{name} must lie in ({INTERVALS[name][0]:g}, "
                                   f"{INTERVALS[name][1]:g}), got {value!r}")
+        if num_nodes is not None and num_nodes < 2:
+            problems["num_nodes"] = (f"training needs at least 2 nodes, the graph "
+                                     f"has {num_nodes}")
         if num_nodes is None or "batch_nodes" in problems:
             return problems
         if num_nodes < self.batch_nodes:

@@ -202,6 +202,20 @@ def test_eval_downstream_scores(small_dataset, tmp_path):
     assert 0.0 <= report["micro_f1"]["mean"] <= 1.0
 
 
+def test_eval_reads_a_manifest_written_with_symmetrize(small_dataset, tmp_path):
+    # a run directory written while the config still had a symmetrize key
+    # evaluates to the same report
+    dataset, labels_path = small_dataset
+    out = run_synth(small_config(dataset, tmp_path / "out", run_count=1,
+                                 labels=str(labels_path), downstream=True))
+    reports = run_eval(dataset, out)
+    manifest_path = out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["symmetrize"] = True
+    manifest_path.write_text(json.dumps(manifest))
+    assert run_eval(dataset, out) == reports
+
+
 def test_eval_returns_what_eval_report_json_holds(small_dataset, tmp_path):
     # one representation of a report: the returned entries are the written
     # ones, with downstream scores, warnings and the privacy spec
@@ -297,15 +311,17 @@ def test_eval_parent_error_leaves_no_process(small_dataset, tmp_path):
     assert not multiprocessing.active_children()
 
 
-@pytest.mark.parametrize("rows", [59, 61])
+@pytest.mark.parametrize("shape", [lambda r: (59, r), lambda r: (61, r),
+                                   lambda r: (60,)], ids=["59", "61", "1-d"])
 def test_eval_refuses_embeddings_without_one_row_per_node(small_dataset,
-                                                          tmp_path, rows):
-    # no labels: a long file would otherwise be scored without complaint
+                                                          tmp_path, shape):
+    # no labels: a long file would otherwise be scored without complaint,
+    # and a 1-D file of N entries would fail inside numpy
     dataset, _ = small_dataset
     out = run_synth(small_config(dataset, tmp_path / "out", run_count=1))
     emb_path = out / "eps_3.2" / "run_0" / "embeddings.npy"
     emb = np.load(emb_path)
-    np.save(emb_path, np.resize(emb, (rows, emb.shape[1])))
+    np.save(emb_path, np.resize(emb, shape(emb.shape[1])))
     with pytest.raises(ValueError, match="embeddings.npy"):
         run_eval(dataset, out, downstream=True)
     assert not multiprocessing.active_children()
@@ -435,7 +451,7 @@ def test_cli_csv_dataset_with_sparse_ids(tmp_path):
     assert 0.0 <= entry["auc"]["mean"] <= 1.0
     assert 0.0 <= entry["micro_f1"]["mean"] <= 1.0
     assert np.array_equal(
-        load_labels(labels_path, experiments.load_graph(dataset, True)),
+        load_labels(labels_path, experiments.load_graph(dataset)),
         labels)
 
 
@@ -674,7 +690,7 @@ def test_cli_refuses_epsilons_sharing_a_run_directory(small_dataset, tmp_path,
     # a graph of one node, named beside the train problems found on it
     ({"dataset": "one_node.tsv", "train": {"gamma": 2, "batch_nodes": 1}},
      ("gamma must lie in (0, 1), got 2", "epsilon/T = 3.2/1 >= 1 at N = 1",
-      "dataset one_node.tsv has fewer than 2 nodes")),
+      "training needs at least 2 nodes, the graph has 1")),
     # a downstream run's labels are parsed before anything trains
     ({"downstream": True, "labels": "bad_row.csv"},
      "labels: bad_row.csv:3: malformed label row ['1', 'x']"),
@@ -736,7 +752,7 @@ def test_cli_wrong_typed_config_values_are_config_errors(small_dataset,
                     "target_edges must be an integer or null, got 1.5",
                     "train must be an object, got []",
                     "master_seed must be an integer, got '3'",
-                    "symmetrize must be a boolean, got 'false'",
+                    "unknown config keys: ['symmetrize']",
                     "downstream must be a boolean, got 'no'"):
         assert problem in err
     cfg_path.write_text(json.dumps({**good, "epsilons": [1.0, "2"]}))

@@ -1,11 +1,13 @@
 """README's first screen states the privacy figures of the reference run;
 these tests derive each one and require it there, formatted as
-``dprank report`` prints it."""
+``dprank report`` prints it. The CLI section's config is a valid config."""
 
+import re
 from pathlib import Path
 
 import pytest
 
+from dprank.experiments import ConfigError, ExperimentConfig
 from dprank.privacy import gdp_epsilon
 from dprank.training import TrainConfig
 
@@ -42,3 +44,17 @@ def test_readme_states_the_reference_privacy_figures(first_screen):
 def test_readme_names_the_edgeless_graph_test(first_screen):
     assert ("tests/test_training.py::test_release_equals_the_edgeless_graphs"
             in first_screen)
+
+
+def test_readme_cli_config_is_a_valid_config(tmp_path, monkeypatch):
+    # every key of the CLI section's JSON block is a config key with a valid
+    # value; only its dataset, which no test writes, is missing
+    text = README.read_text().split("## CLI", 1)[1]
+    block = re.search(r"```json\n(.*?)```", text, re.S).group(1)
+    path = tmp_path / "cfg.json"
+    path.write_text(block)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_file(path).validate()
+    assert err.value.problems == [
+        "dataset path does not exist: data/benchmark_2708.tsv"]

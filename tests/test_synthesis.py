@@ -161,42 +161,45 @@ def test_phase2_single_draw_frequency():
     assert hits / trials == pytest.approx(2.0 / 3.0, abs=0.02)
 
 
-def test_phase2_respects_existing_edges(rng):
+def test_phase2_skips_used_entries(rng):
     s = np.zeros((3, 3))
     s[0, 1] = s[1, 0] = 2.0
     s[0, 2] = s[2, 0] = 1.0
-    picked = sample_edges_without_replacement(s, 1, rng, existing=[(0, 1)])
+    unused = np.array([False, True])     # the entry of (0, 1) is used
+    picked = sample_edges_without_replacement(s, 1, rng, unused)
     assert picked == [(0, 2)]
-    with pytest.raises(RuntimeError):
-        sample_edges_without_replacement(s, 2, rng, existing=[(0, 1)])
+    assert not unused.any()
+    with pytest.raises(RuntimeError, match="only 1 unused pairs"):
+        sample_edges_without_replacement(s, 2, rng, np.array([False, True]))
 
 
-def test_phase2_existing_outside_support_or_reversed():
-    # a support of 40 random pairs; existing holds support pairs given as
-    # (v, u), pairs outside the support (one past the last support key)
-    # and a duplicate; taking every remaining pair must leave exactly the
-    # support minus the existing pairs
+def test_phase2_draws_only_unused_entries_and_marks_them():
+    # a support of 40 random pairs with every third entry already used:
+    # taking every remaining pair must pick exactly the unused entries, mark
+    # each of them used
     gen = np.random.default_rng(5)
     n = 30
     support = np.zeros((n, n))
-    keys = gen.choice(n * (n - 1) // 2 - 1, size=40, replace=False)
+    keys = gen.choice(n * (n - 1) // 2, size=40, replace=False)
     iu = np.triu_indices(n, k=1)
     support[iu[0][keys], iu[1][keys]] = gen.integers(1, 5, size=40)
     support += support.T
     s_sym = symmetrize_scores(support)
     pairs = list(zip(s_sym.rows.tolist(), s_sym.cols.tolist()))
-    assert (n - 2, n - 1) not in pairs
-    taken = pairs[::3]
-    existing = ([(v, u) for u, v in taken] + [(n - 1, n - 2), (0, 0)]
-                + [p for p in zip(*np.nonzero(support == 0)) if p[0] != p[1]][:20]
-                + taken[:2])
-    rest = set(pairs) - set(taken)
-    picked = sample_edges_without_replacement(s_sym, len(rest), gen,
-                                              existing=existing)
-    assert sorted(picked) == sorted(rest)
+    unused = np.ones(len(pairs), dtype=bool)
+    unused[::3] = False
+    rest = [p for p, free in zip(pairs, unused) if free]
     with pytest.raises(RuntimeError, match=f"only {len(rest)} unused pairs"):
-        sample_edges_without_replacement(s_sym, len(rest) + 1, gen,
-                                         existing=existing)
+        sample_edges_without_replacement(s_sym, len(rest) + 1, gen, unused)
+    some = sample_edges_without_replacement(s_sym, 5, gen, unused)
+    assert len(set(some)) == 5 and set(some) <= set(rest)
+    assert np.count_nonzero(unused) == len(rest) - 5
+    assert not any(unused[pairs.index(p)] for p in some)
+    picked = sample_edges_without_replacement(s_sym, len(rest) - 5, gen, unused)
+    assert sorted(some + picked) == sorted(rest)
+    assert not unused.any()
+    with pytest.raises(RuntimeError, match="only 0 unused pairs"):
+        sample_edges_without_replacement(s_sym, 1, gen, unused)
 
 
 def test_synthesis_is_postprocessing_only():
@@ -221,9 +224,10 @@ def sampled_edge_list(scores, target, seed):
     """The sparse sampler's edge list, in sampling order."""
     rng = np.random.default_rng(seed)
     s_sym = symmetrize_scores(scores)
-    edges = _coverage_edges(s_sym, rng)
+    unused = np.ones(len(s_sym.weights), dtype=bool)
+    edges = _coverage_edges(s_sym, rng, unused)
     return edges + sample_edges_without_replacement(
-        s_sym, target - len(edges), rng, existing=edges)
+        s_sym, target - len(edges), rng, unused)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -350,7 +354,7 @@ def test_post_processing_transient_bytes_per_entry():
     # about the reference run's 202,800 transitions over 2708 nodes, in
     # accumulate_scores-sized batches; every stage holds a few entry-length
     # arrays. Measured: 24 B per entry for the collapse (its own output),
-    # 40 for symmetrize_scores, 17 for coverage and 18 for phase 2
+    # 40 for symmetrize_scores, 9 for coverage and 17 for phase 2
     n, batch = 2708, 240
     gen = np.random.default_rng(0)
     scores = ScoreMatrix(n)
@@ -365,9 +369,10 @@ def test_post_processing_transient_bytes_per_entry():
     assert peak < 52 * entries
     pairs = len(s_sym.weights)
     rng = np.random.default_rng(1)
-    edges, peak = traced_peak(_coverage_edges, s_sym, rng)
-    assert peak < 24 * pairs
+    unused = np.ones(pairs, dtype=bool)
+    edges, peak = traced_peak(_coverage_edges, s_sym, rng, unused)
+    assert peak < 12 * pairs
     target = default_target_edges(s_sym)
     _, peak = traced_peak(sample_edges_without_replacement, s_sym,
-                          target - len(edges), rng, existing=edges)
+                          target - len(edges), rng, unused)
     assert peak < 24 * pairs

@@ -681,6 +681,12 @@ def test_privacy_spec_names_every_problem_on_the_graph():
         cfg.privacy_spec(60)
     assert "gamma must lie in (0, 1), got 2" in str(err.value)
     assert "epsilon/T = 7/7 >= 1 at N = 60" in str(err.value)
+    # one node: named whatever else is wrong, before the privacy arithmetic
+    cfg = TrainConfig(batch_nodes=1, n_epochs=1, epsilon=0.5)
+    with pytest.raises(ValueError, match="at least 2 nodes, the graph has 1"):
+        cfg.privacy_spec(1)
+    problems = TrainConfig(gamma=2, batch_nodes=1).problems(1)
+    assert list(problems) == ["gamma", "num_nodes"]
 
 
 def test_train_rejects_oversized_batch():
