@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -199,11 +198,12 @@ def _eps_tag(epsilon: float) -> str:
 
 
 def synth_one_run(cfg: ExperimentConfig, g: Graph, epsilon: float,
-                  run_index: int, flat_index: int, out_dir: Path) -> dict:
+                  run_index: int, out_dir: Path) -> dict:
     """Train once on ``g``, synthesize once, and write the run's released
-    artifacts; the weights W stay inside the training checkpoint."""
-    train_seed = derive_seed(cfg.master_seed, flat_index, "train")
-    synth_seed = derive_seed(cfg.master_seed, flat_index, "synthesis")
+    artifacts; the weights W stay inside the training checkpoint. Its seeds
+    depend on ``run_index`` alone, so they are the same at every epsilon."""
+    train_seed = derive_seed(cfg.master_seed, run_index, "train")
+    synth_seed = derive_seed(cfg.master_seed, run_index, "synthesis")
     tcfg = cfg.train_config(train_seed, epsilon=epsilon)
 
     run_dir = out_dir / _eps_tag(epsilon) / f"run_{run_index}"
@@ -257,11 +257,11 @@ def _synthesize(cfg: ExperimentConfig, g: Graph) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_id_map(g, out_dir / "id_map.csv")
 
-    runs = itertools.product(cfg.epsilons, range(cfg.run_count))
-    jobs = [(cfg, g, epsilon, run_index, flat, out_dir)
-            for flat, (epsilon, run_index) in enumerate(runs)]
-    if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+    jobs = [(cfg, g, epsilon, run_index, out_dir)
+            for epsilon in cfg.epsilons for run_index in range(cfg.run_count)]
+    workers = min(cfg.threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(synth_one_run, *zip(*jobs)))
     else:
         records = [synth_one_run(*job) for job in jobs]
@@ -276,7 +276,6 @@ def _synthesize(cfg: ExperimentConfig, g: Graph) -> Path:
         "version": __version__,
         "config": config,
         "num_nodes": g.num_nodes,
-        "num_edges": g.num_edges,
         "runs": records,
     }
     _json_dump(manifest, out_dir / MANIFEST_NAME)

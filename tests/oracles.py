@@ -500,5 +500,8 @@ class InlineExecutor:
             future.set_exception(exc)
         return future
 
+    def map(self, fn, *iterables):
+        return [fn(*args) for args in zip(*iterables)]
+
     def shutdown(self, wait=True, *, cancel_futures=False):
         pass

@@ -137,6 +137,48 @@ def test_synth_epsilon_cross_product(small_dataset, tmp_path):
     assert len(manifest["runs"]) == 4
     assert (out / "eps_0.1" / "run_0" / "synthetic_edges.tsv").exists()
     assert (out / "eps_3.2" / "run_1" / "synthetic_edges.tsv").exists()
+    # run k draws the same seeds at every epsilon, so the epsilon rows of a
+    # sweep differ by epsilon alone
+    for k in range(2):
+        seeds = {"train_seed": derive_seed(7, k, "train"),
+                 "synthesis_seed": derive_seed(7, k, "synthesis")}
+        records = [rec for rec in manifest["runs"] if rec["run"] == k]
+        assert [rec["epsilon"] for rec in records] == [0.1, 3.2]
+        for rec in records:
+            sidecar = json.loads((out / rec["dir"] / "sidecar.json").read_text())
+            assert {key: rec[key] for key in seeds} == seeds
+            assert {key: sidecar[key] for key in seeds} == seeds
+
+
+def test_synth_writes_no_edge_count(small_dataset, tmp_path):
+    # node-level DP with a public node set releases N; the number of edges
+    # is private, so no JSON or CSV file that synth writes may hold it
+    dataset, _ = small_dataset
+    out = run_synth(small_config(dataset, tmp_path / "out"))
+    counts = {260, 130}     # the 60-node graph's directed and undirected edges
+
+    def numbers(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, list):
+            return [n for item in value for n in numbers(item)]
+        try:
+            return [float(value)]
+        except (TypeError, ValueError):
+            return []
+
+    searched = []
+    for path in sorted(out.rglob("*")):
+        if path.suffix == ".json":
+            found = numbers(json.loads(path.read_text()))
+        elif path.suffix == ".csv":
+            found = numbers(list(csv.reader(path.read_text().splitlines())))
+        else:
+            continue
+        searched.append(path.relative_to(out).as_posix())
+        assert not counts & set(found), path
+    assert json.loads((out / "manifest.json").read_text())["num_nodes"] == 60
+    assert len(searched) == 6, searched     # manifest, id map, 2 x (ledger, sidecar)
 
 
 def test_synth_target_edges_override(small_dataset, tmp_path):
@@ -831,7 +873,7 @@ def test_cli_sweep_then_report(small_dataset, tmp_path, capsys):
         assert "\n  per-step bound: the same noise gives epsilon " in block
 
 
-def test_cli_threads_flag_parallel_runs(small_dataset, tmp_path):
+def test_cli_threads_flag_parallel_runs(small_dataset, tmp_path, monkeypatch):
     dataset, _ = small_dataset
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, small_config(dataset, tmp_path / "serial",
@@ -845,3 +887,22 @@ def test_cli_threads_flag_parallel_runs(small_dataset, tmp_path):
     parallel = json.loads((tmp_path / "parallel" / "manifest.json").read_text())
     assert ([r["edges_sha256"] for r in serial["runs"]]
             == [r["edges_sha256"] for r in parallel["runs"]])
+
+    # a pool starts all of its workers at the first submit, so there is at
+    # most one worker per run; this stand-in records them and starts none
+    pools = []
+
+    class RecordingExecutor(InlineExecutor):
+        def __init__(self, max_workers=None):
+            pools.append(max_workers)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingExecutor)
+    one = tmp_path / "one.json"
+    write_config(one, small_config(dataset, tmp_path / "one", run_count=1))
+    assert main(["synth", "--config", str(one), "--threads", "4"]) == 0
+    assert pools == []
+    two = tmp_path / "two.json"
+    write_config(two, small_config(dataset, tmp_path / "two", run_count=2))
+    assert main(["synth", "--config", str(two), "--threads", "8"]) == 0
+    assert pools == [2]
+    assert not multiprocessing.active_children()
