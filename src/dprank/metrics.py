@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, from_edges, unique_pairs
+from .graph import Graph, from_edges, run_starts, unique_pairs
 
 STAT_NAMES = ("triangle_count", "wedge_count", "claw_count", "rede",
               "cpl", "diameter", "lcc_size")
@@ -105,10 +105,12 @@ def _components(g: Graph) -> np.ndarray:
             label = up
 
 
-# uint64 words in the (nnz, words) neighbour gather of one BFS source chunk,
-# the largest array shortest_path holds: 1 MB whatever the graph size. On the
-# 6000-node benchmark graph a cache-sized gather ran fastest: 0.16 s at 2**17
-# words against 0.48 s at 2**20 (one thread, 2-vCPU VM).
+# bound on padded neighbour slots x uint64 words per BFS source chunk, so
+# the largest array shortest_path holds, one width class's gather, is at
+# most 1 MB whatever the graph size. On the 6000-node benchmark graph, the
+# call on eval's critical path, 2**17 ran fastest: 0.048, 0.036 and 0.042 s
+# at 2**16, 2**17 and 2**18. Its 4827-node synthetic graph, whose stats
+# run in a worker, took 0.067, 0.096 and 0.123 s (one thread, 2-vCPU VM).
 BFS_WORD_BUDGET = 1 << 17
 
 
@@ -121,18 +123,38 @@ def shortest_path(indptr: np.ndarray, indices: np.ndarray) -> tuple[int, int]:
     A level-synchronous BFS from 64 sources per uint64 word ("The More the
     Merrier", Then et al., VLDB 2015): bit k of ``frontier[v, w]`` says that
     v is at the current level from source 64w + k. One level ORs the
-    frontier words of every node's neighbours. Sources are taken in chunks
-    whose gather stays within ``BFS_WORD_BUDGET`` words, so memory is
-    O(nnz + N) words per chunk and never N x N. The sum is an exact Python
-    integer. On the 6000-node benchmark graph this took about 0.2 s, against
-    8.4 s for scipy's dense all-pairs search (one thread, 2-vCPU VM).
+    frontier words of every node's neighbours.
+
+    The OR runs over dense slices, as in SELL-C-sigma (Kreutzer et al.,
+    SIAM J. Sci. Comput. 2014). Nodes are renumbered by width, the power of
+    two at or above their degree, so each width class is one contiguous
+    range. Each neighbour list is padded to its width by repeating its own
+    entries, which leaves the OR unchanged and the padded slots below
+    2 nnz. A class holds its neighbours slot-major, ``(width, nodes)``, so
+    its level step is one gather and one OR along the slot axis. Sources are
+    taken in chunks whose gathers stay within ``BFS_WORD_BUDGET`` words, so
+    memory is O(nnz + N) words per chunk and never N x N. The sum is an
+    exact Python integer. On the 6000-node benchmark graph this takes about
+    0.036 s, against 8.4 s for scipy's dense all-pairs search (one thread,
+    2-vCPU VM).
     """
     n = len(indptr) - 1
-    if (np.diff(indptr) == 0).any():
-        # reduceat would give an empty row the value of the next row's first
-        # neighbour rather than the identity
+    degree = np.diff(indptr)
+    if (degree == 0).any():
+        # an empty list has no entry to pad with
         raise ValueError("shortest_path needs every node to have a neighbour")
-    words = max(1, min(-(-n // 64), BFS_WORD_BUDGET // len(indices)))
+    width = 1 << np.frexp(degree - 1)[1]        # 2**bit_length(degree - 1)
+    order = np.argsort(width, kind="stable")
+    renumber = np.empty(n, dtype=np.int64)
+    renumber[order] = np.arange(n)
+    bounds = np.append(run_starts(width[order]), n)
+    classes = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        nodes = order[a:b]
+        slot = np.arange(width[nodes[0]])[:, None] % degree[nodes]
+        classes.append((a, b, renumber[indices[indptr[nodes] + slot]]))
+
+    words = max(1, min(-(-n // 64), BFS_WORD_BUDGET // int(width.sum())))
     total = diameter = 0
     for lo in range(0, n, 64 * words):
         bit = np.arange(min(64 * words, n - lo))
@@ -141,8 +163,10 @@ def shortest_path(indptr: np.ndarray, indices: np.ndarray) -> tuple[int, int]:
         unreached = ~frontier
         level = 0
         while True:
-            new = np.bitwise_or.reduceat(np.take(frontier, indices, axis=0),
-                                         indptr[:-1], axis=0)
+            new = np.empty_like(frontier)
+            for a, b, slots in classes:
+                np.bitwise_or.reduce(np.take(frontier, slots, axis=0), axis=0,
+                                     out=new[a:b])
             new &= unreached
             found = int(np.bitwise_count(new).sum())
             if found == 0:

@@ -195,6 +195,12 @@ def test_shortest_path_matches_bfs_and_scipy(data):
     pairs = [(i, data.draw(node.filter(lambda j, i=i: j != i)))
              for i in range(n)]
     pairs += data.draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    if n > 65 and data.draw(st.booleans()):
+        # a hub joined to 65 or more nodes: a width class of 128 or 256
+        # slots beside the narrow classes of the other nodes
+        hub = data.draw(node)
+        others = data.draw(st.permutations([v for v in range(n) if v != hub]))
+        pairs += [(hub, v) for v in others[:data.draw(st.integers(65, n - 1))]]
     pairs = [(u, v) for u, v in pairs if u != v]
     adj = adjacency(n, pairs)
     expected = oracles.brute_distance_sum_max(n, pairs)
@@ -216,6 +222,9 @@ def test_shortest_path_closed_forms(n, budget, monkeypatch):
     leaves = n - 1
     assert shortest_path(*star) == (2 * leaves + 2 * leaves * (leaves - 1),
                                    1 if n == 2 else 2)
+    # the complete graph's degrees n - 1 fall on and past the width 64
+    complete = adjacency(n, [(i, j) for i in range(n) for j in range(i)])
+    assert shortest_path(*complete) == (n * (n - 1), 1)
 
 
 def test_shortest_path_single_node():
