@@ -234,7 +234,9 @@ def degree_ks(g1: Graph, g2: Graph) -> float:
     max_d |F(d) - F'(d)| over the union of observed degree values."""
     d1 = np.sort(undirected_degrees(g1))
     d2 = np.sort(undirected_degrees(g2))
-    values = np.union1d(d1, d2)
+    # a degree seen twice gives the same difference twice; the max is that
+    # over the union
+    values = np.concatenate((d1, d2))
     f1 = np.searchsorted(d1, values, side="right") / len(d1)
     f2 = np.searchsorted(d2, values, side="right") / len(d2)
     return float(np.abs(f1 - f2).max())
@@ -330,12 +332,13 @@ def node_classification_f1(embeddings: np.ndarray, labels,
     for _ in range(SPLIT_RETRIES):
         perm = rng.permutation(n)
         train_idx, test_idx = perm[:n_train], perm[n_train:]
-        if len(np.unique(labels[train_idx])) >= 2:
+        classes = np.sort(labels[train_idx])
+        classes = classes[run_starts(classes)]
+        if len(classes) >= 2:
             break
     else:
         raise RuntimeError("could not draw a training split with two classes")
 
-    classes = np.unique(labels[train_idx])
     r = embeddings.shape[1]
     # weights and targets are kept with classes as rows, so both products of
     # an epoch have the class count as their short leading dimension, which

@@ -7,7 +7,6 @@ A run records O(T * batch) transitions, so no step here allocates O(N^2)."""
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,10 +193,13 @@ def _coverage_edges(s_sym, rng: np.random.Generator, unused) -> list:
 
 
 def check_target_edges(target_edges: int, n: int):
-    """Raise ValueError unless ``target_edges`` edges can cover ``n`` nodes
-    without isolates (at least ceil(n/2)) in a simple graph (at most
-    n(n-1)/2)."""
-    min_edges = math.ceil(n / 2)
+    """Raise ValueError unless ``target_edges`` lies in [n-1, n(n-1)/2].
+
+    The floor is the most edges the coverage phase of :func:`sample_graph`
+    can add: its first edge covers two nodes and each later one at least one
+    more, so it adds at most n-1, and any target from n-1 up leaves it room
+    on every support. The ceiling is the simple graph's edge count."""
+    min_edges = n - 1
     max_edges = n * (n - 1) // 2
     if target_edges < min_edges:
         raise ValueError(
@@ -231,10 +233,6 @@ def sample_graph(scores, target_edges: int | None = None, *,
 
     unused = np.ones(len(s_sym.weights), dtype=bool)
     edges = _coverage_edges(s_sym, rng, unused)
-    if len(edges) > target_edges:
-        raise RuntimeError(
-            f"covering all nodes required {len(edges)} edges, more than "
-            f"target_edges={target_edges}; raise the target")
     edges += sample_edges_without_replacement(
         s_sym, target_edges - len(edges), rng, unused)
 

@@ -11,10 +11,8 @@ counting real walks would route raw graph information around the noise.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-import os
 from contextlib import closing
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -29,7 +27,6 @@ from .model import (AdamState, Theta, WeightNormalizer, Workspace,
 from .privacy import (PrefetchedNoise, PrivacyLedger, PrivacyOverdraftError,
                       PrivacySpec, RowGradient, perturb_gradient, shared_zeros)
 
-CHECKPOINT_VERSION = 6
 CHECKPOINT_NAME = "checkpoint.npz"
 INIT_SCALE = 0.1
 PROPOSALS = 16      # rejection-sampler candidates per walker step
@@ -399,32 +396,19 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None) -> TrainResult:
                 accumulate_scores(theta.v, starts, scores, rng_score,
                                   walk_length=cfg.r_wl)
             if run_dir is not None:
-                save_checkpoint(Path(run_dir), epoch + 1, theta.w)
+                save_checkpoint(Path(run_dir), theta.w)
 
     ledger.verify()
     return TrainResult(theta=theta, scores=scores, ledger=ledger, privacy=pspec)
 
 
-def save_checkpoint(run_dir: Path, epochs_done: int, w: list) -> Path:
-    """Write the weights after ``epochs_done`` epochs to
-    ``run_dir/checkpoint.npz``, replacing the previous epoch's file.
+def save_checkpoint(run_dir: Path, w: list) -> Path:
+    """Write the weights ``w0, w1, ...`` to ``run_dir/checkpoint.npz``,
+    overwriting the previous epoch's file, and return its path.
 
-    The file holds only what no released file does: the weights ``w0, w1,
-    ...``, trained on exact gradients and never released. ``__meta__`` is
-    JSON with the format version and ``epochs_done``. The file is written
-    under a temporary name in ``run_dir`` and moved into place with
-    ``os.replace``, so an interrupted write leaves the previous checkpoint
-    intact and never a partial one."""
+    W is trained on exact gradients and never released, and nothing reads
+    the file back."""
     run_dir.mkdir(parents=True, exist_ok=True)
     path = run_dir / CHECKPOINT_NAME
-    meta = {"version": CHECKPOINT_VERSION, "epochs_done": epochs_done}
-    arrays = {f"w{k}": wk for k, wk in enumerate(w)}
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(),
-                                                dtype=np.uint8), **arrays)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    np.savez(path, **{f"w{k}": wk for k, wk in enumerate(w)})
     return path

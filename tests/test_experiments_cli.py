@@ -221,6 +221,11 @@ def test_eval_partial_runs_warns(small_dataset, tmp_path):
     assert len(report["ks_per_run"]) == 1
     payload = json.loads((out / "eval_report.json").read_text())
     assert payload["gaps"]
+    # with every run's output gone there is nothing to aggregate
+    for rec in json.loads((out / "manifest.json").read_text())["runs"]:
+        (out / rec["dir"] / "synthetic_edges.tsv").unlink(missing_ok=True)
+    with pytest.raises(FileNotFoundError, match="no synthetic runs found"):
+        run_eval(dataset, out)
 
 
 def test_eval_never_touches_checkpoints(small_dataset, tmp_path):
@@ -440,10 +445,10 @@ def write_config(path, cfg: ExperimentConfig):
 
 
 def test_cli_synth_and_eval_and_report(small_dataset, tmp_path, capsys):
-    dataset, _ = small_dataset
+    dataset, labels_path = small_dataset
     out_dir = tmp_path / "cli_out"
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, small_config(dataset, out_dir, run_count=1))
+    write_config(cfg_path, small_config(dataset, out_dir, run_count=2))
 
     assert main(["synth", "--config", str(cfg_path)]) == 0
     assert main(["eval", "--original", str(dataset),
@@ -461,6 +466,28 @@ def test_cli_synth_and_eval_and_report(small_dataset, tmp_path, capsys):
             f"epsilon {gdp:.4f} at delta {spec['delta']:g} under Gaussian DP"
             in printed)
     assert f"if S_nabla={spec['s_nabla']:g} is a valid sensitivity" in printed
+    assert "AUC" not in printed and "warnings" not in printed
+
+    # a downstream eval with one run output missing: report prints the AUC,
+    # the Micro-F1 and a warnings line naming the missing run
+    (out_dir / "eps_3.2" / "run_1" / "synthetic_edges.tsv").unlink()
+    eval_args = ["eval", "--original", str(dataset), "--synthetic-dir",
+                 str(out_dir), "--downstream", "--labels", str(labels_path)]
+    assert main(eval_args) == 0
+    assert main(["report", "--dir", str(out_dir)]) == 0
+    printed = capsys.readouterr().out
+    (entry,) = json.loads(
+        (out_dir / "eval_report.json").read_text())["per_epsilon"].values()
+    assert (f"  AUC: {entry['auc']['mean']:.4f} "
+            f"(std {entry['auc']['std']:.4f})") in printed
+    assert (f"  Micro-F1: {entry['micro_f1']['mean']:.4f} "
+            f"(std {entry['micro_f1']['std']:.4f})") in printed
+    assert "  warnings: missing run output: eps_3.2/run_1" in printed
+
+    # with every run output missing, eval is a runtime error
+    (out_dir / "eps_3.2" / "run_0" / "synthetic_edges.tsv").unlink()
+    assert main(eval_args) == 2
+    assert "error: no synthetic runs found under" in capsys.readouterr().err
 
 
 def test_cli_csv_dataset_with_sparse_ids(tmp_path):
@@ -700,7 +727,7 @@ def test_cli_refuses_epsilons_sharing_a_run_directory(small_dataset, tmp_path,
     ({"train": {"n_epochs": math.inf}}, "n_epochs must be an integer, got inf"),
     ({"train": {"r": 8.5}}, "r must be an integer, got 8.5"),
     ({"target_edges": 5}, "target_edges=5 cannot cover 60 nodes without "
-     "isolates; need at least 30"),
+     "isolates; need at least 59"),
     ({"target_edges": 1771}, "target_edges=1771 exceeds the 1770 possible "
      "undirected edges"),
     ({"train": {"epsilon": 0.5}}, "train may not set ['epsilon']"),
@@ -738,6 +765,8 @@ def test_cli_refuses_epsilons_sharing_a_run_directory(small_dataset, tmp_path,
      "labels: bad_row.csv:3: malformed label row ['1', 'x']"),
     ({"downstream": True, "labels": "unlabelled.csv"},
      "labels: 1 nodes have no label in unlabelled.csv"),
+    ({"labels": "nowhere.csv"}, "labels path does not exist: nowhere.csv"),
+    ({"threads": 0}, "threads must be >= 1"),
 ], ids=["epsilon-nan", "eta-inf", "s_nabla-inf", "n_epochs-inf", "r-fractional",
         "target_edges-below-cover", "target_edges-above-simple",
         "train-epsilon", "train-master_seed", "run_count-and-target_edges",
@@ -745,7 +774,8 @@ def test_cli_refuses_epsilons_sharing_a_run_directory(small_dataset, tmp_path,
         "train-r-s_nabla-eta", "train-gamma-str", "train-unknown-and-r",
         "unknown-key-and-run_count", "train-r-and-batch_nodes",
         "train-gamma-and-per-step-budget", "one-node-dataset-and-train-gamma",
-        "labels-malformed-row", "labels-unlabelled-node"])
+        "labels-malformed-row", "labels-unlabelled-node",
+        "labels-path-missing", "threads-zero"])
 def test_cli_non_finite_config_values_are_config_errors(small_dataset, tmp_path,
                                                         monkeypatch, capsys,
                                                         override, problem):

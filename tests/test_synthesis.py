@@ -116,7 +116,7 @@ def test_sample_graph_rejects_bad_targets(rng):
     s = np.ones((5, 5))
     np.fill_diagonal(s, 0.0)
     with pytest.raises(ValueError):
-        sample_graph(s, target_edges=2, rng=rng)   # below ceil(N/2)
+        sample_graph(s, target_edges=3, rng=rng)   # below N-1
     with pytest.raises(ValueError):
         sample_graph(s, target_edges=11, rng=rng)  # above N(N-1)/2
     with pytest.raises(ValueError, match="all zero"):
@@ -136,6 +136,14 @@ def test_sample_graph_zero_row_fallback(rng, caplog):
         g = sample_graph(s, target_edges=3, rng=rng)
     assert (undirected_degrees(g) > 0).all()
     assert any("all-zero" in rec.message for rec in caplog.records)
+    # a zero row at node 0: every uniform draw j >= 0 moves past the node
+    # itself, so the partner is never 0 and the edge never a dropped loop
+    s = np.zeros((4, 4))
+    s[1, 2] = s[2, 1] = s[2, 3] = s[3, 2] = s[1, 3] = s[3, 1] = 1.0
+    for seed in range(12):
+        g = sample_graph(s, target_edges=3, rng=np.random.default_rng(seed))
+        assert len(undirected_edges(g)) == 3
+        assert (undirected_degrees(g) > 0).all()
 
 
 def test_sample_graph_exhausted_support(rng):

@@ -984,8 +984,7 @@ class Interrupted(Exception):
 
 def checkpoint_contents(run_dir):
     with np.load(run_dir / "checkpoint.npz") as data:
-        arrays = {k: data[k] for k in data.files}
-    return json.loads(bytes(arrays.pop("__meta__")).decode()), arrays
+        return {k: data[k] for k in data.files}
 
 
 def test_checkpoint_holds_only_weights(tmp_path, monkeypatch):
@@ -993,16 +992,21 @@ def test_checkpoint_holds_only_weights(tmp_path, monkeypatch):
     cfg = tiny_config(n_epochs=3)
     full = train(g, cfg, run_dir=tmp_path / "full")
     assert [p.name for p in (tmp_path / "full").iterdir()] == ["checkpoint.npz"]
-    meta, arrays = checkpoint_contents(tmp_path / "full")
-    assert meta == {"version": 6, "epochs_done": 3}
+    arrays = checkpoint_contents(tmp_path / "full")
     n_w = len(full.theta.w)
     assert sorted(arrays) == sorted(f"w{k}" for k in range(n_w))
     assert all(np.array_equal(arrays[f"w{k}"], w)
                for k, w in enumerate(full.theta.w))
 
-    # stop the run at the first event of epoch 2, after epoch 1's checkpoint
+    # stop the run at the first event of epoch 2, after epoch 1's checkpoint;
+    # the file must hold the W that epoch 1's call was given
     per_epoch = 20 // cfg.batch_nodes
-    started = []
+    started, saved = [], []
+    save = training.save_checkpoint
+
+    def keep_w(run_dir, w):
+        saved.append([wk.copy() for wk in w])
+        return save(run_dir, w)
 
     def stop_in_epoch_2(event):
         if event == "weights_normalized":
@@ -1011,23 +1015,16 @@ def test_checkpoint_holds_only_weights(tmp_path, monkeypatch):
                 raise Interrupted
 
     partial_dir = tmp_path / "partial"
+    monkeypatch.setattr(training, "save_checkpoint", keep_w)
     record_events(monkeypatch, stop_in_epoch_2)
     with pytest.raises(Interrupted):
         train(g, cfg, run_dir=partial_dir)
     assert [p.name for p in partial_dir.iterdir()] == ["checkpoint.npz"]
-    assert checkpoint_contents(partial_dir)[0]["epochs_done"] == 1
-
-
-def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
-    # a write that fails midway leaves neither a checkpoint nor a temporary
-    def failing_savez(fh, **arrays):
-        fh.write(b"partial")
-        raise OSError("disk full")
-
-    monkeypatch.setattr(training.np, "savez", failing_savez)
-    with pytest.raises(OSError):
-        train(ring_graph(20), tiny_config(n_epochs=1), run_dir=tmp_path)
-    assert list(tmp_path.iterdir()) == []
+    (epoch_1_w,) = saved
+    arrays = checkpoint_contents(partial_dir)
+    assert sorted(arrays) == sorted(f"w{k}" for k in range(n_w))
+    assert all(np.array_equal(arrays[f"w{k}"], w)
+               for k, w in enumerate(epoch_1_w))
 
 
 # ---------------------------------------------------------------- config
