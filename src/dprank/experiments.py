@@ -25,8 +25,7 @@ from .graph import Graph, load_edge_list, write_edge_list, write_id_map
 from .metrics import (GraphStats, build_report, compute_stats, degree_ks,
                       link_prediction_auc, node_classification_f1)
 from .privacy import PrivacySpec, gdp_epsilon
-from .synthesis import (check_target_edges, default_target_edges, sample_graph,
-                        symmetrize_scores)
+from .synthesis import default_target_edges, sample_graph, symmetrize_scores
 from .training import TrainConfig, train
 
 MANIFEST_NAME = "manifest.json"
@@ -48,9 +47,6 @@ class ExperimentConfig:
     epsilons: list = field(default_factory=lambda: [3.2])
     run_count: int = 5
     master_seed: int = 0
-    labels: str | None = None
-    target_edges: int | None = None
-    downstream: bool = False
     out_dir: str = "runs/experiment"
     threads: int = 1
     train: dict = field(default_factory=dict)
@@ -58,18 +54,15 @@ class ExperimentConfig:
 
     def validate(self, sweep: bool = False) -> Graph:
         """The dataset's graph, or one :class:`ConfigError` naming every
-        problem: the file's unknown keys, each per-epsilon train config's
-        :meth:`TrainConfig.problems` on the graph, a ``target_edges`` out of
-        range and, for a downstream run, its labels file; ``sweep`` asks for
-        two epsilons."""
+        problem: the file's unknown keys and each per-epsilon train config's
+        :meth:`TrainConfig.problems` on the graph; ``sweep`` asks for two
+        epsilons."""
         problems = [f"unknown config keys: {self._unknown}"] if self._unknown else []
         # a JSON config can put any type anywhere; the checks below compare
         # and iterate, so they run only on well-typed values
         type_problems = self._type_problems()
         if type_problems:
             raise ConfigError(problems + type_problems)
-        if self.labels is not None and not Path(self.labels).exists():
-            problems.append(f"labels path does not exist: {self.labels}")
         if not self.epsilons:
             problems.append("epsilons list must not be empty")
         if sweep and len(self.epsilons) < 2:
@@ -100,19 +93,9 @@ class ExperimentConfig:
         except (OSError, ValueError) as exc:    # a directory, a malformed line
             problems.append(f"dataset {self.dataset}: {exc}")
         else:
-            if self.target_edges is not None:
-                try:
-                    check_target_edges(self.target_edges, g.num_nodes)
-                except ValueError as exc:
-                    problems.append(str(exc))
             for e in (e for e in self.epsilons if 0 < e < math.inf):
                 cfg = self.train_config(0, epsilon=e)
                 problems += cfg.problems(g.num_nodes).values()
-            if self.downstream and self.labels and Path(self.labels).exists():
-                try:
-                    load_labels(self.labels, g)
-                except (OSError, ValueError) as exc:
-                    problems.append(f"labels: {exc}")
         if problems:
             raise ConfigError(list(dict.fromkeys(problems)))
         return g
@@ -128,15 +111,11 @@ class ExperimentConfig:
             integer(e) or isinstance(e, float) for e in self.epsilons)
         expected = {
             "dataset": ("a path", path(self.dataset)),
-            "labels": ("a path or null", self.labels is None or path(self.labels)),
             "out_dir": ("a path", path(self.out_dir)),
             "epsilons": ("a list of numbers", numbers),
             "run_count": ("an integer", integer(self.run_count)),
             "master_seed": ("an integer", integer(self.master_seed)),
-            "downstream": ("a boolean", isinstance(self.downstream, bool)),
             "threads": ("an integer", integer(self.threads)),
-            "target_edges": ("an integer or null",
-                             self.target_edges is None or integer(self.target_edges)),
             "train": ("an object", isinstance(self.train, dict)),
         }
         return [f"{name} must be {kind}, got {getattr(self, name)!r}"
@@ -213,9 +192,7 @@ def synth_one_run(cfg: ExperimentConfig, g: Graph, epsilon: float,
     result = train(g, tcfg, run_dir=ckpt_dir)
     s_sym = symmetrize_scores(result.scores)
     result.scores = None    # the transition buffer is not read again
-    target = cfg.target_edges
-    if target is None:
-        target = default_target_edges(s_sym)
+    target = default_target_edges(s_sym)
     synthetic = sample_graph(s_sym, target_edges=target,
                              rng=np.random.default_rng(synth_seed))
 
@@ -267,14 +244,10 @@ def _synthesize(cfg: ExperimentConfig, g: Graph) -> Path:
         records = [synth_one_run(*job) for job in jobs]
 
     records.sort(key=lambda rec: (rec["epsilon"], rec["run"]))
-    config = cfg.to_dict()
-    if cfg.labels is not None:
-        # eval falls back to these labels and may run from another directory
-        config["labels"] = str(Path(cfg.labels).resolve())
     manifest = {
         "kind": "synthesis",
         "version": __version__,
-        "config": config,
+        "config": cfg.to_dict(),
         "num_nodes": g.num_nodes,
         "runs": records,
     }
@@ -329,11 +302,13 @@ def _synthetic_stats(g: Graph) -> GraphStats:
 
 
 def run_eval(original_path, synthetic_dir, out_dir=None,
-             downstream: bool | None = None,
-             labels_path=None) -> dict[float, dict]:
+             downstream: bool = False, labels_path=None) -> dict[float, dict]:
     """Evaluate every synthetic run in ``synthetic_dir`` against the original
     and return one report per epsilon: the entries of ``eval_report.json``'s
-    ``per_epsilon``, keyed by epsilon.
+    ``per_epsilon``, keyed by epsilon. With ``downstream`` it also scores
+    link prediction and, given ``labels_path``, node classification on each
+    run's embeddings; of the manifest's config echo it reads only the
+    master seed.
 
     Reads graphs, sidecars, and embeddings; model checkpoints are never
     touched. Missing runs reduce the aggregate and are reported as warnings
@@ -341,11 +316,7 @@ def run_eval(original_path, synthetic_dir, out_dir=None,
     """
     synthetic_dir = Path(synthetic_dir)
     manifest = json.loads((synthetic_dir / MANIFEST_NAME).read_text())
-    config = manifest["config"]
-    if downstream is None:
-        downstream = config["downstream"]
-    if labels_path is None:
-        labels_path = config["labels"]
+    master_seed = manifest["config"]["master_seed"]
 
     original = load_graph(original_path)
     n = original.num_nodes
@@ -383,7 +354,7 @@ def run_eval(original_path, synthetic_dir, out_dir=None,
                         f"{emb_path} has shape {emb.shape}, but the "
                         f"original graph has {n} nodes, one row each")
                 rng = np.random.default_rng(
-                    derive_seed(config["master_seed"], rec["run"], "evaluation"))
+                    derive_seed(master_seed, rec["run"], "evaluation"))
                 auc = link_prediction_auc(original, emb, rng=rng)
                 if labels is not None:
                     f1 = node_classification_f1(emb, labels, rng=rng)
@@ -432,13 +403,13 @@ def run_eval(original_path, synthetic_dir, out_dir=None,
 
 
 def run_sweep(cfg: ExperimentConfig) -> Path:
-    """``run_synth`` across at least two epsilons, then ``run_eval`` of its
-    output. A run's relative error per metric is |synthetic - original| /
-    original from ``eval_report.csv``; its mean per epsilon is the MRE in
-    ``eval_report.json``."""
+    """``run_synth`` across at least two epsilons, then the structural
+    ``run_eval`` of its output; downstream scores come from ``run_eval``
+    with ``downstream`` and ``labels_path``. A run's relative error per
+    metric is |synthetic - original| / original from ``eval_report.csv``;
+    its mean per epsilon is the MRE in ``eval_report.json``."""
     out_dir = _synthesize(cfg, cfg.validate(sweep=True))
-    run_eval(cfg.dataset, out_dir, downstream=cfg.downstream,
-             labels_path=cfg.labels)
+    run_eval(cfg.dataset, out_dir)
     return out_dir
 
 

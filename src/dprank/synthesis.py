@@ -192,24 +192,6 @@ def _coverage_edges(s_sym, rng: np.random.Generator, unused) -> list:
     return edges
 
 
-def check_target_edges(target_edges: int, n: int):
-    """Raise ValueError unless ``target_edges`` lies in [n-1, n(n-1)/2].
-
-    The floor is the most edges the coverage phase of :func:`sample_graph`
-    can add: its first edge covers two nodes and each later one at least one
-    more, so it adds at most n-1, and any target from n-1 up leaves it room
-    on every support. The ceiling is the simple graph's edge count."""
-    min_edges = n - 1
-    max_edges = n * (n - 1) // 2
-    if target_edges < min_edges:
-        raise ValueError(
-            f"target_edges={target_edges} cannot cover {n} nodes without "
-            f"isolates; need at least {min_edges}")
-    if target_edges > max_edges:
-        raise ValueError(f"target_edges={target_edges} exceeds the {max_edges} "
-                         "possible undirected edges")
-
-
 def sample_graph(scores, target_edges: int | None = None, *,
                  rng: np.random.Generator) -> Graph:
     """Sample an undirected simple graph with exactly ``target_edges`` edges
@@ -229,7 +211,15 @@ def sample_graph(scores, target_edges: int | None = None, *,
         raise ValueError("score matrix is all zero; nothing to sample from")
     if target_edges is None:
         target_edges = default_target_edges(s_sym)
-    check_target_edges(target_edges, n)
+    # the coverage phase adds at most n-1 edges (its first covers two nodes,
+    # each later one at least one more), so any target from n-1 up leaves it
+    # room on every support; n(n-1)/2 is the simple graph's edge count
+    if target_edges < n - 1:
+        raise ValueError(f"target_edges={target_edges} cannot cover {n} nodes "
+                         f"without isolates; need at least {n - 1}")
+    if target_edges > n * (n - 1) // 2:
+        raise ValueError(f"target_edges={target_edges} exceeds the "
+                         f"{n * (n - 1) // 2} possible undirected edges")
 
     unused = np.ones(len(s_sym.weights), dtype=bool)
     edges = _coverage_edges(s_sym, rng, unused)

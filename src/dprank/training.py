@@ -25,7 +25,8 @@ from .model import (AdamState, Theta, WeightNormalizer, Workspace,
                     _loss_and_gradients, adam_step, adam_update, init_params,
                     touched_nodes)
 from .privacy import (PrefetchedNoise, PrivacyLedger, PrivacyOverdraftError,
-                      PrivacySpec, RowGradient, perturb_gradient, shared_zeros)
+                      PrivacySpec, RowGradient, noise_sigma, perturb_gradient,
+                      shared_zeros)
 
 CHECKPOINT_NAME = "checkpoint.npz"
 INIT_SCALE = 0.1
@@ -79,8 +80,9 @@ class TrainConfig:
         it: a wrong type, a count below ``MIN_COUNTS``, a real outside
         ``INTERVALS``. Given ``num_nodes``, also a graph of fewer than 2
         nodes (under ``"num_nodes"``), a batch larger than the graph and a
-        per-step budget epsilon/T >= 1, each of the last two checked when the
-        fields it reads are valid."""
+        per-step budget epsilon/T >= 1 and a noise scale S_nabla * sigma that
+        is not finite (under ``"noise"``), each of the last three checked when
+        the fields it reads are valid."""
         problems = {}
         for name, value in asdict(self).items():
             integer = name in MIN_COUNTS
@@ -110,6 +112,13 @@ class TrainConfig:
             problems["epsilon"] = (f"per-step budget epsilon/T = {self.epsilon:g}/{t} "
                                    f">= 1 at N = {num_nodes} nodes; lower epsilon or "
                                    "raise the iteration count")
+        # t is bound whenever n_epochs and epsilon are valid; sigma divides by
+        # epsilon/T, which a subnormal epsilon rounds to 0
+        elif not {"n_epochs", "epsilon", "delta", "s_nabla"} & problems.keys() and not (
+                self.epsilon / t > 0 and math.isfinite(
+                    self.s_nabla * noise_sigma(self.epsilon, self.delta, t))):
+            problems["noise"] = (f"noise scale s_nabla * sigma is not finite at epsilon/T "
+                                 f"= {self.epsilon!r}/{t} and s_nabla = {self.s_nabla!r}")
         return problems
 
     def iterations(self, num_nodes: int) -> int:

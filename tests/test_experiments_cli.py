@@ -181,18 +181,6 @@ def test_synth_writes_no_edge_count(small_dataset, tmp_path):
     assert len(searched) == 6, searched     # manifest, id map, 2 x (ledger, sidecar)
 
 
-def test_synth_target_edges_override(small_dataset, tmp_path):
-    dataset, _ = small_dataset
-    cfg = small_config(dataset, tmp_path / "out", target_edges=80, run_count=1)
-    out = run_synth(cfg)
-    rec = json.loads((out / "manifest.json").read_text())["runs"][0]
-    assert rec["target_edges"] == 80
-    from dprank.graph import load_edge_list
-    from dprank.metrics import undirected_edges
-    g = load_edge_list(out / rec["dir"] / "synthetic_edges.tsv", num_nodes=60)
-    assert len(undirected_edges(g)) == 80
-
-
 # ------------------------------------------------------------------- eval
 
 def test_eval_identical_synthetic_gives_zero_errors(small_dataset, tmp_path):
@@ -240,27 +228,37 @@ def test_eval_never_touches_checkpoints(small_dataset, tmp_path):
 
 def test_eval_downstream_scores(small_dataset, tmp_path):
     dataset, labels_path = small_dataset
-    cfg = small_config(dataset, tmp_path / "out", run_count=1,
-                       labels=str(labels_path), downstream=True)
-    out = run_synth(cfg)
-    report = run_eval(dataset, out)[3.2]
+    out = run_synth(small_config(dataset, tmp_path / "out", run_count=1))
+    report = run_eval(dataset, out, downstream=True,
+                      labels_path=labels_path)[3.2]
     assert report["auc"] is not None and 0.0 <= report["auc"]["mean"] <= 1.0
     assert report["micro_f1"] is not None
     assert 0.0 <= report["micro_f1"]["mean"] <= 1.0
 
 
-def test_eval_reads_a_manifest_written_with_symmetrize(small_dataset, tmp_path):
-    # a run directory written while the config still had a symmetrize key
-    # evaluates to the same report
-    dataset, labels_path = small_dataset
-    out = run_synth(small_config(dataset, tmp_path / "out", run_count=1,
-                                 labels=str(labels_path), downstream=True))
+def test_eval_reads_a_manifest_written_with_symmetrize(small_dataset, tmp_path,
+                                                       monkeypatch):
+    # a run directory written while the config still had keys it has no more
+    # evaluates to the same report; a bare eval of one whose config echo asks
+    # for downstream scores runs no downstream task and reads no labels
+    dataset, _ = small_dataset
+    out = run_synth(small_config(dataset, tmp_path / "out", run_count=1))
     reports = run_eval(dataset, out)
+    assert reports[3.2]["auc"] is None and reports[3.2]["micro_f1"] is None
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a bare eval ran a downstream step")
+
+    for name in ("load_labels", "link_prediction_auc", "node_classification_f1"):
+        monkeypatch.setattr(experiments, name, unreachable)
     manifest_path = out / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["config"]["symmetrize"] = True
-    manifest_path.write_text(json.dumps(manifest))
-    assert run_eval(dataset, out) == reports
+    for old_keys in ({"symmetrize": True},
+                     {"labels": str(tmp_path / "nowhere.csv"),
+                      "downstream": True, "target_edges": 80}):
+        manifest_path.write_text(json.dumps(
+            {**manifest, "config": {**manifest["config"], **old_keys}}))
+        assert run_eval(dataset, out) == reports
 
 
 def test_eval_returns_what_eval_report_json_holds(small_dataset, tmp_path):
@@ -268,10 +266,9 @@ def test_eval_returns_what_eval_report_json_holds(small_dataset, tmp_path):
     # ones, with downstream scores, warnings and the privacy spec
     dataset, labels_path = small_dataset
     out = run_synth(small_config(dataset, tmp_path / "out", run_count=1,
-                                 epsilons=[1.6, 3.2], labels=str(labels_path),
-                                 downstream=True))
+                                 epsilons=[1.6, 3.2]))
     (out / "eps_1.6" / "run_0" / "embeddings.npy").unlink()
-    reports = run_eval(dataset, out)
+    reports = run_eval(dataset, out, downstream=True, labels_path=labels_path)
     per_epsilon = json.loads(
         (out / "eval_report.json").read_text())["per_epsilon"]
     assert reports == {float(k): v for k, v in per_epsilon.items()}
@@ -292,8 +289,7 @@ def test_eval_statistics_run_in_a_worker_with_serial_outputs(
     # once, in this one
     dataset, labels_path = small_dataset
     out = run_synth(small_config(dataset, tmp_path / "out",
-                                 epsilons=[1.6, 3.2],
-                                 labels=str(labels_path), downstream=True))
+                                 epsilons=[1.6, 3.2]))
     (out / "eps_3.2" / "run_0" / "synthetic_edges.tsv").unlink()
     stats_pids = tmp_path / "stats_pids.txt"
     load_pids = tmp_path / "load_pids.txt"
@@ -312,12 +308,12 @@ def test_eval_statistics_run_in_a_worker_with_serial_outputs(
     monkeypatch.setattr(experiments, "load_edge_list",
                         spy(experiments.load_edge_list, load_pids))
     pooled = run_eval(dataset, out, out_dir=tmp_path / "pooled",
-                      downstream=True)
+                      downstream=True, labels_path=labels_path)
     stats_calls = Counter(int(line) for line in stats_pids.read_text().split())
     load_calls = Counter(int(line) for line in load_pids.read_text().split())
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlineExecutor)
     inline = run_eval(dataset, out, out_dir=tmp_path / "inline",
-                      downstream=True)
+                      downstream=True, labels_path=labels_path)
 
     assert eval_outputs(tmp_path / "pooled") == eval_outputs(tmp_path / "inline")
     assert {e: r["warnings"] for e, r in pooled.items()} \
@@ -406,15 +402,14 @@ def test_load_labels_first_row_of_integers_is_data(tmp_path, first_row):
 # ------------------------------------------------------------------ sweep
 
 def test_sweep_is_synth_then_eval(small_dataset, tmp_path):
-    # a sweep directory holds what synth followed by eval of its output
-    # writes, byte for byte; only the manifest's out_dir differs
-    dataset, labels = small_dataset
-    overrides = dict(epsilons=[0.4, 3.2], downstream=True, labels=str(labels))
-    swept = run_sweep(small_config(dataset, tmp_path / "sweep", **overrides))
-    cfg = small_config(dataset, tmp_path / "apart", **overrides)
+    # a sweep directory holds what synth followed by a structural eval of
+    # its output writes, byte for byte; only the manifest's out_dir differs
+    dataset, _ = small_dataset
+    swept = run_sweep(small_config(dataset, tmp_path / "sweep",
+                                   epsilons=[0.4, 3.2]))
+    cfg = small_config(dataset, tmp_path / "apart", epsilons=[0.4, 3.2])
     apart = run_synth(cfg)
-    run_eval(cfg.dataset, apart, downstream=cfg.downstream,
-             labels_path=cfg.labels)
+    run_eval(cfg.dataset, apart)
 
     names = [sorted(p.relative_to(out).as_posix()
                     for p in out.rglob("*") if p.is_file())
@@ -526,13 +521,12 @@ def test_cli_csv_dataset_with_sparse_ids(tmp_path):
 
 def test_cli_eval_without_downstream_ignores_the_manifest(small_dataset,
                                                          tmp_path):
-    # the synth config asks for downstream scores; a bare eval runs none
-    dataset, labels_path = small_dataset
+    # a bare eval runs no downstream task; --downstream without --labels
+    # runs link prediction only, since the flag is where the labels come from
+    dataset, _ = small_dataset
     synth_dir = tmp_path / "synth"
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, small_config(dataset, synth_dir, run_count=1,
-                                        downstream=True,
-                                        labels=str(labels_path)))
+    write_config(cfg_path, small_config(dataset, synth_dir, run_count=1))
     assert main(["synth", "--config", str(cfg_path)]) == 0
     assert main(["eval", "--original", str(dataset), "--synthetic-dir",
                  str(synth_dir), "--out", str(tmp_path / "bare")]) == 0
@@ -545,29 +539,8 @@ def test_cli_eval_without_downstream_ignores_the_manifest(small_dataset,
                  "--downstream"]) == 0
     report = json.loads((tmp_path / "full" / "eval_report.json").read_text())
     (entry,) = report["per_epsilon"].values()
-    assert entry["auc"] is not None and entry["micro_f1"] is not None
-
-
-def test_cli_eval_finds_relative_labels_from_another_directory(
-        small_dataset, tmp_path, monkeypatch):
-    # synth is given the labels relative to its working directory; eval
-    # --downstream falls back to the manifest's labels from a subdirectory
-    dataset, labels_path = small_dataset
-    monkeypatch.chdir(tmp_path)
-    write_config(tmp_path / "cfg.json",
-                 small_config(dataset, "synth", run_count=1,
-                              labels=labels_path.name))
-    assert main(["synth", "--config", "cfg.json"]) == 0
-    manifest = json.loads((tmp_path / "synth" / "manifest.json").read_text())
-    assert manifest["config"]["labels"] == str(labels_path.resolve())
-    (tmp_path / "sub").mkdir()
-    monkeypatch.chdir(tmp_path / "sub")
-    assert main(["eval", "--original", str(dataset), "--synthetic-dir",
-                 "../synth", "--out", "eval", "--downstream"]) == 0
-    report = json.loads((tmp_path / "sub" / "eval" / "eval_report.json")
-                        .read_text())
-    (entry,) = report["per_epsilon"].values()
-    assert 0.0 <= entry["micro_f1"]["mean"] <= 1.0
+    assert 0.0 <= entry["auc"]["mean"] <= 1.0
+    assert entry["micro_f1"] is None
 
 
 # runs the CLI in a fresh interpreter, with every scipy import failing when
@@ -726,15 +699,19 @@ def test_cli_refuses_epsilons_sharing_a_run_directory(small_dataset, tmp_path,
     ({"train": {"s_nabla": math.inf}}, "s_nabla must be finite"),
     ({"train": {"n_epochs": math.inf}}, "n_epochs must be an integer, got inf"),
     ({"train": {"r": 8.5}}, "r must be an integer, got 8.5"),
-    ({"target_edges": 5}, "target_edges=5 cannot cover 60 nodes without "
-     "isolates; need at least 59"),
-    ({"target_edges": 1771}, "target_edges=1771 exceeds the 1770 possible "
-     "undirected edges"),
+    # synthesis takes its edge target from the scores, and eval its
+    # downstream task and labels from its flags: none of the three is a
+    # config key, whatever its value
+    ({"target_edges": 5}, "unknown config keys: ['target_edges']"),
+    ({"target_edges": 1771}, "unknown config keys: ['target_edges']"),
+    ({"target_edges": 1400}, "unknown config keys: ['target_edges']"),
+    ({"downstream": True}, "unknown config keys: ['downstream']"),
+    ({"labels": "labels.csv"}, "unknown config keys: ['labels']"),
     ({"train": {"epsilon": 0.5}}, "train may not set ['epsilon']"),
     ({"train": {"master_seed": 9}}, "train may not set ['master_seed']"),
     # a problem of the config and one found on its graph, named together
-    ({"run_count": 0, "target_edges": 5},
-     ("run_count must be >= 1", "target_edges=5 cannot cover 60 nodes")),
+    ({"run_count": 0, "train": {"batch_nodes": 100}},
+     ("run_count must be >= 1", "batch_nodes=100 exceeds the node count 60")),
     # a dataset that does not parse is one more problem of the config
     ({"run_count": 0, "dataset": "malformed.tsv"},
      ("run_count must be >= 1",
@@ -760,34 +737,35 @@ def test_cli_refuses_epsilons_sharing_a_run_directory(small_dataset, tmp_path,
     ({"dataset": "one_node.tsv", "train": {"gamma": 2, "batch_nodes": 1}},
      ("gamma must lie in (0, 1), got 2", "epsilon/T = 3.2/1 >= 1 at N = 1",
       "training needs at least 2 nodes, the graph has 1")),
-    # a downstream run's labels are parsed before anything trains
-    ({"downstream": True, "labels": "bad_row.csv"},
-     "labels: bad_row.csv:3: malformed label row ['1', 'x']"),
-    ({"downstream": True, "labels": "unlabelled.csv"},
-     "labels: 1 nodes have no label in unlabelled.csv"),
-    ({"labels": "nowhere.csv"}, "labels path does not exist: nowhere.csv"),
     ({"threads": 0}, "threads must be >= 1"),
+    # a noise scale S_nabla * sigma that overflows, or whose epsilon/T
+    # rounds to 0, would fail in training
+    ({"epsilons": [1e-320]}, "noise scale s_nabla * sigma is not finite at "
+     "epsilon/T = 1e-320/7 and s_nabla = 5.0"),
+    ({"epsilons": [5e-324]}, "noise scale s_nabla * sigma is not finite at "
+     "epsilon/T = 5e-324/7 and s_nabla = 5.0"),
+    ({"train": {"s_nabla": 1e308}}, "noise scale s_nabla * sigma is not "
+     "finite at epsilon/T = 3.2/7 and s_nabla = 1e+308"),
 ], ids=["epsilon-nan", "eta-inf", "s_nabla-inf", "n_epochs-inf", "r-fractional",
         "target_edges-below-cover", "target_edges-above-simple",
-        "train-epsilon", "train-master_seed", "run_count-and-target_edges",
+        "target_edges-in-range", "downstream-key", "labels-key",
+        "train-epsilon", "train-master_seed", "run_count-and-batch_nodes",
         "run_count-and-malformed-dataset", "train-gamma-and-s",
         "train-r-s_nabla-eta", "train-gamma-str", "train-unknown-and-r",
         "unknown-key-and-run_count", "train-r-and-batch_nodes",
         "train-gamma-and-per-step-budget", "one-node-dataset-and-train-gamma",
-        "labels-malformed-row", "labels-unlabelled-node",
-        "labels-path-missing", "threads-zero"])
+        "threads-zero", "epsilon-subnormal", "epsilon-per-step-zero",
+        "s_nabla-overflow"])
 def test_cli_non_finite_config_values_are_config_errors(small_dataset, tmp_path,
                                                         monkeypatch, capsys,
                                                         override, problem):
-    # json reads NaN and Infinity, a count may arrive as a float, and an
-    # edge target or a per-run train value may be out of place; each is
-    # refused before anything trains or any directory is made
+    # json reads NaN and Infinity, a count may arrive as a float, and a key
+    # or a per-run train value may be out of place; each is refused before
+    # anything trains or any directory is made
     dataset, _ = small_dataset
     monkeypatch.chdir(tmp_path)
     Path("malformed.tsv").write_text("0 1\n1 2\nx y\n")
     Path("one_node.tsv").write_text("5 5\n")
-    Path("bad_row.csv").write_text("node_id,class_id\n0,1\n1,x\n")
-    Path("unlabelled.csv").write_text("".join(f"{i},0\n" for i in range(59)))
     out_dir = tmp_path / "out"
     cfg_path = tmp_path / "cfg.json"
     payload = small_config(dataset, out_dir).to_dict()
@@ -808,24 +786,21 @@ def test_cli_wrong_typed_config_values_are_config_errors(small_dataset,
     cfg_path = tmp_path / "cfg.json"
     payload = small_config(dataset, out_dir).to_dict()
     good = dict(payload)
-    payload.update(dataset=3, labels=[], out_dir=None, epsilons=3.2,
-                   run_count="2", threads=True, target_edges=1.5, train=[],
-                   master_seed="3", symmetrize="false", downstream="no")
+    payload.update(dataset=3, out_dir=None, epsilons=3.2, run_count="2",
+                   threads=True, train=[], master_seed="3",
+                   symmetrize="false")
     cfg_path.write_text(json.dumps(payload))
     assert main(["synth", "--config", str(cfg_path)]) == 1
     assert not out_dir.exists()
     err = capsys.readouterr().err
     for problem in ("dataset must be a path, got 3",
-                    "labels must be a path or null, got []",
                     "out_dir must be a path, got None",
                     "epsilons must be a list of numbers, got 3.2",
                     "run_count must be an integer, got '2'",
                     "threads must be an integer, got True",
-                    "target_edges must be an integer or null, got 1.5",
                     "train must be an object, got []",
                     "master_seed must be an integer, got '3'",
-                    "unknown config keys: ['symmetrize']",
-                    "downstream must be a boolean, got 'no'"):
+                    "unknown config keys: ['symmetrize']"):
         assert problem in err
     cfg_path.write_text(json.dumps({**good, "epsilons": [1.0, "2"]}))
     assert main(["synth", "--config", str(cfg_path)]) == 1
@@ -864,13 +839,13 @@ def test_cli_flag_overrides(small_dataset, tmp_path):
     dataset, _ = small_dataset
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, small_config(dataset, tmp_path / "ignored",
-                                        run_count=1, target_edges=80))
+                                        run_count=1))
     out = tmp_path / "flagged"
     assert main(["synth", "--config", str(cfg_path), "--out", str(out),
                  "--seed", "99"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["master_seed"] == 99
-    assert manifest["runs"][0]["target_edges"] == 80
+    assert len(manifest["runs"]) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -879,7 +854,8 @@ def test_cli_flag_overrides(small_dataset, tmp_path):
     ["sweep", "--downstream"],
 ], ids=["synth-target-edges", "sweep-target-edges", "sweep-downstream"])
 def test_cli_has_no_flag_for_an_experiment_key(tmp_path, capsys, argv):
-    # target_edges and downstream are set in the config, and only there
+    # synthesis derives its edge target from the scores, and downstream
+    # scores come from eval --downstream; neither is a synth or sweep flag
     with pytest.raises(SystemExit) as exc:
         main(argv[:1] + ["--config", str(tmp_path / "cfg.json")] + argv[1:])
     assert exc.value.code == 2
