@@ -312,7 +312,10 @@ def run_eval(original_path, synthetic_dir, out_dir=None,
 
     Reads graphs, sidecars, and embeddings; model checkpoints are never
     touched. Missing runs reduce the aggregate and are reported as warnings
-    instead of failing.
+    instead of failing. The classifier gets a fresh load of the embeddings
+    as the only reference to them, so that it can free the matrix once it
+    has gathered its training rows (see :func:`node_classification_f1`);
+    the second read comes from the page cache.
     """
     synthetic_dir = Path(synthetic_dir)
     manifest = json.loads((synthetic_dir / MANIFEST_NAME).read_text())
@@ -356,8 +359,9 @@ def run_eval(original_path, synthetic_dir, out_dir=None,
                 rng = np.random.default_rng(
                     derive_seed(master_seed, rec["run"], "evaluation"))
                 auc = link_prediction_auc(original, emb, rng=rng)
+                del emb
                 if labels is not None:
-                    f1 = node_classification_f1(emb, labels, rng=rng)
+                    f1 = node_classification_f1(np.load(emb_path), labels, rng=rng)
             records.setdefault(rec["epsilon"], []).append(
                 (rec["run"], stats, ks, auc, f1))
         if not records:

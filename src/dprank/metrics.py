@@ -23,6 +23,7 @@ LABEL_TRAIN_FRAC = 0.9
 CLASSIFIER_EPOCHS = 500     # full-batch gradient steps
 CLASSIFIER_LR = 0.1
 SPLIT_RETRIES = 20          # redraws of a training split with one class
+GATHER_WORDS = 1 << 13      # float64s per block of embedding rows gathered
 
 
 def undirected_edges(g: Graph) -> np.ndarray:
@@ -283,7 +284,9 @@ def link_prediction_auc(g: Graph, embeddings: np.ndarray,
 
     A (1 - EDGE_TRAIN_FRAC) fraction of the undirected edges becomes the
     positive test set, matched by an equal number of uniformly sampled
-    non-edges. A pair is scored by the sigmoid of its embedding inner product.
+    non-edges. A pair is scored by the sigmoid of its embedding inner product,
+    taken in blocks of about ``GATHER_WORDS`` gathered values, so the
+    gathered rows stay small however many edges the graph has.
     """
     und = undirected_edges(g)
     n_test = int(round((1.0 - EDGE_TRAIN_FRAC) * len(und)))
@@ -295,7 +298,12 @@ def link_prediction_auc(g: Graph, embeddings: np.ndarray,
     negatives = _sample_non_edges(und, g.num_nodes, n_test, rng)
 
     def score(pairs):
-        dots = np.sum(embeddings[pairs[:, 0]] * embeddings[pairs[:, 1]], axis=1)
+        dots = np.empty(len(pairs))
+        rows = max(1, GATHER_WORDS // embeddings.shape[1])
+        for lo in range(0, len(pairs), rows):
+            u, v = pairs[lo:lo + rows].T
+            # a row's sum does not depend on the block it falls in
+            dots[lo:lo + len(u)] = np.sum(embeddings[u] * embeddings[v], axis=1)
         return 1.0 / (1.0 + np.exp(-dots))
 
     return _auc_from_scores(score(positives), score(negatives))
@@ -320,6 +328,15 @@ def node_classification_f1(embeddings: np.ndarray, labels,
     Plain full-batch gradient descent, fixed epoch count, no regularization;
     an intercept column is appended to the features. Splits that leave fewer
     than two classes in the training set are redrawn a bounded number of times.
+
+    Memory: the training rows are held in two layouts of n_train x (r + 1)
+    float64s, feature-major for the scores and row-major for the step. The
+    test rows are gathered first, then the first layout, in blocks of about
+    ``GATHER_WORDS`` values; then the function drops its reference to
+    ``embeddings`` and builds the second. So at most the embedding matrix
+    and one layout are live, and then the two layouts. ``embeddings`` is
+    never written; when the caller keeps no other reference to it, it is
+    freed before the second layout is made.
     """
     labels = np.asarray(labels)
     n = len(labels)
@@ -346,11 +363,18 @@ def node_classification_f1(embeddings: np.ndarray, labels,
     # layout; the results agree with that layout to rounding. Only the two
     # layouts of the training rows are built, never the features of all n
     # rows, and an epoch writes into two preallocated buffers.
-    scaled_x = np.empty((n_train, r + 1))
-    scaled_x[:, :r] = embeddings[train_idx]
-    scaled_x[:, r] = 1.0
-    x_train_t = scaled_x.T.copy()
-    scaled_x *= CLASSIFIER_LR
+    x_test = np.empty((n - n_train, r + 1))
+    x_test[:, :r] = embeddings[test_idx]
+    x_test[:, r] = 1.0
+    x_train_t = np.empty((r + 1, n_train))
+    rows = max(1, GATHER_WORDS // r)
+    for lo in range(0, n_train, rows):
+        block = train_idx[lo:lo + rows]
+        x_train_t[:r, lo:lo + len(block)] = embeddings[block].T
+    x_train_t[r] = 1.0
+    del embeddings
+    # row-major for the step's product; each entry is x * CLASSIFIER_LR
+    scaled_x = np.multiply(x_train_t.T, CLASSIFIER_LR, order="C")
     y_t = (classes[:, None] == labels[train_idx][None, :]).astype(np.float64)
 
     w_t = np.zeros((len(classes), r + 1))
@@ -368,10 +392,6 @@ def node_classification_f1(embeddings: np.ndarray, labels,
         step /= n_train
         w_t -= step
 
-    del scaled_x, x_train_t
-    x_test = np.empty((n - n_train, r + 1))
-    x_test[:, :r] = embeddings[test_idx]
-    x_test[:, r] = 1.0
     pred = classes[np.argmax(x_test @ w_t.T, axis=1)]
     return micro_f1(labels[test_idx], pred)
 

@@ -37,6 +37,10 @@ MIN_COUNTS = {"n_epochs": 1, "batch_nodes": 1, "r_wn": 1, "r_wl": 2, "r": 1,
               "d": 1, "master_seed": 0}
 INTERVALS = {"gamma": (0, 1), "s": (1, math.inf), "s_nabla": (0, math.inf),
              "eta": (0, math.inf), "epsilon": (0, math.inf), "delta": (0, 1)}
+# Adam squares each noise entry S_nabla * sigma * z / B. numpy's normal
+# sampler never returns |z| above about 13.7 (its tail step takes the log of
+# a 53-bit uniform), so 64 deviations bound every entry, gradient included
+NOISE_TAIL = 64.0
 
 
 class TrainingDivergedError(RuntimeError):
@@ -80,9 +84,10 @@ class TrainConfig:
         it: a wrong type, a count below ``MIN_COUNTS``, a real outside
         ``INTERVALS``. Given ``num_nodes``, also a graph of fewer than 2
         nodes (under ``"num_nodes"``), a batch larger than the graph and a
-        per-step budget epsilon/T >= 1 and a noise scale S_nabla * sigma that
-        is not finite (under ``"noise"``), each of the last three checked when
-        the fields it reads are valid."""
+        per-step budget epsilon/T >= 1 and a noise scale S_nabla * sigma whose
+        ``NOISE_TAIL`` multiple over B, squared in Adam's second moment, is not
+        finite (under ``"noise"``), each of the last three checked when the
+        fields it reads are valid."""
         problems = {}
         for name, value in asdict(self).items():
             integer = name in MIN_COUNTS
@@ -114,11 +119,16 @@ class TrainConfig:
                                    "raise the iteration count")
         # t is bound whenever n_epochs and epsilon are valid; sigma divides by
         # epsilon/T, which a subnormal epsilon rounds to 0
-        elif not {"n_epochs", "epsilon", "delta", "s_nabla"} & problems.keys() and not (
+        elif not {"n_epochs", "epsilon", "delta", "s_nabla", "r_wn",
+                  "r_wl"} & problems.keys() and not (
                 self.epsilon / t > 0 and math.isfinite(
-                    self.s_nabla * noise_sigma(self.epsilon, self.delta, t))):
-            problems["noise"] = (f"noise scale s_nabla * sigma is not finite at epsilon/T "
-                                 f"= {self.epsilon!r}/{t} and s_nabla = {self.s_nabla!r}")
+                    (tail := NOISE_TAIL * self.s_nabla * noise_sigma(self.epsilon, self.delta, t)
+                     / self.nominal_batch_pairs()) * tail)):
+            problems["noise"] = (f"noise scale s_nabla * sigma is too large at epsilon/T "
+                                 f"= {self.epsilon!r}/{t} and s_nabla = {self.s_nabla!r}: "
+                                 f"Adam squares noise entries of up to {NOISE_TAIL:g} "
+                                 f"s_nabla * sigma / B, B = {self.nominal_batch_pairs()}, "
+                                 "and the square must be finite")
         return problems
 
     def iterations(self, num_nodes: int) -> int:

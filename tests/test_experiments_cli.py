@@ -236,6 +236,35 @@ def test_eval_downstream_scores(small_dataset, tmp_path):
     assert 0.0 <= report["micro_f1"]["mean"] <= 1.0
 
 
+def test_eval_downstream_peak_memory_holds_one_embedding_matrix(tmp_path):
+    # run_eval gives the classifier the only reference to the embeddings, so
+    # the matrix is freed before the classifier's second layout of the
+    # training rows is made. With r = 1024 both dwarf the graphs; the peak
+    # read the matrix plus 1.20 layouts, and plus 2.11 when the matrix
+    # lived through the call
+    import tracemalloc
+    n, r = 600, 1024
+    dataset = tmp_path / "graph.tsv"
+    write_edge_list(citation_benchmark_graph(num_nodes=n, num_edges=3 * n,
+                                             seed=3), dataset)
+    labels_path = tmp_path / "labels.csv"
+    labels_path.write_text("node_id,class_id\n" + "".join(
+        f"{i},{c}\n" for i, c in enumerate(benchmark_labels(n, seed=3))))
+    out = run_synth(ExperimentConfig(
+        dataset=str(dataset), run_count=1, out_dir=str(tmp_path / "out"),
+        train=dict(n_epochs=1, batch_nodes=60, r_wn=1, r_wl=4, r=r, d=4)))
+    # the first eval imports lazily; keep that out of the measured peak
+    run_eval(dataset, out, downstream=True, labels_path=labels_path)
+    tracemalloc.start()
+    try:
+        run_eval(dataset, out, downstream=True, labels_path=labels_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    layout = int(round(0.9 * n)) * (r + 1) * 8
+    assert peak < n * r * 8 + 1.5 * layout
+
+
 def test_eval_reads_a_manifest_written_with_symmetrize(small_dataset, tmp_path,
                                                        monkeypatch):
     # a run directory written while the config still had keys it has no more
@@ -740,12 +769,12 @@ def test_cli_refuses_epsilons_sharing_a_run_directory(small_dataset, tmp_path,
     ({"threads": 0}, "threads must be >= 1"),
     # a noise scale S_nabla * sigma that overflows, or whose epsilon/T
     # rounds to 0, would fail in training
-    ({"epsilons": [1e-320]}, "noise scale s_nabla * sigma is not finite at "
+    ({"epsilons": [1e-320]}, "noise scale s_nabla * sigma is too large at "
      "epsilon/T = 1e-320/7 and s_nabla = 5.0"),
-    ({"epsilons": [5e-324]}, "noise scale s_nabla * sigma is not finite at "
+    ({"epsilons": [5e-324]}, "noise scale s_nabla * sigma is too large at "
      "epsilon/T = 5e-324/7 and s_nabla = 5.0"),
-    ({"train": {"s_nabla": 1e308}}, "noise scale s_nabla * sigma is not "
-     "finite at epsilon/T = 3.2/7 and s_nabla = 1e+308"),
+    ({"train": {"s_nabla": 1e308}}, "noise scale s_nabla * sigma is too "
+     "large at epsilon/T = 3.2/7 and s_nabla = 1e+308"),
 ], ids=["epsilon-nan", "eta-inf", "s_nabla-inf", "n_epochs-inf", "r-fractional",
         "target_edges-below-cover", "target_edges-above-simple",
         "target_edges-in-range", "downstream-key", "labels-key",
@@ -777,6 +806,58 @@ def test_cli_non_finite_config_values_are_config_errors(small_dataset, tmp_path,
     err = capsys.readouterr().err
     for one in (problem,) if isinstance(problem, str) else problem:
         assert one in err
+
+
+def noise_config(tmp_path, s_nabla) -> Path:
+    """A one-epsilon, one-run config on criterion 10's 80-node graph with
+    one epoch of batch 10 (T = 8, B = 300) and the given S_nabla."""
+    dataset = tmp_path / "graph.tsv"
+    write_edge_list(citation_benchmark_graph(num_nodes=80, num_edges=170,
+                                             seed=9), dataset)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "dataset": str(dataset), "epsilons": [3.2], "run_count": 1,
+        "out_dir": str(tmp_path / "out"),
+        "train": {"n_epochs": 1, "batch_nodes": 10, "s_nabla": s_nabla}}))
+    return cfg_path
+
+
+def largest_accepted_s_nabla() -> float:
+    """An S_nabla at which NOISE_TAIL noise deviations over B square to just
+    below the float maximum, at noise_config's T and B."""
+    cfg = TrainConfig(n_epochs=1, batch_nodes=10)
+    sigma = dprank.privacy.noise_sigma(cfg.epsilon, cfg.delta, 8)
+    return (0.999 * math.sqrt(sys.float_info.max) * cfg.nominal_batch_pairs()
+            / (training.NOISE_TAIL * sigma))
+
+
+def test_cli_refuses_a_noise_scale_whose_adam_square_overflows(tmp_path,
+                                                               capsys):
+    # S_nabla * sigma is about 1.3e161, finite, but Adam's square of a noise
+    # entry over B is not: such a run trained with overflow warnings, exited
+    # 0 and released V at its initialization
+    assert main(["synth", "--config", str(noise_config(tmp_path, 1e160))]) == 1
+    assert not (tmp_path / "out").exists()
+    assert ("noise scale s_nabla * sigma is too large at epsilon/T = 3.2/8 and "
+            "s_nabla = 1e+160: Adam squares noise entries of up to 64 "
+            "s_nabla * sigma / B, B = 300") in capsys.readouterr().err
+    # the rule's threshold lies between largest_accepted_s_nabla and 0.3 %
+    # above it
+    largest = largest_accepted_s_nabla()
+    assert TrainConfig(n_epochs=1, batch_nodes=10,
+                       s_nabla=largest).problems(80) == {}
+    assert "noise" in TrainConfig(n_epochs=1, batch_nodes=10,
+                                  s_nabla=1.002 * largest).problems(80)
+
+
+@pytest.mark.parametrize("scale", ["default", "largest-accepted"])
+def test_cli_trains_at_an_accepted_noise_scale(tmp_path, scale):
+    # the margin holds: a run just inside the rule trains with no overflow,
+    # which the tests' warning filter makes an error in the noise worker too
+    s_nabla = 5.0 if scale == "default" else largest_accepted_s_nabla()
+    assert main(["synth", "--config", str(noise_config(tmp_path, s_nabla))]) == 0
+    v = np.load(tmp_path / "out" / "eps_3.2" / "run_0" / "embeddings.npy")
+    assert v.shape == (80, 128) and np.isfinite(v).all()
 
 
 def test_cli_wrong_typed_config_values_are_config_errors(small_dataset,

@@ -26,7 +26,7 @@ def test_release_diff_reads_equal_on_one_tree_and_different_seeds(tmp_path):
     a, b = copy_tree(tmp_path / "a"), copy_tree(tmp_path / "b")
     code, outcomes = release_diff(a, b)
     assert code == 0
-    assert len(outcomes) == 4 * len(RUN_DIRS) + 2
+    assert len(outcomes) == 4 * len(RUN_DIRS) + 4
     assert set(outcomes.values()) == {"equal"}, outcomes
 
     patched = copy_tree(tmp_path / "patched")
@@ -44,6 +44,29 @@ def test_release_diff_reads_equal_on_one_tree_and_different_seeds(tmp_path):
         assert outcomes[f"{run}/ledger.json"] == "equal", run
     assert outcomes["id_map.csv"] == "equal"
     assert outcomes["manifest.json without out_dir"] == "different"
+    # both trees evaluate the parent's output; the evaluation seed moved the
+    # AUC and Micro-F1, and the CSV holds only the structural statistics
+    assert outcomes["eval/eval_report.json"] == "different"
+    assert outcomes["eval/eval_report.csv"] == "equal"
+
+
+def test_release_diff_reads_an_eval_change_with_equal_releases(tmp_path):
+    a = copy_tree(tmp_path / "a")
+    patched = copy_tree(tmp_path / "patched")
+    metrics = patched / "src" / "dprank" / "metrics.py"
+    source = metrics.read_text()
+    # a different held-out edge fraction moves every AUC
+    split = "EDGE_TRAIN_FRAC = 0.8"
+    assert source.count(split) == 1
+    metrics.write_text(source.replace(split, "EDGE_TRAIN_FRAC = 0.7"))
+    code, outcomes = release_diff(a, patched)
+    assert code == 0
+    released = {name: outcome for name, outcome in outcomes.items()
+                if not name.startswith("eval/")}
+    assert len(released) == 4 * len(RUN_DIRS) + 2
+    assert set(released.values()) == {"equal"}, released
+    assert outcomes["eval/eval_report.json"] == "different"
+    assert outcomes["eval/eval_report.csv"] == "equal"
 
 
 def test_release_diff_exits_1_when_a_synth_fails(tmp_path):
@@ -54,4 +77,17 @@ def test_release_diff_exits_1_when_a_synth_fails(tmp_path):
                           capture_output=True, text=True)
     assert done.returncode == 1
     assert "synth of the parent tree failed (exit 2)" in done.stderr
+    assert done.stdout == ""
+
+
+def test_release_diff_exits_1_when_an_eval_fails(tmp_path):
+    parent = copy_tree(tmp_path / "parent")
+    broken = copy_tree(tmp_path / "broken")
+    metrics = broken / "src" / "dprank" / "metrics.py"
+    metrics.write_text(metrics.read_text() + "\n\ndef node_classification_f1"
+                       "(*args, **kwargs):\n    raise RuntimeError('broken')\n")
+    done = subprocess.run([sys.executable, str(SCRIPT), str(parent), str(broken)],
+                          capture_output=True, text=True)
+    assert done.returncode == 1
+    assert "eval of the change tree failed (exit 2)" in done.stderr
     assert done.stdout == ""
