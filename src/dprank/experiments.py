@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .graph import Graph, load_edge_list, write_edge_list, write_id_map
-from .metrics import (GraphStats, build_report, compute_stats, degree_ks,
+from .metrics import (build_report, compute_stats, degree_ks,
                       link_prediction_auc, node_classification_f1)
 from .privacy import PrivacySpec, gdp_epsilon
 from .synthesis import default_target_edges, sample_graph, symmetrize_scores
@@ -295,12 +295,6 @@ def load_labels(path, g: Graph) -> np.ndarray:
     return labels
 
 
-def _synthetic_stats(g: Graph) -> GraphStats:
-    """Structural statistics of one run's synthetic graph, in the worker; it
-    pickles by name, which ``compute_stats`` under a wrapper would not."""
-    return compute_stats(g)
-
-
 def run_eval(original_path, synthetic_dir, out_dir=None,
              downstream: bool = False, labels_path=None) -> dict[float, dict]:
     """Evaluate every synthetic run in ``synthetic_dir`` against the original
@@ -312,10 +306,7 @@ def run_eval(original_path, synthetic_dir, out_dir=None,
 
     Reads graphs, sidecars, and embeddings; model checkpoints are never
     touched. Missing runs reduce the aggregate and are reported as warnings
-    instead of failing. The classifier gets a fresh load of the embeddings
-    as the only reference to them, so that it can free the matrix once it
-    has gathered its training rows (see :func:`node_classification_f1`);
-    the second read comes from the page cache.
+    instead of failing.
     """
     synthetic_dir = Path(synthetic_dir)
     manifest = json.loads((synthetic_dir / MANIFEST_NAME).read_text())
@@ -327,66 +318,57 @@ def run_eval(original_path, synthetic_dir, out_dir=None,
               if downstream and labels_path else None)
     gaps = []
     privacy_specs = {}
-    records = {}    # epsilon -> [(run, stats future, KS, AUC, F1)] per run
-    # each synthetic graph is parsed once, here. Its statistics run in one
-    # worker process while this one does the rest, including every call whose
-    # span bench/traced.py needs, so the outputs are those of a serial run
-    pool = ProcessPoolExecutor(max_workers=1)
-    try:
-        for rec in manifest["runs"]:
-            run_dir = synthetic_dir / rec["dir"]
-            edges_path = run_dir / "synthetic_edges.tsv"
-            if not edges_path.exists():
-                gaps.append(f"missing run output: {rec['dir']}")
-                continue
-            sidecar_path = run_dir / "sidecar.json"
-            if rec["epsilon"] not in privacy_specs and sidecar_path.exists():
-                privacy_specs[rec["epsilon"]] = json.loads(
-                    sidecar_path.read_text())["privacy_spec"]
-            synthetic = load_edge_list(edges_path, num_nodes=n)
-            stats = pool.submit(_synthetic_stats, synthetic)
-            ks = degree_ks(original, synthetic)
-            auc = f1 = None
-            emb_path = run_dir / "embeddings.npy"
-            if downstream and not emb_path.exists():
-                gaps.append(f"missing embeddings for downstream: {rec['dir']}")
-            elif downstream:
-                emb = np.load(emb_path)
-                if emb.ndim != 2 or emb.shape[0] != n:
-                    raise ValueError(
-                        f"{emb_path} has shape {emb.shape}, but the "
-                        f"original graph has {n} nodes, one row each")
-                rng = np.random.default_rng(
-                    derive_seed(master_seed, rec["run"], "evaluation"))
-                auc = link_prediction_auc(original, emb, rng=rng)
-                del emb
-                if labels is not None:
-                    f1 = node_classification_f1(np.load(emb_path), labels, rng=rng)
-            records.setdefault(rec["epsilon"], []).append(
-                (rec["run"], stats, ks, auc, f1))
-        if not records:
-            raise FileNotFoundError(
-                f"no synthetic runs found under {synthetic_dir}")
-        original_stats = compute_stats(original)
-        original_values = original_stats.as_dict()
-        rows = []
-        reports = {}
-        for epsilon, runs in sorted(records.items()):
-            run_ids, futures, ks, auc, f1 = zip(*runs)
-            stats = [future.result() for future in futures]
-            for run, run_stats, run_ks in zip(run_ids, stats, ks):
-                rows.append((epsilon, run, "degree_ks", 0.0, run_ks))
-                rows += [(epsilon, run, name, original_values[name], value)
-                         for name, value in run_stats.as_dict().items()]
-            report = build_report(
-                original_stats, stats, list(ks),
-                auc_values=[a for a in auc if a is not None] or None,
-                f1_values=[f for f in f1 if f is not None] or None)
-            report["warnings"] += gaps
-            report["privacy_spec"] = privacy_specs.get(epsilon)
-            reports[epsilon] = report
-    finally:
-        pool.shutdown(cancel_futures=True)
+    records = {}    # epsilon -> [(run, stats, KS, AUC, F1)] per run
+    for rec in manifest["runs"]:
+        run_dir = synthetic_dir / rec["dir"]
+        edges_path = run_dir / "synthetic_edges.tsv"
+        if not edges_path.exists():
+            gaps.append(f"missing run output: {rec['dir']}")
+            continue
+        sidecar_path = run_dir / "sidecar.json"
+        if rec["epsilon"] not in privacy_specs and sidecar_path.exists():
+            privacy_specs[rec["epsilon"]] = json.loads(
+                sidecar_path.read_text())["privacy_spec"]
+        synthetic = load_edge_list(edges_path, num_nodes=n)
+        stats = compute_stats(synthetic)
+        ks = degree_ks(original, synthetic)
+        auc = f1 = None
+        emb_path = run_dir / "embeddings.npy"
+        if downstream and not emb_path.exists():
+            gaps.append(f"missing embeddings for downstream: {rec['dir']}")
+        elif downstream:
+            emb = np.load(emb_path)
+            if emb.ndim != 2 or emb.shape[0] != n:
+                raise ValueError(
+                    f"{emb_path} has shape {emb.shape}, but the "
+                    f"original graph has {n} nodes, one row each")
+            rng = np.random.default_rng(
+                derive_seed(master_seed, rec["run"], "evaluation"))
+            auc = link_prediction_auc(original, emb, rng=rng)
+            if labels is not None:
+                f1 = node_classification_f1(emb, labels, rng=rng)
+        records.setdefault(rec["epsilon"], []).append(
+            (rec["run"], stats, ks, auc, f1))
+    if not records:
+        raise FileNotFoundError(
+            f"no synthetic runs found under {synthetic_dir}")
+    original_stats = compute_stats(original)
+    original_values = original_stats.as_dict()
+    rows = []
+    reports = {}
+    for epsilon, runs in sorted(records.items()):
+        run_ids, stats, ks, auc, f1 = zip(*runs)
+        for run, run_stats, run_ks in zip(run_ids, stats, ks):
+            rows.append((epsilon, run, "degree_ks", 0.0, run_ks))
+            rows += [(epsilon, run, name, original_values[name], value)
+                     for name, value in run_stats.as_dict().items()]
+        report = build_report(
+            original_stats, list(stats), list(ks),
+            auc_values=[a for a in auc if a is not None] or None,
+            f1_values=[f for f in f1 if f is not None] or None)
+        report["warnings"] += gaps
+        report["privacy_spec"] = privacy_specs.get(epsilon)
+        reports[epsilon] = report
 
     out_dir = Path(out_dir if out_dir is not None else synthetic_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -20,8 +20,6 @@ STAT_NAMES = ("triangle_count", "wedge_count", "claw_count", "rede",
 # the fixed downstream protocol: link prediction, node classification
 EDGE_TRAIN_FRAC = 0.8
 LABEL_TRAIN_FRAC = 0.9
-CLASSIFIER_EPOCHS = 500     # full-batch gradient steps
-CLASSIFIER_LR = 0.1
 SPLIT_RETRIES = 20          # redraws of a training split with one class
 GATHER_WORDS = 1 << 13      # float64s per block of embedding rows gathered
 
@@ -108,10 +106,10 @@ def _components(g: Graph) -> np.ndarray:
 
 # bound on padded neighbour slots x uint64 words per BFS source chunk, so
 # the largest array shortest_path holds, one width class's gather, is at
-# most 1 MB whatever the graph size. On the 6000-node benchmark graph, the
-# call on eval's critical path, 2**17 ran fastest: 0.048, 0.036 and 0.042 s
-# at 2**16, 2**17 and 2**18. Its 4827-node synthetic graph, whose stats
-# run in a worker, took 0.067, 0.096 and 0.123 s (one thread, 2-vCPU VM).
+# most 1 MB whatever the graph size. Eval computes the statistics of the
+# 6000-node benchmark graph and of its synthetic graph one after the other;
+# they took 0.075 + 0.097, 0.049 + 0.108 and 0.049 + 0.131 s at 2**16,
+# 2**17 and 2**18 (compute_stats, one thread, 2-vCPU VM).
 BFS_WORD_BUDGET = 1 << 17
 
 
@@ -323,20 +321,19 @@ def micro_f1(y_true, y_pred) -> float:
 
 def node_classification_f1(embeddings: np.ndarray, labels,
                            rng: np.random.Generator) -> float:
-    """Micro-F1 of one-vs-rest logistic regression on the embedding rows.
+    """Micro-F1 of a one-vs-rest least-squares classifier on the embedding
+    rows.
 
-    Plain full-batch gradient descent, fixed epoch count, no regularization;
-    an intercept column is appended to the features. Splits that leave fewer
-    than two classes in the training set are redrawn a bounded number of times.
+    The one-hot class targets of the training rows are fitted on the rows
+    with an intercept column appended, and a test row is predicted as the
+    class of its largest fitted score. The fit is the minimum-norm
+    least-squares solution, so it is defined on rank-deficient features
+    (all zero, or more columns than training rows), and it does not change
+    when the columns are rescaled. Splits that leave fewer than two classes
+    in the training set are redrawn a bounded number of times.
 
-    Memory: the training rows are held in two layouts of n_train x (r + 1)
-    float64s, feature-major for the scores and row-major for the step. The
-    test rows are gathered first, then the first layout, in blocks of about
-    ``GATHER_WORDS`` values; then the function drops its reference to
-    ``embeddings`` and builds the second. So at most the embedding matrix
-    and one layout are live, and then the two layouts. ``embeddings`` is
-    never written; when the caller keeps no other reference to it, it is
-    freed before the second layout is made.
+    The normal equations are summed over blocks of about ``GATHER_WORDS``
+    gathered values, so the training rows are never copied whole.
     """
     labels = np.asarray(labels)
     n = len(labels)
@@ -357,42 +354,25 @@ def node_classification_f1(embeddings: np.ndarray, labels,
         raise RuntimeError("could not draw a training split with two classes")
 
     r = embeddings.shape[1]
-    # weights and targets are kept with classes as rows, so both products of
-    # an epoch have the class count as their short leading dimension, which
-    # OpenBLAS runs 2-3x faster than the textbook (features x classes)
-    # layout; the results agree with that layout to rounding. Only the two
-    # layouts of the training rows are built, never the features of all n
-    # rows, and an epoch writes into two preallocated buffers.
-    x_test = np.empty((n - n_train, r + 1))
-    x_test[:, :r] = embeddings[test_idx]
-    x_test[:, r] = 1.0
-    x_train_t = np.empty((r + 1, n_train))
-    rows = max(1, GATHER_WORDS // r)
+
+    def features(idx):
+        x = np.empty((len(idx), r + 1))
+        x[:, :r] = embeddings[idx]
+        x[:, r] = 1.0
+        return x
+
+    gram = np.zeros((r + 1, r + 1))
+    rhs = np.zeros((r + 1, len(classes)))
+    rows = max(1, GATHER_WORDS // (r + 1))
     for lo in range(0, n_train, rows):
         block = train_idx[lo:lo + rows]
-        x_train_t[:r, lo:lo + len(block)] = embeddings[block].T
-    x_train_t[r] = 1.0
-    del embeddings
-    # row-major for the step's product; each entry is x * CLASSIFIER_LR
-    scaled_x = np.multiply(x_train_t.T, CLASSIFIER_LR, order="C")
-    y_t = (classes[:, None] == labels[train_idx][None, :]).astype(np.float64)
-
-    w_t = np.zeros((len(classes), r + 1))
-    p_t = np.empty((len(classes), n_train))
-    step = np.empty_like(w_t)
-    for _ in range(CLASSIFIER_EPOCHS):
-        # p_t = 1 / (1 + exp(-(w_t @ x_train_t))), in place
-        np.matmul(w_t, x_train_t, out=p_t)
-        np.negative(p_t, out=p_t)
-        np.exp(p_t, out=p_t)
-        p_t += 1.0
-        np.divide(1.0, p_t, out=p_t)
-        p_t -= y_t
-        np.matmul(p_t, scaled_x, out=step)
-        step /= n_train
-        w_t -= step
-
-    pred = classes[np.argmax(x_test @ w_t.T, axis=1)]
+        x = features(block)
+        gram += x.T @ x
+        rhs += x.T @ (labels[block][:, None] == classes)
+    # the minimum-norm solution of the normal equations is that of the
+    # training rows themselves
+    weights = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+    pred = classes[np.argmax(features(test_idx) @ weights, axis=1)]
     return micro_f1(labels[test_idx], pred)
 
 

@@ -8,7 +8,6 @@ independent of the code paths under test.
 import itertools
 import os
 from collections import deque
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -184,12 +183,11 @@ def micro_f1_confusion(y_true, y_pred):
     return 2 * prec * rec / (prec + rec)
 
 
-def logistic_ovr_f1_textbook(embeddings, labels, rng, train_frac, epochs, lr,
-                             retries):
-    """Micro-F1 of one-vs-rest logistic regression in the textbook layout:
-    weights (features x classes), one-hot targets (samples x classes), and
-    the step X^T (P - Y). The split draws, features, step count and
-    prediction rule are those of ``metrics.node_classification_f1``."""
+def lstsq_ovr_f1_textbook(embeddings, labels, rng, train_frac, retries):
+    """Micro-F1 of one-vs-rest least squares in the textbook form: the
+    minimum-norm ``np.linalg.lstsq`` of the one-hot targets (samples x
+    classes) on the whole training matrix [V, 1]. The split draws, features
+    and prediction rule are those of ``metrics.node_classification_f1``."""
     labels = np.asarray(labels)
     n = len(labels)
     n_train = int(round(train_frac * n))
@@ -203,15 +201,8 @@ def logistic_ovr_f1_textbook(embeddings, labels, rng, train_frac, epochs, lr,
 
     classes = np.unique(labels[train_idx])
     x = np.hstack([embeddings, np.ones((n, 1))])
-    x_train = x[train_idx]
     y_onehot = (labels[train_idx][:, None] == classes[None, :]).astype(np.float64)
-
-    w = np.zeros((x.shape[1], len(classes)))
-    scaled_xt = lr * x_train.T
-    for _ in range(epochs):
-        p = 1.0 / (1.0 + np.exp(-(x_train @ w)))
-        w -= scaled_xt @ (p - y_onehot) / len(train_idx)
-
+    w = np.linalg.lstsq(x[train_idx], y_onehot, rcond=None)[0]
     pred = classes[np.argmax(x[test_idx] @ w, axis=1)]
     return micro_f1_confusion(labels[test_idx].tolist(), pred.tolist())
 
@@ -478,9 +469,9 @@ def assert_reaped(pid):
 
 
 class InlineExecutor:
-    """Stands in for ``concurrent.futures.ProcessPoolExecutor``: runs each
-    task in the calling thread when it is submitted, so code that hands work
-    to a pool can be compared with its serial run."""
+    """Stands in for ``concurrent.futures.ProcessPoolExecutor``: maps each
+    task in the calling thread, so code that hands work to a pool can be
+    compared with its serial run."""
 
     def __init__(self, max_workers=None):
         pass
@@ -491,14 +482,6 @@ class InlineExecutor:
     def __exit__(self, *exc):
         self.shutdown()
         return False
-
-    def submit(self, fn, *args, **kwargs):
-        future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
 
     def map(self, fn, *iterables):
         return [fn(*args) for args in zip(*iterables)]

@@ -19,7 +19,7 @@ from dprank.cli import main
 from dprank.datasets import benchmark_labels, citation_benchmark_graph
 from dprank.experiments import (ConfigError, ExperimentConfig, derive_seed,
                                 load_labels, run_eval, run_sweep, run_synth)
-from dprank.graph import from_edges, write_edge_list
+from dprank.graph import from_edges, load_edge_list, write_edge_list
 from dprank.privacy import gdp_epsilon
 from dprank.training import TrainConfig
 
@@ -237,11 +237,10 @@ def test_eval_downstream_scores(small_dataset, tmp_path):
 
 
 def test_eval_downstream_peak_memory_holds_one_embedding_matrix(tmp_path):
-    # run_eval gives the classifier the only reference to the embeddings, so
-    # the matrix is freed before the classifier's second layout of the
-    # training rows is made. With r = 1024 both dwarf the graphs; the peak
-    # read the matrix plus 1.20 layouts, and plus 2.11 when the matrix
-    # lived through the call
+    # run_eval loads each run's embeddings once, and the classifier sums its
+    # normal equations over small blocks of rows, so beside the one matrix
+    # it holds only a few (r + 1) x (r + 1) arrays. With r = 1024 these
+    # dwarf the graphs; the peak read the matrix plus 2.05 of them
     import tracemalloc
     n, r = 600, 1024
     dataset = tmp_path / "graph.tsv"
@@ -261,8 +260,7 @@ def test_eval_downstream_peak_memory_holds_one_embedding_matrix(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    layout = int(round(0.9 * n)) * (r + 1) * 8
-    assert peak < n * r * 8 + 1.5 * layout
+    assert peak < n * r * 8 + 2.5 * (r + 1) ** 2 * 8
 
 
 def test_eval_reads_a_manifest_written_with_symmetrize(small_dataset, tmp_path,
@@ -305,72 +303,47 @@ def test_eval_returns_what_eval_report_json_holds(small_dataset, tmp_path):
     assert reports[3.2]["privacy_spec"]["epsilon"] == 3.2
 
 
-def eval_outputs(out):
-    return [(out / name).read_bytes()
-            for name in ("eval_report.json", "eval_report.csv")]
-
-
-def test_eval_statistics_run_in_a_worker_with_serial_outputs(
-        small_dataset, tmp_path, monkeypatch):
-    # 2 epsilons x 2 runs, one run's graph deleted: the reports, CSV and
-    # warnings equal those of an inline (serial) run, every synthetic graph's
-    # statistics ran in one other process, and every edge list was parsed
-    # once, in this one
+def test_eval_parses_each_edge_list_once(small_dataset, tmp_path, monkeypatch):
+    # 2 epsilons x 2 runs, one run's graph deleted: the gap is a warning,
+    # every present edge list is parsed once and its statistics computed
+    # once, all in this process
     dataset, labels_path = small_dataset
     out = run_synth(small_config(dataset, tmp_path / "out",
                                  epsilons=[1.6, 3.2]))
     (out / "eps_3.2" / "run_0" / "synthetic_edges.tsv").unlink()
-    stats_pids = tmp_path / "stats_pids.txt"
-    load_pids = tmp_path / "load_pids.txt"
+    calls = Counter()
 
-    def spy(fn, pids):
+    def spy(fn):
         def logged(*args, **kwargs):
-            with open(pids, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
+            calls[fn.__name__, os.getpid()] += 1
             return fn(*args, **kwargs)
         return logged
 
-    # the worker is forked (the default start method on Linux), so it calls
-    # the spies too
     monkeypatch.setattr(experiments, "compute_stats",
-                        spy(experiments.compute_stats, stats_pids))
+                        spy(experiments.compute_stats))
     monkeypatch.setattr(experiments, "load_edge_list",
-                        spy(experiments.load_edge_list, load_pids))
-    pooled = run_eval(dataset, out, out_dir=tmp_path / "pooled",
-                      downstream=True, labels_path=labels_path)
-    stats_calls = Counter(int(line) for line in stats_pids.read_text().split())
-    load_calls = Counter(int(line) for line in load_pids.read_text().split())
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlineExecutor)
-    inline = run_eval(dataset, out, out_dir=tmp_path / "inline",
-                      downstream=True, labels_path=labels_path)
-
-    assert eval_outputs(tmp_path / "pooled") == eval_outputs(tmp_path / "inline")
-    assert {e: r["warnings"] for e, r in pooled.items()} \
-        == {e: r["warnings"] for e, r in inline.items()}
-    assert "missing run output: eps_3.2/run_0" in pooled[1.6]["warnings"]
-    assert stats_calls.pop(os.getpid()) == 1      # the original graph
-    assert list(stats_calls.values()) == [3], stats_calls
-    # the original and the three present runs, none in the worker
-    assert load_calls == {os.getpid(): 4}, load_calls
+                        spy(experiments.load_edge_list))
+    reports = run_eval(dataset, out, downstream=True, labels_path=labels_path)
+    assert "missing run output: eps_3.2/run_0" in reports[1.6]["warnings"]
+    # the original and the three present runs
+    assert calls == {("compute_stats", os.getpid()): 4,
+                     ("load_edge_list", os.getpid()): 4}, calls
     assert not multiprocessing.active_children()
 
 
-def test_eval_worker_error_is_the_serial_error(small_dataset, tmp_path,
-                                               monkeypatch):
+def test_eval_error_on_a_bad_edge_list_is_that_of_its_load(small_dataset,
+                                                           tmp_path):
     dataset, _ = small_dataset
     out = run_synth(small_config(dataset, tmp_path / "out"))
-    with open(out / "eps_3.2" / "run_1" / "synthetic_edges.tsv", "a") as fh:
+    edges_path = out / "eps_3.2" / "run_1" / "synthetic_edges.tsv"
+    with open(edges_path, "a") as fh:
         fh.write("3\t60\n")     # node 60 of a 60-node graph
-
-    def error():
-        with pytest.raises(IndexError) as err:
-            run_eval(dataset, out, out_dir=tmp_path / "eval")
-        assert not multiprocessing.active_children()
-        return type(err.value), str(err.value)
-
-    pooled = error()
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlineExecutor)
-    assert error() == pooled
+    with pytest.raises(IndexError) as direct:
+        load_edge_list(edges_path, num_nodes=60)
+    with pytest.raises(IndexError) as err:
+        run_eval(dataset, out, out_dir=tmp_path / "eval")
+    assert str(err.value) == str(direct.value)
+    assert not multiprocessing.active_children()
 
 
 def test_eval_parent_error_leaves_no_process(small_dataset, tmp_path):

@@ -409,7 +409,8 @@ def test_node_classification_separable(rng):
 def test_node_classification_matches_textbook_layout(n, n_classes, scale,
                                                       seed):
     # class-dependent means, then a third of the labels redrawn at random, so
-    # neither layout can score 0 or 1 and a single changed prediction shows
+    # neither form can score 0 or 1 and a single changed prediction shows;
+    # the fit does not see the columns' scale
     gen = np.random.default_rng(seed)
     labels = gen.integers(n_classes, size=n)
     means = gen.standard_normal((n_classes, 16))
@@ -418,16 +419,36 @@ def test_node_classification_matches_textbook_layout(n, n_classes, scale,
     labels[noisy] = gen.integers(n_classes, size=int(noisy.sum()))
 
     got = node_classification_f1(emb, labels, rng=np.random.default_rng(seed))
-    expected = oracles.logistic_ovr_f1_textbook(
+    expected = oracles.lstsq_ovr_f1_textbook(
         emb, labels, np.random.default_rng(seed), metrics.LABEL_TRAIN_FRAC,
-        metrics.CLASSIFIER_EPOCHS, metrics.CLASSIFIER_LR, metrics.SPLIT_RETRIES)
+        metrics.SPLIT_RETRIES)
     assert 0.0 < got < 1.0
     assert got == expected
+    assert node_classification_f1(emb * 1e-3, labels,
+                                  rng=np.random.default_rng(seed)) == got
 
 
-def test_node_classification_peak_memory_is_two_feature_layouts():
-    # the training rows once as rows and once as columns; the per-class
-    # epoch buffers and the test rows are small beside them
+def test_node_classification_reads_signal_at_any_scale_and_rank():
+    # four well-separated classes at the scale of a released V, whose
+    # entries are small; a zero matrix and more columns than training rows
+    # still give a score
+    gen = np.random.default_rng(0)
+    n, r = 600, 16
+    labels = gen.integers(4, size=n)
+    means = gen.standard_normal((4, r))
+    emb = 1e-3 * (means[labels] + 0.5 * gen.standard_normal((n, r)))
+    assert node_classification_f1(emb, labels,
+                                  rng=np.random.default_rng(1)) >= 0.9
+    for emb, labels in ((np.zeros((n, r)), labels),
+                        (gen.standard_normal((50, 128)), labels[:50])):
+        score = node_classification_f1(emb, labels, rng=np.random.default_rng(1))
+        assert 0.0 <= score <= 1.0
+
+
+def test_node_classification_peak_memory_is_under_half_a_layout():
+    # the normal equations are summed over small blocks of gathered rows, so
+    # the peak stays well below one n_train x (r + 1) copy of the training
+    # rows
     import tracemalloc
     gen = np.random.default_rng(0)
     n, r = 3000, 128
@@ -442,29 +463,7 @@ def test_node_classification_peak_memory_is_two_feature_layouts():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * n_train * (r + 1) * 8
-
-
-def test_node_classification_frees_an_embedding_matrix_it_alone_holds():
-    # given the only reference, the classifier drops the matrix once it has
-    # gathered the training and test rows, before it builds the second
-    # layout, so the matrix and both layouts are never live together (that
-    # peak was 3.18 layouts here)
-    import tracemalloc
-    gen = np.random.default_rng(0)
-    n, r = 3000, 128
-    labels = gen.integers(4, size=n)
-    n_train = int(round(metrics.LABEL_TRAIN_FRAC * n))
-    node_classification_f1(gen.standard_normal((20, r)), labels[:20],
-                           rng=np.random.default_rng(1))
-    tracemalloc.start()
-    try:
-        node_classification_f1(np.random.default_rng(2).standard_normal((n, r)),
-                               labels, rng=np.random.default_rng(1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.6 * n_train * (r + 1) * 8
+    assert peak < 0.5 * n_train * (r + 1) * 8
 
 
 def test_node_classification_single_class_fails(rng):
