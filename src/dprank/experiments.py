@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -238,6 +237,8 @@ def _synthesize(cfg: ExperimentConfig, g: Graph) -> Path:
             for epsilon in cfg.epsilons for run_index in range(cfg.run_count)]
     workers = min(cfg.threads, len(jobs))
     if workers > 1:
+        # imported here: it loads multiprocessing, which no other path needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(synth_one_run, *zip(*jobs)))
     else:

@@ -21,9 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .graph import Graph, generate_walk_batch, run_starts
-from .model import (AdamState, Theta, WeightNormalizer, Workspace,
-                    _loss_and_gradients, adam_step, adam_update, init_params,
-                    touched_nodes)
+from .model import (AdamState, Theta, WeightNormalizer, _loss_and_gradients,
+                    adam_step, adam_update, init_params, touched_nodes)
 from .privacy import (PrefetchedNoise, PrivacyLedger, PrivacyOverdraftError,
                       PrivacySpec, RowGradient, noise_sigma, perturb_gradient,
                       shared_zeros)
@@ -328,10 +327,12 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None) -> TrainResult:
     ``train`` starts no thread, so the fork copies none, and every call that
     ``bench/traced.py`` wraps runs on the calling thread.
 
-    The saved rows and the gradient pass's U-row arrays (a
-    :class:`~dprank.model.Workspace`) are allocated once, for the most rows
-    a batch can touch, and reused on every step; the score matrix reserves
-    the run's exact transition count up front.
+    The saved pre-step rows are allocated once, for the most rows a batch
+    can touch, and reused on every step. The gradient pass allocates its
+    layers' activations anew each step and writes each delta over them; a
+    step's gradient and perturbed rows are freed before the next step's
+    pass. The score matrix reserves the run's exact transition count up
+    front.
 
     ``run_dir`` enables an end-of-epoch checkpoint of the weights,
     ``checkpoint.npz``, overwritten each epoch (see :func:`save_checkpoint`).
@@ -359,7 +360,6 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None) -> TrainResult:
     # leaves the rows no batch reaches unbacked
     max_rows = min(n, cfg.batch_nodes * (1 + cfg.r_wn * (cfg.r_wl - 1)))
     saved = np.empty((3, max_rows, cfg.r))     # pre-step V, m and v rows
-    workspace = Workspace(max_rows, cfg.r, cfg.d, pspec.min_depth)
 
     # the noise reads neither the data nor the model, so a worker process
     # draws each step's noise once it has handed back the rows of the draw
@@ -384,7 +384,7 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None) -> TrainResult:
                 noise.apply(nodes)
                 normalizer.normalize_(theta)
                 loss, grad_rows, grad_w = _loss_and_gradients(
-                    v_rows, theta.w, batch, inverse, g, cfg.gamma, workspace)
+                    v_rows, theta.w, batch, inverse, g, cfg.gamma)
                 if not (np.isfinite(loss)
                         and np.isfinite(grad_rows).all()
                         and all(np.isfinite(gw).all() for gw in grad_w)):
@@ -409,8 +409,8 @@ def train(g: Graph, cfg: TrainConfig, run_dir=None) -> TrainResult:
                 adam_step(row_state, [v_rows], [noisy_rows], cfg.eta)
                 theta.v[nodes], m_v[nodes], s_v[nodes] = v_rows, m_rows, s_rows
                 step_v = row_state.step
-                # the step's one new U x r array; the rest are reused
-                del noisy_rows
+                # else both stay alive through the next step's pass
+                del noisy_rows, grad_rows
                 ledger.record(eps_t, delta_t)
                 accumulate_scores(theta.v, starts, scores, rng_score,
                                   walk_length=cfg.r_wl)

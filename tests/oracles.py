@@ -425,9 +425,9 @@ def accumulate_scores_single_stage(v, starts, scores, rng, walk_length,
 
 
 # ------------------------------------------------------- allocating gradient
-# The forward and backward pass as they ran before they wrote into a reused
-# workspace: a new array for every layer and every temporary. The workspace
-# pass runs the same operations in the same order, so it must give the same
+# The forward and backward pass with a new array for every layer and every
+# temporary. The model's pass writes each layer's delta over its activation
+# but runs the same operations in the same order, so it must give the same
 # bits.
 
 def loss_and_gradients_allocating(v_rows, w, pairs, inverse, g, gamma):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -956,7 +957,8 @@ def test_cli_threads_flag_parallel_runs(small_dataset, tmp_path, monkeypatch):
         def __init__(self, max_workers=None):
             pools.append(max_workers)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingExecutor)
     one = tmp_path / "one.json"
     write_config(one, small_config(dataset, tmp_path / "one", run_count=1))
     assert main(["synth", "--config", str(one), "--threads", "4"]) == 0

@@ -4,11 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from dprank.graph import WalkBatch, from_edges
 from dprank.model import (ADAM_BETA1, ADAM_BETA2, ADAM_BLOCK, ADAM_EPS,
-                          AdamState, WeightNormalizer, Workspace,
-                          _loss_and_gradients, adam_step, adam_update,
-                          batch_gradients, edge_loss, forward, full_objective,
-                          init_params, spectral_norm, touched_nodes,
-                          weight_normalize)
+                          AdamState, WeightNormalizer, _loss_and_gradients,
+                          adam_step, adam_update, batch_gradients, edge_loss,
+                          forward, full_objective, init_params, spectral_norm,
+                          touched_nodes, weight_normalize)
 from dprank.privacy import compute_m
 
 import oracles
@@ -325,28 +324,26 @@ def test_repeated_edge_scales_gradient_exactly(two_cycle, rng):
 @pytest.mark.parametrize("r, d, depth", [(6, 4, 1), (8, 4, 3), (16, 3, 2),
                                          (5, 1, 2)],
                          ids=["r<2d", "r=2d", "r>2d", "d=1"])
-def test_workspace_pass_matches_allocating_expressions(r, d, depth):
-    # one workspace, larger than any batch, reused across batches of
-    # different sizes gives the bits of a new array per operation
+def test_gradient_pass_matches_allocating_expressions(r, d, depth):
+    # the pass writes each delta over its layer's activation, with the
+    # operations of a new array per operation, so it gives the same bits;
+    # it never writes the caller's rows, which train reuses for the row update
     gen = np.random.default_rng(r * d + depth)
     g = from_edges(30, gen.integers(30, size=(90, 2)))
     theta = init_params(30, r, d, depth, 0.5, gen)
-    workspace = Workspace(40, r, d, depth)
     for k in (60, 3, 25):
         batch = batch_of(g.edges[gen.choice(g.num_edges, size=k)])
         nodes, inverse = touched_nodes(batch)
-        loss, grad_rows, grad_w = _loss_and_gradients(
-            theta.v[nodes], theta.w, batch, inverse, g, 0.85, workspace)
+        v_rows = theta.v[nodes]
+        before = v_rows.tobytes()
         ref_loss, ref_rows, ref_w = oracles.loss_and_gradients_allocating(
-            theta.v[nodes], theta.w, batch.pairs, inverse, g, 0.85)
+            v_rows, theta.w, batch.pairs, inverse, g, 0.85)
+        loss, grad_rows, grad_w = _loss_and_gradients(
+            v_rows, theta.w, batch, inverse, g, 0.85)
+        assert v_rows.tobytes() == before
         assert loss == ref_loss
         assert np.array_equal(grad_rows, ref_rows)
         assert all(np.array_equal(a, b) for a, b in zip(grad_w, ref_w))
-
-
-def test_workspace_refuses_more_rows_than_it_holds():
-    with pytest.raises(ValueError, match="exceed"):
-        Workspace(4, 3, 2, 1).layers(5)
 
 
 def test_per_edge_gradient_respects_depth_bound(rng):

@@ -487,6 +487,20 @@ def test_importing_the_cli_loads_no_fractions():
     assert done.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_loads_no_multiprocessing():
+    # only a synth run on more than one process imports the process pool:
+    # the other commands do not load multiprocessing
+    src = str(Path(dprank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, dprank.cli; print("
+         "'multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 # ------------------------------------------------------------ PrivacySpec
 
 def test_spec_derivation_consistency():

@@ -22,8 +22,9 @@ from dprank.privacy import (PrefetchedNoise, PrivacyLedger,
 from dprank.training import (ScoreMatrix, TrainConfig, TrainingDivergedError,
                              accumulate_scores, train)
 from oracles import (accumulate_scores_single_stage, assert_reaped,
-                     inverse_cdf_step, masked_softmax_probs,
-                     rejection_acceptance, score_csr, train_serial)
+                     inverse_cdf_step, loss_and_gradients_allocating,
+                     masked_softmax_probs, rejection_acceptance, score_csr,
+                     train_serial)
 
 
 def tiny_config(**overrides):
@@ -202,7 +203,7 @@ def abort_mid_update(monkeypatch, worker_pids, gradients):
         adam_update(*args, **kwargs)
         flags[1] = 1.0
 
-    def late_gradients(v_rows, w, batch, inverse, graph, gamma, workspace):
+    def late_gradients(v_rows, w, batch, inverse, graph, gamma):
         # the abort comes while the worker's noise-only update is running
         wait_for(flags[:1])
         return gradients(v_rows, w)
@@ -622,46 +623,43 @@ def test_train_peak_memory_holds_four_embedding_sized_arrays(monkeypatch):
     assert (peaks[1] - peaks[0]) / (6000 * cfg.r * 8) < 0.5
 
 
-def test_train_step_peak_stays_near_the_step_boundary(monkeypatch):
-    # the step's row buffers are made before the first step and reused, so
-    # from the second step on a step allocates only the perturbed rows, Adam's
-    # scratch blocks and the sampler's candidates: a few U x r arrays above
-    # what is live between steps, where a step that allocated its rows, its
-    # 23 layers' activations and their temporaries anew went above ten
+def test_gradient_pass_peak_is_its_activations_and_one_temporary():
+    # at depth 23 a step's pass holds its L + 1 activations, writes each
+    # delta over one of them, and allocates above them only its weight
+    # gradients, the U x r result and one U x d temporary at a time; the
+    # allocating oracle, with a new delta and a new a (1 - a) per layer,
+    # goes above that
     import tracemalloc
     from dprank.datasets import citation_benchmark_graph
+    from dprank.graph import generate_walk_batch
     g = citation_benchmark_graph(1000, 2100, seed=4)
     cfg = TrainConfig(n_epochs=1, batch_nodes=32, r_wn=2, r_wl=8, r=128,
                       d=32, s=2.0, master_seed=3)
-    assert cfg.privacy_spec(1000).min_depth == 23
-    touched, marks = [], []
+    depth = cfg.privacy_spec(1000).min_depth
+    assert depth == 23
+    gen = np.random.default_rng(3)
+    theta = model.WeightNormalizer(cfg.s).normalize_(
+        model.init_params(1000, cfg.r, cfg.d, depth, 0.1, gen))
+    batch = generate_walk_batch(g, gen.permutation(1000)[:cfg.batch_nodes],
+                                cfg.r_wn, cfg.r_wl, gen)
+    nodes, inverse = model.touched_nodes(batch)
+    v_rows = theta.v[nodes]
+    u = len(nodes)
+    bound = ((depth * u * cfg.d + u) * 8 + sum(w.nbytes for w in theta.w)
+             + u * cfg.r * 8 + u * cfg.d * 8)
 
-    def spy_perturb(grad, *args):
-        touched.append(len(grad.rows))
-        return perturb_gradient(grad, *args)
+    def peak(gradient_pass, *args):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            gradient_pass(v_rows, theta.w, *args, inverse, g, cfg.gamma)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
 
-    record = PrivacyLedger.record
-
-    def mark(ledger, *args):
-        # a step records its budget once its V rows are written back and its
-        # perturbed rows freed: between a step's V update and the next
-        # step's, the traced current and peak memory
-        marks.append(tracemalloc.get_traced_memory())
-        tracemalloc.reset_peak()
-        return record(ledger, *args)
-
-    monkeypatch.setattr(training, "perturb_gradient", spy_perturb)
-    monkeypatch.setattr(PrivacyLedger, "record", mark)
-    tracemalloc.start()
-    try:
-        train(g, cfg)
-    finally:
-        tracemalloc.stop()
-    assert len(marks) == len(touched) == 31
-    row_bytes = cfg.r * 8
-    for k in range(1, len(marks)):
-        above = marks[k][1] - marks[k - 1][0]
-        assert above < 4 * touched[k] * row_bytes, (k, above / (touched[k] * row_bytes))
+    got = peak(model._loss_and_gradients, batch)
+    assert got <= bound, got / bound
+    assert peak(loss_and_gradients_allocating, batch.pairs) > bound
 
 
 def test_train_refuses_per_step_budget_of_one():
